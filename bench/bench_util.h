@@ -1,7 +1,8 @@
 // Shared helpers for the experiment binaries. Each bench regenerates one
 // artifact of the paper (figure, theorem validation, or complexity-shape
-// claim) and prints the series it measures; EXPERIMENTS.md records the
-// paper-claim vs. measured comparison.
+// claim) and prints the series it measures. The recorded end-to-end
+// service numbers come from perfbench instead: see perfbench/README.md and
+// the workloads and metrics declared in BENCHMARK.json.
 #ifndef CQCHASE_BENCH_BENCH_UTIL_H_
 #define CQCHASE_BENCH_BENCH_UTIL_H_
 

@@ -3,56 +3,115 @@
 #ifndef CQCHASE_BASE_STRING_UTIL_H_
 #define CQCHASE_BASE_STRING_UTIL_H_
 
+#include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace cqchase {
 
 namespace internal_strings {
-inline void AppendPieces(std::ostringstream&) {}
-template <typename T, typename... Rest>
-void AppendPieces(std::ostringstream& os, const T& head, const Rest&... rest) {
-  os << head;
-  AppendPieces(os, rest...);
+
+template <typename T>
+inline constexpr bool kIsCharLike =
+    std::is_same_v<T, char> || std::is_same_v<T, signed char> ||
+    std::is_same_v<T, unsigned char>;
+
+// Appends one piece exactly as `std::ostringstream << piece` would render it
+// under default flags. Strings, characters, bool and integers are written
+// straight into `out`; every other streamable type (floating point, enums,
+// anything with an operator<<) goes through a stream.
+template <typename T>
+void AppendPiece(std::string& out, const T& piece) {
+  if constexpr (std::is_same_v<T, const char*> || std::is_same_v<T, char*>) {
+    if (piece != nullptr) out.append(piece);
+  } else if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+    out.append(std::string_view(piece));
+  } else if constexpr (std::is_same_v<T, bool>) {
+    out += piece ? '1' : '0';
+  } else if constexpr (kIsCharLike<T>) {
+    out += static_cast<char>(piece);
+  } else if constexpr (std::is_integral_v<T> &&
+                       !std::is_same_v<T, wchar_t> &&
+                       !std::is_same_v<T, char16_t> &&
+                       !std::is_same_v<T, char32_t>) {
+    char buf[24];  // 20 digits of UINT64_MAX, or a sign and 19 digits
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), piece).ptr);
+  } else {
+    std::ostringstream os;
+    os << piece;
+    out += os.str();
+  }
 }
+
+// Length of a string piece, 0 for anything else: StrAppend reserves the
+// string pieces' total so a long piece is copied once, while short
+// numeric concatenations stay in the small-string buffer.
+template <typename T>
+size_t StringPieceSize(const T& piece) {
+  if constexpr (std::is_same_v<T, const char*> || std::is_same_v<T, char*>) {
+    return piece != nullptr ? std::strlen(piece) : 0;
+  } else if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+    return std::string_view(piece).size();
+  } else {
+    return 0;
+  }
+}
+
 }  // namespace internal_strings
 
-// Concatenates the streamable arguments into one string.
+// Appends the pieces to `*out`, rendered as StrCat renders them.
+template <typename... Args>
+void StrAppend(std::string* out, const Args&... args) {
+  const size_t need =
+      out->size() + (size_t{0} + ... + internal_strings::StringPieceSize(args));
+  // Geometric, so repeated appends to one buffer stay amortized O(1).
+  if (need > out->capacity()) {
+    out->reserve(std::max(need, 2 * out->capacity()));
+  }
+  (internal_strings::AppendPiece(*out, args), ...);
+}
+
+// Concatenates the streamable arguments into one string, byte-identical to
+// streaming them into a default std::ostringstream (characters append as
+// characters, bool as "1"/"0"); a null `const char*` appends nothing.
 // StrCat("level ", 3, "/", 10) == "level 3/10".
 template <typename... Args>
 std::string StrCat(const Args&... args) {
-  std::ostringstream os;
-  internal_strings::AppendPieces(os, args...);
-  return os.str();
+  std::string out;
+  StrAppend(&out, args...);
+  return out;
 }
 
-// Joins the elements of `parts` with `sep`, streaming each element.
+// Joins the elements of `parts` with `sep`, each rendered as by StrCat.
 template <typename Container>
 std::string StrJoin(const Container& parts, std::string_view sep) {
-  std::ostringstream os;
+  std::string out;
   bool first = true;
   for (const auto& p : parts) {
-    if (!first) os << sep;
+    if (!first) out.append(sep);
     first = false;
-    os << p;
+    internal_strings::AppendPiece(out, p);
   }
-  return os.str();
+  return out;
 }
 
 // Joins after applying `fn` to each element.
 template <typename Container, typename Fn>
 std::string StrJoinMapped(const Container& parts, std::string_view sep,
                           Fn&& fn) {
-  std::ostringstream os;
+  std::string out;
   bool first = true;
   for (const auto& p : parts) {
-    if (!first) os << sep;
+    if (!first) out.append(sep);
     first = false;
-    os << fn(p);
+    internal_strings::AppendPiece(out, fn(p));
   }
-  return os.str();
+  return out;
 }
 
 // Splits `input` on the single character `sep`. Empty pieces are kept.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "base/string_util.h"
@@ -14,53 +14,99 @@ namespace {
 // Renders a constant unambiguously: the length prefix delimits the name, so
 // names containing quotes/commas/parentheses cannot splice into the
 // surrounding key syntax and collide two different constant sequences.
-std::string EncodeConstant(const SymbolTable& symbols, Term t) {
+void AppendConstant(std::string* out, const SymbolTable& symbols, Term t) {
   const std::string& name = symbols.Name(t);
-  return StrCat("c", name.size(), "#", name);
+  StrAppend(out, "c", name.size(), "#", name);
 }
+
+// The distinct variables of one query, sorted, so per-variable state
+// (occurrence counts, canonical names) lives in flat arrays indexed by
+// position instead of in per-term hash maps.
+class VarIndex {
+ public:
+  explicit VarIndex(const ConjunctiveQuery& q) {
+    for (Term t : q.summary()) {
+      if (t.is_variable()) vars_.push_back(t);
+    }
+    for (const Fact& f : q.conjuncts()) {
+      for (Term t : f.terms) {
+        if (t.is_variable()) vars_.push_back(t);
+      }
+    }
+    std::sort(vars_.begin(), vars_.end());
+    vars_.erase(std::unique(vars_.begin(), vars_.end()), vars_.end());
+  }
+
+  size_t size() const { return vars_.size(); }
+  size_t operator()(Term var) const {
+    return static_cast<size_t>(
+        std::lower_bound(vars_.begin(), vars_.end(), var) - vars_.begin());
+  }
+
+ private:
+  std::vector<Term> vars_;
+};
 
 // Assigns canonical names on first use: d0,d1,… for DVs, n0,n1,… for NDVs.
 // Constants keep their interned names (their identity is shared across the
 // whole task and must survive canonicalization).
 class Namer {
  public:
-  explicit Namer(const SymbolTable& symbols) : symbols_(symbols) {}
+  Namer(const SymbolTable& symbols, const VarIndex& index)
+      : symbols_(symbols), index_(index), names_(index.size(), kUnnamed) {}
 
-  std::string NameOf(Term t) {
-    if (t.is_constant()) return EncodeConstant(symbols_, t);
-    auto it = names_.find(t);
-    if (it != names_.end()) return it->second;
-    std::string name = t.is_dist_var() ? StrCat("d", next_d_++)
-                                       : StrCat("n", next_n_++);
-    names_.emplace(t, name);
-    return name;
+  // Forgets every assignment, for the next refinement round.
+  void Reset() {
+    std::fill(names_.begin(), names_.end(), kUnnamed);
+    next_d_ = next_n_ = 0;
+  }
+
+  // Names `t` if it has no name yet, without rendering it.
+  void Touch(Term t) {
+    if (t.is_variable()) NumberOf(t);
+  }
+
+  void Append(std::string* out, Term t) {
+    if (t.is_constant()) {
+      AppendConstant(out, symbols_, t);
+      return;
+    }
+    StrAppend(out, t.is_dist_var() ? 'd' : 'n', NumberOf(t));
   }
 
  private:
+  static constexpr size_t kUnnamed = static_cast<size_t>(-1);
+
+  size_t NumberOf(Term var) {
+    size_t& name = names_[index_(var)];
+    if (name == kUnnamed) name = var.is_dist_var() ? next_d_++ : next_n_++;
+    return name;
+  }
+
   const SymbolTable& symbols_;
-  std::unordered_map<Term, std::string> names_;
+  const VarIndex& index_;
+  std::vector<size_t> names_;
   size_t next_d_ = 0;
   size_t next_n_ = 0;
 };
 
-std::string EncodeFact(const Fact& f, Namer& namer) {
-  std::string out = StrCat("R", f.relation, "(");
+void AppendFact(std::string* out, const Fact& f, Namer& namer) {
+  StrAppend(out, "R", f.relation, "(");
   for (size_t i = 0; i < f.terms.size(); ++i) {
-    if (i != 0) out += ",";
-    out += namer.NameOf(f.terms[i]);
+    if (i != 0) *out += ',';
+    namer.Append(out, f.terms[i]);
   }
-  out += ")";
-  return out;
+  *out += ')';
 }
 
-std::string EncodeSummary(const std::vector<Term>& summary, Namer& namer) {
-  std::string out = "(";
+void AppendSummary(std::string* out, const std::vector<Term>& summary,
+                   Namer& namer) {
+  *out += '(';
   for (size_t i = 0; i < summary.size(); ++i) {
-    if (i != 0) out += ",";
-    out += namer.NameOf(summary[i]);
+    if (i != 0) *out += ',';
+    namer.Append(out, summary[i]);
   }
-  out += ")";
-  return out;
+  *out += ')';
 }
 
 // Naming-free signature of one conjunct, built only from isomorphism
@@ -68,16 +114,17 @@ std::string EncodeSummary(const std::vector<Term>& summary, Namer& namer) {
 // kind, its first occurrence within this conjunct (the local equality
 // pattern), its total occurrence count across the query, and the summary
 // positions it fills.
-std::string InitialSignature(const Fact& f,
-                             const std::vector<Term>& summary,
-                             const std::unordered_map<Term, size_t>& counts,
-                             const SymbolTable& symbols) {
-  std::string out = StrCat("R", f.relation, "(");
+void AppendInitialSignature(std::string* out, const Fact& f,
+                            const std::vector<Term>& summary,
+                            const VarIndex& index,
+                            const std::vector<size_t>& counts,
+                            const SymbolTable& symbols) {
+  StrAppend(out, "R", f.relation, "(");
   for (size_t i = 0; i < f.terms.size(); ++i) {
-    if (i != 0) out += ",";
+    if (i != 0) *out += ',';
     Term t = f.terms[i];
     if (t.is_constant()) {
-      out += EncodeConstant(symbols, t);
+      AppendConstant(out, symbols, t);
       continue;
     }
     size_t first = i;
@@ -87,67 +134,108 @@ std::string InitialSignature(const Fact& f,
         break;
       }
     }
-    out += StrCat(t.is_dist_var() ? "d" : "n", "@", first, "#",
-                  counts.at(t), "s");
+    StrAppend(out, t.is_dist_var() ? 'd' : 'n', "@", first, "#",
+              counts[index(t)], "s");
     for (size_t j = 0; j < summary.size(); ++j) {
-      if (summary[j] == t) out += StrCat(j, ".");
+      if (summary[j] == t) StrAppend(out, j, ".");
     }
   }
-  out += ")";
-  return out;
+  *out += ')';
 }
 
-}  // namespace
+// One refinement round's conjunct signatures, rendered back to back into a
+// single buffer; signature i is the slice [begin[i], end[i]).
+struct Signatures {
+  std::string text;
+  std::vector<size_t> begin;
+  std::vector<size_t> end;
 
-std::string CanonicalQueryKey(const ConjunctiveQuery& q) {
+  explicit Signatures(size_t n) : begin(n), end(n) {}
+
+  std::string_view operator[](size_t i) const {
+    return std::string_view(text).substr(begin[i], end[i] - begin[i]);
+  }
+  bool operator==(const Signatures& other) const {
+    for (size_t i = 0; i < begin.size(); ++i) {
+      if ((*this)[i] != other[i]) return false;
+    }
+    return true;
+  }
+};
+
+// Appends the canonical form of `q` (see CanonicalQueryKey) to `*out`.
+void AppendQueryKey(std::string* out, const ConjunctiveQuery& q) {
   const SymbolTable& symbols = q.symbols();
+  const VarIndex index(q);
+  Namer namer(symbols, index);
   if (q.is_empty_query()) {
-    Namer namer(symbols);
-    return StrCat("Q{!EMPTY", EncodeSummary(q.summary(), namer), "}");
+    *out += "Q{!EMPTY";
+    AppendSummary(out, q.summary(), namer);
+    *out += '}';
+    return;
   }
 
   const std::vector<Fact>& conjuncts = q.conjuncts();
-  std::unordered_map<Term, size_t> counts;
+  std::vector<size_t> counts(index.size(), 0);
   for (const Fact& f : conjuncts) {
     for (Term t : f.terms) {
-      if (t.is_variable()) ++counts[t];
+      if (t.is_variable()) ++counts[index(t)];
     }
   }
 
   std::vector<size_t> order(conjuncts.size());
   std::iota(order.begin(), order.end(), 0);
-  std::vector<std::string> sigs(conjuncts.size());
+  Signatures sigs(conjuncts.size());
   for (size_t i = 0; i < conjuncts.size(); ++i) {
-    sigs[i] = InitialSignature(conjuncts[i], q.summary(), counts, symbols);
+    sigs.begin[i] = sigs.text.size();
+    AppendInitialSignature(&sigs.text, conjuncts[i], q.summary(), index,
+                           counts, symbols);
+    sigs.end[i] = sigs.text.size();
   }
+  const auto by_signature = [&sigs](size_t a, size_t b) {
+    return sigs[a] < sigs[b];
+  };
 
   // Refinement rounds: order by signature, rename by first occurrence in
   // that order, re-sign with the full canonical rendering. Two rounds past
   // the initial invariant signatures are enough to reach a fixpoint on
   // everything short of highly symmetric queries (whose ties only cost cache
   // misses — see header).
+  Signatures next(conjuncts.size());
+  next.text.reserve(sigs.text.size());
   for (int round = 0; round < 3; ++round) {
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return sigs[a] < sigs[b];
-    });
-    Namer namer(symbols);
-    for (Term t : q.summary()) namer.NameOf(t);
-    std::vector<std::string> next(conjuncts.size());
-    for (size_t i : order) next[i] = EncodeFact(conjuncts[i], namer);
+    std::stable_sort(order.begin(), order.end(), by_signature);
+    namer.Reset();
+    for (Term t : q.summary()) namer.Touch(t);
+    next.text.clear();
+    for (size_t i : order) {
+      next.begin[i] = next.text.size();
+      AppendFact(&next.text, conjuncts[i], namer);
+      next.end[i] = next.text.size();
+    }
     if (next == sigs) break;
-    sigs = std::move(next);
+    std::swap(sigs, next);
   }
 
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return sigs[a] < sigs[b];
-  });
-  Namer namer(symbols);
-  std::string out = StrCat("Q{", EncodeSummary(q.summary(), namer), ":");
+  std::stable_sort(order.begin(), order.end(), by_signature);
+  namer.Reset();
+  out->reserve(out->size() + sigs.text.size() + conjuncts.size() +
+              4 * q.summary().size() + 8);
+  *out += "Q{";
+  AppendSummary(out, q.summary(), namer);
+  *out += ':';
   for (size_t i : order) {
-    out += EncodeFact(conjuncts[i], namer);
-    out += ";";
+    AppendFact(out, conjuncts[i], namer);
+    *out += ';';
   }
-  out += "}";
+  *out += '}';
+}
+
+}  // namespace
+
+std::string CanonicalQueryKey(const ConjunctiveQuery& q) {
+  std::string out;
+  AppendQueryKey(&out, q);
   return out;
 }
 
@@ -181,8 +269,12 @@ std::string CanonicalSigmaKey(const DependencySet& deps) {
 std::string CanonicalTaskKey(const ConjunctiveQuery& q,
                              const ConjunctiveQuery& q_prime,
                              const DependencySet& deps, ChaseVariant variant) {
-  return StrCat("V", static_cast<int>(variant), "|", CanonicalSigmaKey(deps),
-                "|", CanonicalQueryKey(q), "|=>|", CanonicalQueryKey(q_prime));
+  std::string out =
+      StrCat("V", static_cast<int>(variant), "|", CanonicalSigmaKey(deps), "|");
+  AppendQueryKey(&out, q);
+  out += "|=>|";
+  AppendQueryKey(&out, q_prime);
+  return out;
 }
 
 }  // namespace cqchase

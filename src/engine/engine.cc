@@ -52,24 +52,26 @@ uint32_t WitnessMaxLevel(const Homomorphism& hom,
 // Exact (term-identity) key of a query, for the chase-prefix cache: a chase
 // holds the query's actual terms, so only a byte-identical re-ask may resume
 // it. Contrast CanonicalQueryKey, which is renaming-invariant.
-std::string ExactQueryKey(const ConjunctiveQuery& q) {
-  std::string out = q.is_empty_query() ? "E(" : "(";
-  auto append_term = [&out](Term t) {
+void AppendExactQueryKey(std::string* out, const ConjunctiveQuery& q) {
+  size_t terms = q.summary().size();
+  for (const Fact& f : q.conjuncts()) terms += f.terms.size() + 2;
+  out->reserve(out->size() + 4 * terms + 3);
+  *out += q.is_empty_query() ? "E(" : "(";
+  auto append_term = [out](Term t) {
     switch (t.kind()) {
-      case TermKind::kConstant: out += 'c'; break;
-      case TermKind::kDistVar: out += 'd'; break;
-      case TermKind::kNondistVar: out += 'n'; break;
+      case TermKind::kConstant: *out += 'c'; break;
+      case TermKind::kDistVar: *out += 'd'; break;
+      case TermKind::kNondistVar: *out += 'n'; break;
     }
-    out += StrCat(t.id(), ",");
+    StrAppend(out, t.id(), ",");
   };
   for (Term t : q.summary()) append_term(t);
-  out += ")";
+  *out += ')';
   for (const Fact& f : q.conjuncts()) {
-    out += StrCat("R", f.relation, "(");
+    StrAppend(out, "R", f.relation, "(");
     for (Term t : f.terms) append_term(t);
-    out += ")";
+    *out += ')';
   }
-  return out;
 }
 
 // Q with conjunct `skip` removed.
@@ -662,9 +664,10 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
   // only the delta this asker drives is attributed here.
   ChaseStats chase_stats_before;
   if (cacheable) {
-    const std::string chase_key =
+    std::string chase_key =
         StrCat("V", static_cast<int>(options.variant), "|",
-               CanonicalSigmaKey(deps), "|", ExactQueryKey(q));
+               CanonicalSigmaKey(deps), "|");
+    AppendExactQueryKey(&chase_key, q);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (std::shared_ptr<SharedChase>* hit = chase_cache_.Get(chase_key)) {
@@ -868,6 +871,9 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
         UsedDependencyFingerprints(deps, chase.used_inds(), chase.used_fds());
   }
 
+  // Hand the NDV block's unused tail back while the chase is still ours: a
+  // parked prefix that kept it would strand it below the next chase's block.
+  chase.ReturnUnusedNdvIds();
   chase.set_control(nullptr);
   // No release step: the shared entry stayed in the cache the whole time
   // (touched to most-recently-used at lookup); shared_lock and our

@@ -83,8 +83,9 @@ inline constexpr uint8_t kTierOpApplyDelta = 5;  // protocol v3+
 // Upper bound on one protocol message (framed). Shared by every transport
 // and the authority server: a length prefix past this is a confused or
 // hostile peer, rejected before any allocation. Generous for the real
-// payloads (a verdict entry is ~100 bytes; a 16 MiB frame holds a ~150k-key
-// batch).
+// payloads: a verdict entry is dominated by its canonical key, which embeds
+// the Σ key, so it runs from ~230 bytes on a 3-IND Σ to ~5.4 KB on a
+// 300-IND one; a 16 MiB frame holds ~3k entries of the latter.
 inline constexpr size_t kTierMaxFrameBytes = 16u << 20;
 
 // Monotone transport-level counters, surfaced through RemoteTier::Stats so

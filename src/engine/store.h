@@ -32,11 +32,12 @@
 // write-behind flush never blocks readers. The ContainmentEngine runs Flush
 // off the hot path on its executor.
 //
-// The full store is memory-resident (entries are ~100 bytes: a canonical
-// key + fixed fields), which is what makes Lookup a mutex-and-hash-probe
-// instead of disk I/O; the pending buffer is bounded (oldest entries shed
-// their durability claim under sustained flush failure, see
-// records_dropped), and the map itself takes an optional
+// The full store is memory-resident (an entry is a canonical key + fixed
+// fields; the key embeds the Σ key, so entries run from ~230 bytes on a
+// 3-IND Σ to ~5.4 KB on a 300-IND one), which is what makes Lookup a
+// mutex-and-hash-probe instead of disk I/O; the pending buffer is bounded
+// (oldest entries shed their durability claim under sustained flush
+// failure, see records_dropped), and the map itself takes an optional
 // VerdictStoreOptions::max_entries bound — past it, new keys are refused
 // (records_capped) rather than grown into an OOM. Spilling / mmap'd
 // snapshot serving for billion-entry stores stays future work (ROADMAP).

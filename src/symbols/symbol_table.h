@@ -14,10 +14,16 @@
 // a reserved id range plus a raw pointer into the backing slab and mints
 // entirely lock-free; only block handoff (one mutex acquisition per
 // kNdvBlockSize mints, and none at all for FD-only chases) synchronizes.
-// A destroyed shard returns its unused tail: if it is still the top of the
-// id space the high-water mark rolls back (sequential workloads keep
-// contiguous ids); otherwise the tail becomes a permanent hole (<= 127 ids
-// per handoff, negligible against the 2^32 id space). Every block is
+// A destroyed (or moved-over) shard returns its unused tail: if it is still
+// the top of the id space the high-water mark rolls back (sequential
+// workloads keep contiguous ids); otherwise the tail becomes a permanent
+// hole of <= 127 ids whose slab entries stay allocated. Holes therefore
+// only come from ranges outstanding at the same time (concurrent shards,
+// or a shard and the table's own intern cursor). A chase parked
+// for later resumption must not keep its block (Chase::ReturnUnusedNdvIds):
+// every later block would be reserved above it, and evicting the chase
+// would leave one hole per parked chase — the slab would grow with requests
+// rather than with minted NDVs. Every block is
 // therefore reserved *above every symbol in existence at handoff time*, so
 // a fresh NDV always lexicographically follows the query terms and all of
 // its chase's earlier mints — the paper's naming invariant. Across
@@ -187,6 +193,13 @@ class SymbolTable {
   // the highest NDV id.
   size_t num_nondist_vars() const {
     return ndv_count_.load(std::memory_order_relaxed);
+  }
+  // One past the highest NDV id reserved so far; the slabs hold at least
+  // this many entries. Minus num_nondist_vars(), it is the count of
+  // reserved-but-unused ids (block tails in use plus abandoned holes).
+  uint32_t ndv_high_water() const {
+    std::lock_guard<std::mutex> lock(*mu_);
+    return ndv_limit_;
   }
   // Total NDV id blocks ever handed out (to shards and to the table's own
   // intern cursor). The arena's amortization story in one number: compare

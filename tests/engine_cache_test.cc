@@ -6,6 +6,7 @@
 // under CheckMany thread fan-out.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "base/rng.h"
@@ -79,6 +80,79 @@ TEST_F(CacheTest, CanonicalSigmaKeyIsOrderInvariantAndContentSensitive) {
   DependencySet other = *ParseDependencies(catalog_, "R[2] <= S[1]\nS: 1 -> 2");
   EXPECT_EQ(CanonicalSigmaKey(ab), CanonicalSigmaKey(ba));
   EXPECT_NE(CanonicalSigmaKey(ab), CanonicalSigmaKey(other));
+}
+
+// Golden key bytes, captured from the stream-based renderer. The persistent
+// store and remote peers key verdicts by these exact strings, so any byte
+// change must bump kCanonicalKeySchemeVersion; these pins catch an
+// accidental one.
+TEST_F(CacheTest, CanonicalTaskKeyBytesArePinned) {
+  struct Golden {
+    const char* name;
+    ConjunctiveQuery q;
+    ConjunctiveQuery q_prime;
+    const char* sigma;
+    ChaseVariant variant;
+    std::string key;
+  };
+  std::vector<Golden> goldens;
+
+  // Constants whose names hold quotes, commas and parentheses.
+  Term u = symbols_.InternDistVar("gu");
+  Term w = symbols_.InternNondistVar("gw");
+  Term odd = symbols_.InternConstant("x','y(z)");
+  Term plain = symbols_.InternConstant("42");
+  ConjunctiveQuery odd_q(&catalog_, &symbols_);
+  odd_q.AddConjunct(Fact{0, {u, odd}});
+  odd_q.AddConjunct(Fact{1, {odd, w}});
+  odd_q.AddConjunct(Fact{1, {plain, u}});
+  odd_q.SetSummary({u, odd});
+  ConjunctiveQuery odd_qp(&catalog_, &symbols_);
+  odd_qp.AddConjunct(Fact{0, {u, odd}});
+  odd_qp.SetSummary({u, odd});
+  goldens.push_back(
+      {"constants", odd_q, odd_qp, "R[2] <= S[1]", ChaseVariant::kRequired,
+       R"(V1|S{I0[1,]<=1[0,];}|Q{(d0,c8#x','y(z)):R0(d0,c8#x','y(z));)"
+       R"(R1(c2#42,d0);R1(c8#x','y(z),n0);}|=>|Q{(d0,c8#x','y(z)):)"
+       R"(R0(d0,c8#x','y(z));})"});
+
+  // An empty-marked (contradictory) Q.
+  ConjunctiveQuery empty_q = Parse("ans(e1) :- R(e1, e2), S(e2, '7')");
+  empty_q.MarkEmptyQuery();
+  goldens.push_back(
+      {"empty_q", empty_q, Parse("ans(e3) :- S(e3, e4)"), "R[2] <= S[1]",
+       ChaseVariant::kRequired,
+       R"(V1|S{I0[1,]<=1[0,];}|Q{!EMPTY(d0)}|=>|Q{(d0):R1(d0,n0);})"});
+
+  // Repeated variables, within a conjunct and in the summary, and a cycle
+  // of conjuncts that tie on their initial signatures.
+  goldens.push_back(
+      {"repeated_vars",
+       Parse("ans(r1, r1) :- R(r1, r1), S(r1, r2), S(r2, r2), R(r2, r3), "
+             "R(r3, r4), R(r4, r2)"),
+       Parse("ans(r5, r5) :- R(r5, r6), S(r6, r6)"), "S[2] <= R[1]",
+       ChaseVariant::kOblivious,
+       R"(V0|S{I1[1,]<=0[0,];}|Q{(d0,d0):R0(d0,d0);R0(n0,n1);R0(n1,n2);)"
+       R"(R0(n2,n0);R1(d0,n2);R1(n2,n2);}|=>|Q{(d0,d0):R0(d0,n0);)"
+       R"(R1(n0,n0);})"});
+
+  // An FD+IND Σ with several dependencies of each kind.
+  goldens.push_back(
+      {"fd_ind", Parse("ans(f1) :- R(f1, f2), S(f2, f3), S(f2, f4)"),
+       Parse("ans(f5) :- R(f5, f6), S(f6, f6)"),
+       "S: 1 -> 2\nR[2] <= S[1]\nR: 2 -> 1\nS[2] <= R[2]\n"
+       "R[1, 2] <= S[2, 1]",
+       ChaseVariant::kRequired,
+       R"(V1|S{F0:1,>0;F1:0,>1;I0[0,1,]<=1[1,0,];I0[1,]<=1[0,];)"
+       R"(I1[1,]<=0[1,];}|Q{(d0):R0(d0,n0);R1(n0,n1);R1(n0,n2);}|=>|)"
+       R"(Q{(d0):R0(d0,n0);R1(n0,n0);})"});
+
+  for (const Golden& g : goldens) {
+    Result<DependencySet> deps = ParseDependencies(catalog_, g.sigma);
+    ASSERT_TRUE(deps.ok()) << g.name << ": " << deps.status();
+    EXPECT_EQ(CanonicalTaskKey(g.q, g.q_prime, *deps, g.variant), g.key)
+        << g.name;
+  }
 }
 
 // --- Verdict-cache behavior --------------------------------------------------
@@ -281,6 +355,37 @@ TEST_F(CacheTest, ChaseCacheHammeredAtCapacityStaysBoundedAndConsistent) {
       EXPECT_LE(engine.cache_sizes().chase_entries, 4u);
     }
   }
+}
+
+TEST_F(CacheTest, ParkedChasesDoNotStrandNdvBlocks) {
+  // Every decision below parks its chase in the prefix cache. A parked
+  // chase that kept its NDV id block would push the next chase's block
+  // above it and strand up to a block of slab entries per request; with the
+  // tail returned at the end of each turn, the arena's high-water mark stays
+  // within one block of the NDVs actually minted.
+  constexpr int kDecisions = 1000;
+  std::vector<ConjunctiveQuery> qs;
+  for (int i = 0; i < kDecisions; ++i) {
+    qs.push_back(Parse(StrCat("ans(h", i, ") :- R(h", i, ", 'v", i, "')")));
+  }
+  ConjunctiveQuery qp = Parse("ans(p) :- R(p, p0), S(p0, p1)");
+
+  EngineConfig config;  // default chase cache
+  config.executor_threads = 1;
+  ContainmentEngine engine(&catalog_, &symbols_, config);
+  const uint64_t minted_before = symbols_.num_nondist_vars();
+  for (const ConjunctiveQuery& q : qs) {
+    Result<EngineOutcome> outcome =
+        engine.Submit(ContainmentRequest::Borrow(q, qp, deps_)).Get();
+    ASSERT_TRUE(outcome.ok()) << outcome.status();
+    EXPECT_TRUE(outcome->verdict.report.contained);
+  }
+  EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.chases_built, static_cast<uint64_t>(kDecisions));
+  EXPECT_GE(symbols_.num_nondist_vars() - minted_before,
+            static_cast<uint64_t>(kDecisions));
+  EXPECT_LE(symbols_.ndv_high_water(),
+            symbols_.num_nondist_vars() + SymbolTable::kNdvBlockSize);
 }
 
 TEST_F(CacheTest, SigmaCacheSizesIndependentlyOfVerdictCache) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -235,6 +236,64 @@ TEST(CheckManyConcurrencyTest, ConcurrentAskersOfOneExactKeyShareOneChase) {
   EngineStats stats = engine.stats();
   EXPECT_EQ(stats.chases_built, 1u);
   EXPECT_EQ(stats.chase_prefix_reuses, 15u);
+}
+
+TEST(SubmitConcurrencyTest, ParkedChaseTailReturnsRaceBlockRefills) {
+  // Four executor workers decide cold IND tasks through the shared chase
+  // cache. Every turn ends by returning its chase's unused NDV block tail
+  // under the table mutex while other workers' shards refill blocks, and
+  // the second ask of each Q resumes a parked chase, which must reserve a
+  // fresh block. Verdicts must match a cache-less sequential oracle.
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddRelation("R", {"a", "b"}).ok());
+  ASSERT_TRUE(catalog.AddRelation("S", {"x", "y"}).ok());
+  SymbolTable symbols;
+  DependencySet deps =
+      *ParseDependencies(catalog, "R[2] <= S[1]\nS[2] <= R[1]");
+  auto parse = [&](const std::string& text) {
+    Result<ConjunctiveQuery> q = ParseQuery(catalog, symbols, text);
+    EXPECT_TRUE(q.ok()) << q.status();
+    return *std::move(q);
+  };
+  std::vector<ConjunctiveQuery> qs;
+  for (int i = 0; i < 48; ++i) {
+    qs.push_back(parse(StrCat("ans(h", i, ") :- R(h", i, ", 'v", i, "')")));
+  }
+  const std::vector<ConjunctiveQuery> rhs = {
+      parse("ans(p) :- R(p, p0), S(p0, p1), R(p1, p2)"),  // contained
+      parse("ans(r) :- R(r, r0), S(r0, 'w')"),            // not contained
+  };
+
+  EngineConfig oracle_config;
+  oracle_config.enable_cache = false;
+  ContainmentEngine oracle(&catalog, &symbols, oracle_config);
+  std::vector<bool> expected;
+  for (const ConjunctiveQuery& q : qs) {
+    for (const ConjunctiveQuery& qp : rhs) {
+      Result<EngineVerdict> v = oracle.Check(q, qp, deps);
+      ASSERT_TRUE(v.ok()) << v.status();
+      expected.push_back(v->report.contained);
+    }
+  }
+
+  EngineConfig config;
+  config.executor_threads = 4;
+  ContainmentEngine engine(&catalog, &symbols, config);
+  std::vector<EngineFuture<EngineOutcome>> futures;
+  for (const ConjunctiveQuery& q : qs) {
+    for (const ConjunctiveQuery& qp : rhs) {
+      futures.push_back(
+          engine.Submit(ContainmentRequest::Borrow(q, qp, deps)));
+    }
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    Result<EngineOutcome> got = futures[i].Get();
+    ASSERT_TRUE(got.ok()) << "task " << i << ": " << got.status();
+    EXPECT_EQ(got->verdict.report.contained, expected[i]) << "task " << i;
+  }
+  EngineStats stats = engine.stats();
+  EXPECT_GT(stats.chase_prefix_reuses, 0u);
+  EXPECT_GE(symbols.ndv_high_water(), symbols.num_nondist_vars());
 }
 
 }  // namespace
