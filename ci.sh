@@ -204,11 +204,14 @@ tcp_gate() {
 # RelWithDebInfo, because per-config flags append *after* CMAKE_CXX_FLAGS and
 # RelWithDebInfo's "-O2 -DNDEBUG" would override -O1 and compile out the
 # asserts guarding the arena — the exact checks these stages exist to keep
-# hot.
+# hot. SymbolTable::Name() returns a temporary (chase-NDV names are rendered
+# on demand), so the suites that print names (pspace, chase, parser) run
+# under ASan to catch any string_view or pointer kept past it.
 ASAN_TESTS=(serialize_test store_test tier_test net_test engine_test
             engine_cache_test engine_dispatch_test chase_core_parity_test
             reliance_test executor_test lineage_test delta_migration_test
-            string_util_test symbol_table_test)
+            string_util_test symbol_table_test pspace_test chase_test
+            cq_parser_test)
 asan_ubsan() {
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -O1 -g" \

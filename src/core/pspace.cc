@@ -277,6 +277,9 @@ Result<StreamingContainmentReport> StreamingSingleConjunctContainment(
   const uint64_t bound =
       Theorem2LevelBound(1, deps.size(), deps.MaxIndWidth());
 
+  // Frontier NDVs are minted like chase NDVs: lock-free from a reserved
+  // block, unindexed, and the block's unused tail returned on exit.
+  SymbolTable::NdvShard shard = symbols.CreateShard();
   std::vector<Fact> frontier = q.conjuncts();
   report.peak_frontier = frontier.size();
   for (uint32_t level = 0;; ++level) {
@@ -298,8 +301,10 @@ Result<StreamingContainmentReport> StreamingSingleConjunctContainment(
     }
     // O-chase expansion: every IND applies once to every frontier conjunct.
     std::vector<Fact> next;
-    for (const Fact& fact : frontier) {
-      for (const InclusionDependency& ind : deps.inds()) {
+    for (size_t pos = 0; pos < frontier.size(); ++pos) {
+      const Fact& fact = frontier[pos];
+      for (uint32_t i = 0; i < deps.inds().size(); ++i) {
+        const InclusionDependency& ind = deps.inds()[i];
         if (ind.lhs_relation != fact.relation) continue;
         Fact child;
         child.relation = ind.rhs_relation;
@@ -307,8 +312,10 @@ Result<StreamingContainmentReport> StreamingSingleConjunctContainment(
         for (size_t k = 0; k < ind.width(); ++k) {
           child.terms[ind.rhs_columns[k]] = fact.terms[ind.lhs_columns[k]];
         }
-        for (Term& t : child.terms) {
-          if (!t.is_valid()) t = symbols.MakeFreshNondistVar("st");
+        for (uint32_t col = 0; col < child.terms.size(); ++col) {
+          if (child.terms[col].is_valid()) continue;
+          child.terms[col] = shard.MakeChaseNdv(
+              NdvProvenance{col, pos, i, level + 1});
         }
         next.push_back(std::move(child));
         if (next.size() > options.max_frontier) {

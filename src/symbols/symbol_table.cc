@@ -24,6 +24,7 @@ SymbolTable& SymbolTable::operator=(SymbolTable&& other) noexcept {
     nondist_var_index_ = std::move(other.nondist_var_index_);
     fresh_counter_ = other.fresh_counter_;
     ndv_slabs_ = std::move(other.ndv_slabs_);
+    ndv_names_ = std::move(other.ndv_names_);
     ndv_limit_ = other.ndv_limit_;
     intern_range_ = other.intern_range_;
     ndv_blocks_handed_out_ = other.ndv_blocks_handed_out_;
@@ -37,6 +38,7 @@ SymbolTable& SymbolTable::operator=(SymbolTable&& other) noexcept {
     other.nondist_var_index_.clear();
     other.fresh_counter_ = 0;
     other.ndv_slabs_.clear();
+    other.ndv_names_.clear();
     other.ndv_limit_ = 0;
     other.intern_range_ = IdRange{};
     other.ndv_blocks_handed_out_ = 0;
@@ -45,7 +47,7 @@ SymbolTable& SymbolTable::operator=(SymbolTable&& other) noexcept {
   return *this;
 }
 
-std::deque<SymbolTable::Entry>& SymbolTable::pool(TermKind kind) {
+std::deque<std::string>& SymbolTable::pool(TermKind kind) {
   switch (kind) {
     case TermKind::kConstant:
       return constants_;
@@ -58,15 +60,17 @@ std::deque<SymbolTable::Entry>& SymbolTable::pool(TermKind kind) {
   return dist_vars_;
 }
 
-const std::deque<SymbolTable::Entry>& SymbolTable::pool(TermKind kind) const {
+const std::deque<std::string>& SymbolTable::pool(TermKind kind) const {
   return const_cast<SymbolTable*>(this)->pool(kind);
 }
 
 // --- NDV arena ---------------------------------------------------------------
 
 void SymbolTable::EnsureNdvStorageLocked(uint32_t limit) {
+  // The whole per-NDV cost of the arena: no name, no heap allocation.
+  static_assert(sizeof(NdvSlot) <= 24, "an NDV costs at most 24 bytes");
   while (ndv_slabs_.size() * kNdvSlabSize < limit) {
-    ndv_slabs_.push_back(std::make_unique<Entry[]>(kNdvSlabSize));
+    ndv_slabs_.push_back(std::make_unique<NdvSlot[]>(kNdvSlabSize));
   }
 }
 
@@ -104,9 +108,7 @@ Term SymbolTable::NdvShard::MakeChaseNdv(const NdvProvenance& provenance) {
   assert(table_ != nullptr);
   if (next_ == end_) Refill();
   const uint32_t id = next_++;
-  Entry& slot = static_cast<Entry*>(base_)[id - begin_];
-  slot.name = ChaseNdvName(id, provenance);
-  slot.provenance = provenance;
+  static_cast<NdvSlot*>(base_)[id - begin_] = NdvSlot::Chase(provenance);
   table_->ndv_count_.fetch_add(1, std::memory_order_relaxed);
   return Term(TermKind::kNondistVar, id);
 }
@@ -139,14 +141,15 @@ Term SymbolTable::Intern(TermKind kind, std::string_view name) {
   uint32_t id;
   if (kind == TermKind::kNondistVar) {
     id = ReserveSingleNdvLocked();
-    Entry* slot = NdvSlotLocked(id);
-    slot->name = std::string(name);
-    slot->provenance = std::nullopt;
+    NdvSlot slot;
+    slot.name_index = static_cast<uint32_t>(ndv_names_.size());
+    *NdvSlotLocked(id) = slot;
+    ndv_names_.emplace_back(name);
     ndv_count_.fetch_add(1, std::memory_order_relaxed);
   } else {
     auto& p = pool(kind);
     id = static_cast<uint32_t>(p.size());
-    p.push_back(Entry{std::string(name), std::nullopt});
+    p.emplace_back(name);
   }
   index.emplace(std::string(name), id);
   return Term(kind, id);
@@ -170,11 +173,9 @@ Term SymbolTable::InternNondistVar(std::string_view name) {
 Term SymbolTable::MakeChaseNdv(const NdvProvenance& provenance) {
   std::lock_guard<std::mutex> lock(*mu_);
   const uint32_t id = ReserveSingleNdvLocked();
-  Entry* slot = NdvSlotLocked(id);
-  slot->name = ChaseNdvName(id, provenance);
-  slot->provenance = provenance;
+  *NdvSlotLocked(id) = NdvSlot::Chase(provenance);
   ndv_count_.fetch_add(1, std::memory_order_relaxed);
-  nondist_var_index_.emplace(slot->name, id);
+  nondist_var_index_.emplace(ChaseNdvName(id, provenance), id);
   return Term(TermKind::kNondistVar, id);
 }
 
@@ -201,21 +202,24 @@ std::optional<Term> SymbolTable::Find(TermKind kind,
   return Term(kind, it->second);
 }
 
-const std::string& SymbolTable::Name(Term t) const {
-  std::lock_guard<std::mutex> lock(*mu_);
-  if (t.kind() == TermKind::kNondistVar) {
+std::string SymbolTable::Name(Term t) const {
+  NdvSlot slot;
+  {
+    std::lock_guard<std::mutex> lock(*mu_);
+    if (t.kind() != TermKind::kNondistVar) {
+      const auto& p = pool(t.kind());
+      assert(t.id() < p.size());
+      return p[t.id()];
+    }
     assert(t.id() < ndv_limit_);
-    // Safe to hand out without the lock: slab entries are written once by
-    // their owner and never moved.
-    return NdvSlotLocked(t.id())->name;
+    slot = *NdvSlotLocked(t.id());
+    if (slot.name_index != kChaseNdv) return ndv_names_[slot.name_index];
   }
-  const auto& p = pool(t.kind());
-  assert(t.id() < p.size());
-  return p[t.id()].name;
+  return ChaseNdvName(t.id(), slot.provenance());
 }
 
 std::string SymbolTable::DisplayName(Term t) const {
-  const std::string& name = Name(t);
+  std::string name = Name(t);
   if (!t.is_constant()) return name;
   bool numeric = !name.empty();
   for (char c : name) {
@@ -229,14 +233,12 @@ std::string SymbolTable::DisplayName(Term t) const {
 }
 
 std::optional<NdvProvenance> SymbolTable::Provenance(Term t) const {
+  if (t.kind() != TermKind::kNondistVar) return std::nullopt;
   std::lock_guard<std::mutex> lock(*mu_);
-  if (t.kind() == TermKind::kNondistVar) {
-    assert(t.id() < ndv_limit_);
-    return NdvSlotLocked(t.id())->provenance;
-  }
-  const auto& p = pool(t.kind());
-  assert(t.id() < p.size());
-  return p[t.id()].provenance;
+  assert(t.id() < ndv_limit_);
+  const NdvSlot& slot = *NdvSlotLocked(t.id());
+  if (slot.name_index != kChaseNdv) return std::nullopt;
+  return slot.provenance();
 }
 
 }  // namespace cqchase

@@ -17,7 +17,7 @@
 // A destroyed (or moved-over) shard returns its unused tail: if it is still
 // the top of the id space the high-water mark rolls back (sequential
 // workloads keep contiguous ids); otherwise the tail becomes a permanent
-// hole of <= 127 ids whose slab entries stay allocated. Holes therefore
+// hole of <= 127 ids whose slab slots stay allocated. Holes therefore
 // only come from ranges outstanding at the same time (concurrent shards,
 // or a shard and the table's own intern cursor). A chase parked
 // for later resumption must not keep its block (Chase::ReturnUnusedNdvIds):
@@ -31,12 +31,16 @@
 // is whatever the thread schedule made it; verdicts are isomorphism-
 // invariant, so that cannot change an answer.
 //
-// NDV entries live in fixed-size slabs that never move once allocated, so
-// the references Name() hands out stay valid across later insertions, and a
-// shard can fill its reserved slots without touching any shared structure.
-// Shard-minted NDVs are *not* registered in the name index (that would need
-// the lock): Find() does not see them. Their names embed the id, so they
-// cannot collide with each other; they are fresh symbols nothing re-interns.
+// An NDV costs one fixed NdvSlot in a slab that never moves once allocated,
+// so a shard can fill its reserved slots without touching any shared
+// structure. A slot holds no name: a chase NDV's slot is its provenance,
+// and Name() renders "n17[A2,c5,i1,L3]" from id + provenance on demand
+// (byte-identical every time, so nothing needs to store it). The rare NDVs
+// named by a caller (parser InternNondistVar, MakeFreshNondistVar) keep
+// their names in an append-only list the slot points into. Shard-minted
+// NDVs are *not* registered in the name index (that would need the lock):
+// Find() does not see them. Their names embed the id, so they cannot
+// collide with each other; they are fresh symbols nothing re-interns.
 #ifndef CQCHASE_SYMBOLS_SYMBOL_TABLE_H_
 #define CQCHASE_SYMBOLS_SYMBOL_TABLE_H_
 
@@ -66,9 +70,10 @@ struct NdvProvenance {
   uint32_t level = 0;            // level of the created conjunct
 };
 
-// Thread safety: interning, fresh-symbol creation and all by-name lookups
-// are guarded by an internal mutex. NDV *minting through an NdvShard* is
-// lock-free within the shard's reserved block; see the arena notes above.
+// Thread safety: interning, fresh-symbol creation, by-name lookups and
+// Name()/Provenance() reads are guarded by an internal mutex. NDV *minting
+// through an NdvShard* is lock-free within the shard's reserved block; see
+// the arena notes above.
 // Reading Name()/Provenance() of a term is safe from any thread that
 // obtained the term through a proper happens-before edge (a mutex, a thread
 // join, a cache publish) with its creator — which is the only way a term can
@@ -76,8 +81,8 @@ struct NdvProvenance {
 class SymbolTable {
  public:
   // Ids are reserved in blocks of this many NDVs; slabs hold kNdvSlabSize
-  // entries. Block size divides slab size, so one block never straddles a
-  // slab boundary and a shard can cache a single raw Entry pointer.
+  // slots. Block size divides slab size, so one block never straddles a
+  // slab boundary and a shard can cache a single raw NdvSlot pointer.
   static constexpr uint32_t kNdvBlockSize = 128;
   static constexpr uint32_t kNdvSlabSize = 1024;
 
@@ -102,11 +107,11 @@ class SymbolTable {
   Term InternDistVar(std::string_view name);
   Term InternNondistVar(std::string_view name);
 
-  // Creates a fresh NDV for the IND chase rule, taking the table mutex. The
-  // generated name encodes the provenance, e.g. "n17[A2,c5,i1,L3]". Chase
-  // hot loops should mint through an NdvShard instead; this convenience
-  // entry point serves the single-threaded artifact builders (EMVD chase,
-  // Theorem 3 constructions).
+  // Creates a fresh NDV for the IND chase rule, taking the table mutex. Its
+  // name encodes the provenance, e.g. "n17[A2,c5,i1,L3]", and is indexed so
+  // Find() sees it. Chase hot loops should mint through an NdvShard
+  // instead; this convenience entry point serves the single-threaded
+  // artifact builders (EMVD chase, Theorem 3 constructions).
   Term MakeChaseNdv(const NdvProvenance& provenance);
 
   // Creates a fresh anonymous NDV (used by generators and by the Theorem 3
@@ -120,8 +125,9 @@ class SymbolTable {
   // minted NDVs are not indexed and therefore not found here.
   std::optional<Term> Find(TermKind kind, std::string_view name) const;
 
-  // Printable name of a term. Terms must belong to this table.
-  const std::string& Name(Term t) const;
+  // Printable name of a term. Terms must belong to this table. Returned by
+  // value: a chase NDV's name is rendered from its id and provenance.
+  std::string Name(Term t) const;
 
   // Rendering for query text that must re-parse: constants are quoted
   // ('acme') unless purely numeric (42); variables render as their names.
@@ -170,7 +176,7 @@ class SymbolTable {
     void ReturnRemainder();  // give [next_, end_) back (locks the table)
 
     SymbolTable* table_ = nullptr;
-    void* base_ = nullptr;  // Entry* of slot begin_; opaque to keep Entry private
+    void* base_ = nullptr;  // NdvSlot* of id begin_; opaque to keep it private
     uint32_t begin_ = 0;    // first id of the current block
     uint32_t next_ = 0;     // next id to mint
     uint32_t end_ = 0;      // one past the last reserved id
@@ -195,7 +201,7 @@ class SymbolTable {
     return ndv_count_.load(std::memory_order_relaxed);
   }
   // One past the highest NDV id reserved so far; the slabs hold at least
-  // this many entries. Minus num_nondist_vars(), it is the count of
+  // this many slots. Minus num_nondist_vars(), it is the count of
   // reserved-but-unused ids (block tails in use plus abandoned holes).
   uint32_t ndv_high_water() const {
     std::lock_guard<std::mutex> lock(*mu_);
@@ -213,9 +219,23 @@ class SymbolTable {
  private:
   friend class NdvShard;
 
-  struct Entry {
-    std::string name;
-    std::optional<NdvProvenance> provenance;
+  // One NDV: a chase NDV's provenance, or for a caller-named NDV the index
+  // of its name in ndv_names_ (the provenance fields then unused).
+  static constexpr uint32_t kChaseNdv = UINT32_MAX;
+  struct NdvSlot {
+    uint64_t source_conjunct = 0;
+    uint32_t attribute_index = 0;
+    uint32_t ind_index = 0;
+    uint32_t level = 0;
+    uint32_t name_index = kChaseNdv;
+
+    static NdvSlot Chase(const NdvProvenance& p) {
+      return {p.source_conjunct, p.attribute_index, p.ind_index, p.level,
+              kChaseNdv};
+    }
+    NdvProvenance provenance() const {
+      return {attribute_index, source_conjunct, ind_index, level};
+    }
   };
 
   // A reserved-but-unconsumed id range, [begin, end); always within one
@@ -225,8 +245,8 @@ class SymbolTable {
     uint32_t end = 0;
   };
 
-  std::deque<Entry>& pool(TermKind kind);
-  const std::deque<Entry>& pool(TermKind kind) const;
+  std::deque<std::string>& pool(TermKind kind);
+  const std::deque<std::string>& pool(TermKind kind) const;
 
   Term Intern(TermKind kind, std::string_view name);
 
@@ -234,10 +254,10 @@ class SymbolTable {
 
   // Slot address of an NDV id. Safe to call without the lock only for ids
   // inside a range the caller owns (the slab pointer is cached by shards).
-  Entry* NdvSlotLocked(uint32_t id) {
+  NdvSlot* NdvSlotLocked(uint32_t id) {
     return &ndv_slabs_[id / kNdvSlabSize][id % kNdvSlabSize];
   }
-  const Entry* NdvSlotLocked(uint32_t id) const {
+  const NdvSlot* NdvSlotLocked(uint32_t id) const {
     return const_cast<SymbolTable*>(this)->NdvSlotLocked(id);
   }
 
@@ -265,16 +285,17 @@ class SymbolTable {
   // unique_ptr keeps the table movable (a mutex itself is not); the move
   // operations re-seat a fresh mutex in the source so it stays usable.
   std::unique_ptr<std::mutex> mu_;
-  std::deque<Entry> constants_;
-  std::deque<Entry> dist_vars_;
+  std::deque<std::string> constants_;
+  std::deque<std::string> dist_vars_;
   std::unordered_map<std::string, uint32_t> constant_index_;
   std::unordered_map<std::string, uint32_t> dist_var_index_;
   std::unordered_map<std::string, uint32_t> nondist_var_index_;
   uint64_t fresh_counter_ = 0;
 
-  // NDV arena: slabs never move or shrink; entries are written once by
-  // their id's owner and read-only afterwards.
-  std::vector<std::unique_ptr<Entry[]>> ndv_slabs_;
+  // NDV arena: slabs never move or shrink; slots are written once by their
+  // id's owner and read-only afterwards. ndv_names_ only grows.
+  std::vector<std::unique_ptr<NdvSlot[]>> ndv_slabs_;
+  std::deque<std::string> ndv_names_;
   uint32_t ndv_limit_ = 0;  // high-water mark of block reservation
   IdRange intern_range_;    // the table's own single-id cursor
   uint64_t ndv_blocks_handed_out_ = 0;

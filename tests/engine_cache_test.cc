@@ -388,6 +388,46 @@ TEST_F(CacheTest, ParkedChasesDoNotStrandNdvBlocks) {
             symbols_.num_nondist_vars() + SymbolTable::kNdvBlockSize);
 }
 
+TEST_F(CacheTest, StreamingDecisionsLeaveTheNameIndexAlone) {
+  // The PSPACE streaming path mints its frontier NDVs through a shard like
+  // the chase does: no name-index entry per NDV (the table only grows with
+  // 24-byte slots) and the block tail returned at the end of each call.
+  // Verdicts must match the iterative-deepening route on the same tasks.
+  constexpr int kDecisions = 2000;
+  ConjunctiveQuery qp = Parse("ans(p) :- S(p, p1)");
+  std::vector<ConjunctiveQuery> qs;
+  for (int i = 0; i < kDecisions; ++i) {
+    // Even i: R('v', h) chases to S(h, n), contained at level 1.
+    // Odd i: R(h, 'v') chases to S('v', n), which cannot reach h.
+    qs.push_back(Parse(i % 2 == 0
+                           ? StrCat("ans(h) :- R('v", i, "', h)")
+                           : StrCat("ans(h) :- R(h, 'v", i, "')")));
+  }
+
+  EngineConfig config;
+  config.executor_threads = 1;
+  ContainmentEngine engine(&catalog_, &symbols_, config);
+  EngineConfig deepening_config;
+  deepening_config.route_streaming_single_conjunct = false;
+  ContainmentEngine deepening(&catalog_, &symbols_, deepening_config);
+  for (int i = 0; i < kDecisions; ++i) {
+    Result<EngineOutcome> outcome =
+        engine.Submit(ContainmentRequest::Borrow(qs[i], qp, deps_)).Get();
+    ASSERT_TRUE(outcome.ok()) << outcome.status();
+    ASSERT_EQ(outcome->verdict.strategy,
+              DecisionStrategy::kStreamingFrontier);
+    EXPECT_FALSE(outcome->verdict.cache_hit);
+    EXPECT_EQ(outcome->verdict.report.contained, i % 2 == 0) << "task " << i;
+    Result<EngineVerdict> oracle = deepening.Check(qs[i], qp, deps_);
+    ASSERT_TRUE(oracle.ok()) << oracle.status();
+    EXPECT_EQ(outcome->verdict.report.contained, oracle->report.contained)
+        << "task " << i;
+  }
+  EXPECT_EQ(symbols_.Find(TermKind::kNondistVar, "st#0"), std::nullopt);
+  EXPECT_LE(symbols_.ndv_high_water(),
+            symbols_.num_nondist_vars() + SymbolTable::kNdvBlockSize);
+}
+
 TEST_F(CacheTest, SigmaCacheSizesIndependentlyOfVerdictCache) {
   EngineConfig config;
   config.sigma_cache_capacity = 2;

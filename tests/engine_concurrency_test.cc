@@ -296,5 +296,85 @@ TEST(SubmitConcurrencyTest, ParkedChaseTailReturnsRaceBlockRefills) {
   EXPECT_GE(symbols.ndv_high_water(), symbols.num_nondist_vars());
 }
 
+TEST(SubmitConcurrencyTest, StreamingShardsRaceChaseShards) {
+  // Four client threads submit to a four-worker engine. Single-conjunct Q'
+  // take the PSPACE streaming route, which mints its frontier NDVs through
+  // a per-call shard; multi-conjunct Q' chase, minting through the chase's
+  // shard. Both refill blocks from, and return tails to, the one shared
+  // SymbolTable while other workers render names and read provenance.
+  // Verdicts must match a sequential oracle that never streams.
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddRelation("R", {"a", "b"}).ok());
+  ASSERT_TRUE(catalog.AddRelation("S", {"x", "y"}).ok());
+  SymbolTable symbols;
+  DependencySet deps =
+      *ParseDependencies(catalog, "R[2] <= S[1]\nS[2] <= R[1]");
+  auto parse = [&](const std::string& text) {
+    Result<ConjunctiveQuery> q = ParseQuery(catalog, symbols, text);
+    EXPECT_TRUE(q.ok()) << q.status();
+    return *std::move(q);
+  };
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 24;
+  std::vector<ConjunctiveQuery> qs;
+  for (int i = 0; i < kClients * kPerClient; ++i) {
+    qs.push_back(parse(StrCat("ans(h) :- R(h, 'v", i, "')")));
+  }
+  const std::vector<ConjunctiveQuery> rhs = {
+      parse("ans(p) :- R(p, p0)"),              // streaming, contained
+      parse("ans(p) :- S(p, p0)"),              // streaming, not contained
+      parse("ans(p) :- R(p, p0), S(p0, p1)"),   // chase, contained
+      parse("ans(r) :- R(r, r0), S(r0, 'w')"),  // chase, not contained
+  };
+
+  EngineConfig oracle_config;
+  oracle_config.enable_cache = false;
+  oracle_config.route_streaming_single_conjunct = false;
+  ContainmentEngine oracle(&catalog, &symbols, oracle_config);
+  std::vector<bool> expected;
+  for (size_t i = 0; i < qs.size(); ++i) {
+    Result<EngineVerdict> v = oracle.Check(qs[i], rhs[i % rhs.size()], deps);
+    ASSERT_TRUE(v.ok()) << v.status();
+    expected.push_back(v->report.contained);
+  }
+
+  EngineConfig config;
+  config.executor_threads = 4;
+  ContainmentEngine engine(&catalog, &symbols, config);
+  std::vector<std::vector<Result<EngineOutcome>>> got(kClients);
+  {
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        for (int k = 0; k < kPerClient; ++k) {
+          const size_t i = static_cast<size_t>(c * kPerClient + k);
+          got[c].push_back(engine
+                               .Submit(ContainmentRequest::Borrow(
+                                   qs[i], rhs[i % rhs.size()], deps))
+                               .Get());
+          const Term h = qs[i].summary()[0];
+          EXPECT_EQ(symbols.Name(h), "h");
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+  }
+  uint64_t streamed = 0;
+  for (int c = 0; c < kClients; ++c) {
+    for (int k = 0; k < kPerClient; ++k) {
+      const size_t i = static_cast<size_t>(c * kPerClient + k);
+      const Result<EngineOutcome>& outcome = got[c][k];
+      ASSERT_TRUE(outcome.ok()) << "task " << i << ": " << outcome.status();
+      EXPECT_EQ(outcome->verdict.report.contained, expected[i])
+          << "task " << i;
+      if (outcome->verdict.strategy == DecisionStrategy::kStreamingFrontier) {
+        ++streamed;
+      }
+    }
+  }
+  EXPECT_EQ(streamed, static_cast<uint64_t>(kClients * kPerClient / 2));
+  EXPECT_GE(symbols.ndv_high_water(), symbols.num_nondist_vars());
+}
+
 }  // namespace
 }  // namespace cqchase

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -84,8 +85,87 @@ TEST(SymbolTableTest, ChaseNdvCarriesProvenance) {
   EXPECT_EQ(t.Provenance(n)->ind_index, 1u);
   EXPECT_EQ(t.Provenance(n)->level, 3u);
   // Name encodes the provenance per the paper's naming scheme.
-  EXPECT_NE(t.Name(n).find("A2"), std::string::npos);
-  EXPECT_NE(t.Name(n).find("L3"), std::string::npos);
+  EXPECT_EQ(t.Name(n), "n0[A2,c5,i1,L3]");
+}
+
+TEST(SymbolTableTest, ChaseNdvNamesAreByteExact) {
+  // Golden strings: names are rendered from id + provenance on demand and
+  // must match the names the table has always produced, field widths and
+  // all. Table-minted chase NDVs stay findable by that name.
+  SymbolTable t;
+  Term a = t.MakeChaseNdv(NdvProvenance{2, 5, 1, 3});
+  Term b = t.MakeChaseNdv(
+      NdvProvenance{0, UINT64_MAX, UINT32_MAX, /*level=*/7});
+  EXPECT_EQ(t.Name(a), "n0[A2,c5,i1,L3]");
+  EXPECT_EQ(t.Name(b), "n1[A0,c18446744073709551615,i4294967295,L7]");
+  EXPECT_EQ(t.Name(a), t.Name(a));  // stable across renderings
+  EXPECT_EQ(t.DisplayName(a), "n0[A2,c5,i1,L3]");
+  EXPECT_EQ(t.Find(TermKind::kNondistVar, "n0[A2,c5,i1,L3]"), a);
+  EXPECT_EQ(t.Find(TermKind::kNondistVar, t.Name(b)), b);
+}
+
+TEST(SymbolTableTest, CallerNamedNdvsKeepTheirNamesAndHaveNoProvenance) {
+  SymbolTable t;
+  Term x = t.InternNondistVar("x");
+  Term p0 = t.MakeFreshNondistVar("p");
+  Term chase = t.MakeChaseNdv(NdvProvenance{1, 2, 3, 4});
+  Term p1 = t.MakeFreshNondistVar("p");
+  EXPECT_EQ(t.Name(x), "x");
+  EXPECT_EQ(t.Name(p0), "p#0");
+  EXPECT_EQ(t.Name(p1), "p#1");
+  EXPECT_EQ(t.Name(chase), "n2[A1,c2,i3,L4]");
+  EXPECT_FALSE(t.Provenance(x).has_value());
+  EXPECT_FALSE(t.Provenance(p0).has_value());
+  EXPECT_TRUE(t.Provenance(chase).has_value());
+  EXPECT_EQ(t.Find(TermKind::kNondistVar, "x"), x);
+  EXPECT_EQ(t.Find(TermKind::kNondistVar, "p#1"), p1);
+  EXPECT_EQ(t.InternNondistVar("x"), x);
+}
+
+TEST(SymbolTableTest, MovedTableKeepsEveryNameAndSourceStaysUsable) {
+  SymbolTable src;
+  Term c = src.InternConstant("acme");
+  Term d = src.InternDistVar("e");
+  Term n = src.InternNondistVar("y");
+  Term chased = src.MakeChaseNdv(NdvProvenance{2, 5, 1, 3});
+  Term sharded;
+  {
+    SymbolTable::NdvShard shard = src.CreateShard();
+    sharded = shard.MakeChaseNdv(NdvProvenance{1, 7, 2, 4});
+  }
+  auto expect_all_named = [&](const SymbolTable& t) {
+    EXPECT_EQ(t.Name(c), "acme");
+    EXPECT_EQ(t.Name(d), "e");
+    EXPECT_EQ(t.Name(n), "y");
+    EXPECT_EQ(t.Name(chased), "n1[A2,c5,i1,L3]");
+    EXPECT_EQ(t.Name(sharded), "n128[A1,c7,i2,L4]");  // shard block
+    ASSERT_TRUE(t.Provenance(sharded).has_value());
+    EXPECT_EQ(t.Provenance(sharded)->source_conjunct, 7u);
+    EXPECT_EQ(t.Find(TermKind::kNondistVar, "y"), n);
+    EXPECT_EQ(t.num_nondist_vars(), 3u);
+  };
+
+  SymbolTable constructed(std::move(src));
+  expect_all_named(constructed);
+  SymbolTable assigned;
+  assigned.InternConstant("overwritten");
+  assigned = std::move(constructed);
+  expect_all_named(assigned);
+
+  // Both moved-from tables are valid empty tables (the use after move is
+  // the point of the test).
+  // NOLINTNEXTLINE(bugprone-use-after-move)
+  for (SymbolTable* t : {&src, &constructed}) {
+    EXPECT_EQ(t->num_constants(), 0u);
+    EXPECT_EQ(t->num_dist_vars(), 0u);
+    EXPECT_EQ(t->num_nondist_vars(), 0u);
+    EXPECT_EQ(t->ndv_high_water(), 0u);
+    EXPECT_EQ(t->Find(TermKind::kNondistVar, "y"), std::nullopt);
+    Term fresh = t->InternNondistVar("z");
+    EXPECT_EQ(fresh.id(), 0u);
+    EXPECT_EQ(t->Name(fresh), "z");
+    EXPECT_EQ(t->Name(t->MakeChaseNdv(NdvProvenance{})), "n1[A0,c0,i0,L0]");
+  }
 }
 
 TEST(SymbolTableTest, ChaseNdvsFollowAllEarlierSymbols) {
@@ -126,9 +206,21 @@ TEST(NdvShardTest, ShardMintsProvenancedNdvsReadableFromTheTable) {
   EXPECT_TRUE(n.is_nondist_var());
   ASSERT_TRUE(t.Provenance(n).has_value());
   EXPECT_EQ(t.Provenance(n)->source_conjunct, 7u);
-  EXPECT_NE(t.Name(n).find("A1"), std::string::npos);
-  EXPECT_NE(t.Name(n).find("L4"), std::string::npos);
+  EXPECT_EQ(t.Name(n), "n0[A1,c7,i2,L4]");
   EXPECT_EQ(t.num_nondist_vars(), 1u);
+}
+
+TEST(NdvShardTest, ShardMintNamesAreByteExact) {
+  // Golden strings from a shard whose block starts above the table's own
+  // intern cursor block.
+  SymbolTable t;
+  t.MakeChaseNdv(NdvProvenance{2, 5, 1, 3});
+  SymbolTable::NdvShard shard = t.CreateShard();
+  Term a = shard.MakeChaseNdv(NdvProvenance{1, 7, 2, 4});
+  Term b = shard.MakeChaseNdv(NdvProvenance{});
+  EXPECT_EQ(t.Name(a), "n128[A1,c7,i2,L4]");
+  EXPECT_EQ(t.Name(b), "n129[A0,c0,i0,L0]");
+  EXPECT_EQ(t.Find(TermKind::kNondistVar, "n128[A1,c7,i2,L4]"), std::nullopt);
 }
 
 TEST(NdvShardTest, IdsStrictlyIncreaseAcrossBlockRefills) {
