@@ -211,7 +211,8 @@ ASAN_TESTS=(serialize_test store_test tier_test net_test engine_test
             engine_cache_test engine_dispatch_test chase_core_parity_test
             reliance_test executor_test lineage_test delta_migration_test
             string_util_test symbol_table_test pspace_test chase_test
-            cq_parser_test)
+            cq_parser_test certificate_test containment_test
+            engine_concurrency_test)
 asan_ubsan() {
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -O1 -g" \

@@ -45,6 +45,7 @@ Status Chase::Init(const ConjunctiveQuery& query) {
     conjuncts_.push_back(
         ChaseConjunct{next_id_++, f, /*level=*/0, /*alive=*/true,
                       std::nullopt, std::nullopt});
+    for (Term t : f.terms) ndv_shard_.MintAbove(t);
   }
   summary_ = query.summary();
   return RunFdPhase();

@@ -157,17 +157,9 @@ class Chase {
   // turn and detach before handing the chase to the next asker.
   void set_control(const ChaseControl* control) { control_ = control; }
 
-  // Gives the unused tail of this chase's NDV id block back to the symbol
-  // table. Call before parking a chase for later resumption (the engine's
-  // prefix cache does, at the end of every asker's turn): a parked chase
-  // holding its block would force every later chase to reserve above it,
-  // and the tail would become a permanent hole once the chase is evicted.
-  // A resumed chase reserves a fresh block above every existing symbol, so
-  // its ids still strictly increase and follow every symbol at handoff.
-  void ReturnUnusedNdvIds() { ndv_shard_ = symbols_->CreateShard(); }
-
   // --- Inspection ---------------------------------------------------------
 
+  const SymbolTable& symbols() const { return *symbols_; }
   const std::vector<ChaseConjunct>& conjuncts() const { return conjuncts_; }
   const std::vector<ChaseArc>& arcs() const { return arcs_; }
   const std::vector<Term>& summary() const { return summary_; }
@@ -337,8 +329,8 @@ class Chase {
   ChaseLimits limits_;
   // Per-chase NDV allocation shard: IND steps mint fresh NDVs without
   // touching the SymbolTable mutex, so concurrent chases (CheckMany fan-out)
-  // never contend on the arena. Unused block tail returns on destruction
-  // and on ReturnUnusedNdvIds().
+  // never contend on the arena. Every leased block returns to the table on
+  // destruction: this chase's NDVs live exactly as long as it does.
   SymbolTable::NdvShard ndv_shard_;
 
   // Marks IND k as having shaped the prefix; every arc-recording site in

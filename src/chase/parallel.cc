@@ -200,8 +200,9 @@ Result<bool> Chase::RunLevelFrontier(uint32_t effective) {
 
     // Comparators over provisional facts (same relation; an invalid term is
     // a fresh NDV yet to be minted). Validity rests on two invariants:
-    // fresh NDVs are minted above every term in existence (NdvShard blocks),
-    // and commit mints fact-by-fact in seq order, so NDV ids order by seq
+    // fresh NDVs are minted above every term of the chase (NdvShard: the
+    // chase id region, increasing leases, MintAbove at Init), and commit
+    // mints fact-by-fact in seq order, so NDV ids order by seq
     // and, within a fact, by column.
     auto prov_less_real = [](const ParallelPair& a, const Fact& real) {
       for (size_t c = 0; c < a.created.terms.size(); ++c) {

@@ -20,19 +20,35 @@ size_t ContainmentCertificate::SizeInSymbols() const {
 
 std::string ContainmentCertificate::ToString(const Catalog& catalog,
                                              const SymbolTable& symbols) const {
-  std::string out;
   if (q_is_empty) return "certificate: Q is empty under Sigma\n";
-  out += "roots (chase_FD(Q)):\n";
+  // Chase NDVs render from the copied provenance, byte-identical to what
+  // the chase's own table rendered; every other term from the table.
+  auto name = [&](Term t, bool display) {
+    auto it = ndv_provenance.find(t);
+    if (it != ndv_provenance.end()) {
+      return SymbolTable::ChaseNdvName(t.id(), it->second);
+    }
+    return display ? symbols.DisplayName(t) : symbols.Name(t);
+  };
+  auto fact = [&](const Fact& f) {
+    return StrCat(catalog.relation(f.relation).name(), "(",
+                  StrJoinMapped(f.terms, ", ",
+                                [&](Term t) { return name(t, true); }),
+                  ")");
+  };
+  std::string out = "roots (chase_FD(Q)):\n";
   for (size_t i = 0; i < roots.size(); ++i) {
-    out += StrCat("  [", i, "] ", roots[i].ToString(catalog, symbols), "\n");
+    StrAppend(&out, "  [", i, "] ", fact(roots[i]), "\n");
   }
   out += "derivation:\n";
   for (size_t i = 0; i < steps.size(); ++i) {
-    out += StrCat("  [", roots.size() + i, "] ",
-                  steps[i].fact.ToString(catalog, symbols), "  <- [",
-                  steps[i].parent, "] via IND #", steps[i].ind_index, "\n");
+    StrAppend(&out, "  [", roots.size() + i, "] ", fact(steps[i].fact),
+              "  <- [", steps[i].parent, "] via IND #", steps[i].ind_index,
+              "\n");
   }
-  out += StrCat("summary: ", TermsToString(summary, symbols), "\n");
+  StrAppend(&out, "summary: (",
+            StrJoinMapped(summary, ", ", [&](Term t) { return name(t, false); }),
+            ")\n");
   return out;
 }
 
@@ -129,6 +145,20 @@ ContainmentCertificate ExtractCertificateFromChase(const Chase& chase,
     cert.steps.push_back(std::move(step));
   }
   cert.mapping = hom.mapping;
+  const SymbolTable& symbols = chase.symbols();
+  auto copy_provenance = [&](const Fact& f) {
+    for (Term t : f.terms) {
+      if (!SymbolTable::IsChaseRegionNdv(t) ||
+          cert.ndv_provenance.count(t) != 0) {
+        continue;
+      }
+      if (std::optional<NdvProvenance> p = symbols.Provenance(t)) {
+        cert.ndv_provenance.emplace(t, *p);
+      }
+    }
+  };
+  for (const Fact& f : cert.roots) copy_provenance(f);
+  for (const DerivationStep& step : cert.steps) copy_provenance(step.fact);
   cert.conjunct_images.reserve(hom.conjunct_images.size());
   for (size_t fact_index : hom.conjunct_images) {
     cert.conjunct_images.push_back(index_of_id.at(alive[fact_index]->id));

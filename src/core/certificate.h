@@ -71,6 +71,11 @@ struct ContainmentCertificate {
   std::unordered_map<Term, Term> mapping;
   std::vector<size_t> conjunct_images;
 
+  // Provenance of every chase NDV the facts cite, copied at extraction: the
+  // chase that minted them may be gone (and its ids reused) by the time the
+  // certificate is printed, so ToString renders their names from here.
+  std::unordered_map<Term, NdvProvenance> ndv_provenance;
+
   // Total number of facts (roots + steps).
   size_t NumFacts() const { return roots.size() + steps.size(); }
   const Fact& FactAt(size_t index) const {
@@ -97,7 +102,8 @@ bool CertifiableSigma(const DependencySet& deps, const Catalog& catalog);
 // engine return a proof without re-chasing). `hom.conjunct_images` must
 // index into `chase.AliveConjuncts()` (the order FindHomomorphism produced
 // it in). Roots are the chase's alive level-0 conjuncts, i.e. chase_Σ[F](Q);
-// the derivation keeps only the witness image's ancestor cone.
+// the derivation keeps only the witness image's ancestor cone. The result
+// does not depend on the chase staying alive.
 ContainmentCertificate ExtractCertificateFromChase(const Chase& chase,
                                                    const Homomorphism& hom);
 

@@ -50,7 +50,12 @@ struct ContainmentOptions {
 struct ContainmentReport {
   bool contained = false;
   // When contained: the homomorphism found, and the deepest chase level its
-  // image touches (the empirical counterpart of the Lemma 5 bound).
+  // image touches (the empirical counterpart of the Lemma 5 bound). The
+  // witness's chase-NDV images are opaque ids once the decision returns:
+  // they named NDVs of a chase that may since be gone, and a later chase
+  // may reuse them (symbols/symbol_table.h), so do not pass them to
+  // SymbolTable::Name() or Provenance(). Q' variables mapped to Q's own
+  // terms stay meaningful.
   std::optional<Homomorphism> witness;
   uint32_t witness_max_level = 0;
   // The Lemma 5 theoretical level bound |Q'|·|Σ|·(W+1)^W, saturated at

@@ -277,10 +277,14 @@ Result<StreamingContainmentReport> StreamingSingleConjunctContainment(
   const uint64_t bound =
       Theorem2LevelBound(1, deps.size(), deps.MaxIndWidth());
 
-  // Frontier NDVs are minted like chase NDVs: lock-free from a reserved
-  // block, unindexed, and the block's unused tail returned on exit.
+  // Frontier NDVs are minted like chase NDVs: lock-free from a leased
+  // block, unindexed, and every block returned on exit (no frontier term
+  // escapes this call).
   SymbolTable::NdvShard shard = symbols.CreateShard();
   std::vector<Fact> frontier = q.conjuncts();
+  for (const Fact& f : frontier) {
+    for (Term t : f.terms) shard.MintAbove(t);
+  }
   report.peak_frontier = frontier.size();
   for (uint32_t level = 0;; ++level) {
     report.conjuncts_streamed += frontier.size();

@@ -668,15 +668,20 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
         StrCat("V", static_cast<int>(options.variant), "|",
                CanonicalSigmaKey(deps), "|");
     AppendExactQueryKey(&chase_key, q);
+    // An evicted prefix may hold the last reference to its chase: drop it
+    // after unlocking, so a whole Chase (and the symbol-table lock its NDV
+    // blocks take on the way out) is never destroyed under mu_.
+    ChaseCache::Entries evicted;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (std::shared_ptr<SharedChase>* hit = chase_cache_.Get(chase_key)) {
         shared = *hit;
       } else {
         shared = std::make_shared<SharedChase>();
-        chase_cache_.Put(chase_key, shared);
+        evicted = chase_cache_.Put(chase_key, shared);
       }
     }
+    evicted.clear();
     shared_lock = std::unique_lock<std::mutex>(shared->mu);
     if (!shared->built) {
       // First asker through the entry lock builds the chase. The entry owns
@@ -871,9 +876,6 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
         UsedDependencyFingerprints(deps, chase.used_inds(), chase.used_fds());
   }
 
-  // Hand the NDV block's unused tail back while the chase is still ours: a
-  // parked prefix that kept it would strand it below the next chase's block.
-  chase.ReturnUnusedNdvIds();
   chase.set_control(nullptr);
   // No release step: the shared entry stayed in the cache the whole time
   // (touched to most-recently-used at lookup); shared_lock and our
@@ -1145,8 +1147,9 @@ const VerdictStore* ContainmentEngine::store() const {
 
 void ContainmentEngine::ClearCaches() {
   if (tiers_ != nullptr) tiers_->Clear();
+  ChaseCache::Entries dropped;  // destroyed after unlocking, as in Put
   std::lock_guard<std::mutex> lock(mu_);
-  chase_cache_.Clear();
+  dropped = chase_cache_.Drain();
   sigma_cache_.Clear();
 }
 
@@ -1160,8 +1163,9 @@ DeltaReceipt ContainmentEngine::EvolveSigma(const DependencySet& old_deps,
     // chase holds a live copy of it). Their old-Σ entries are unreachable
     // under new-Σ keys anyway; clearing reclaims the pinned chases rather
     // than letting them age out of the LRU.
+    ChaseCache::Entries dropped;  // destroyed after unlocking, as in Put
     std::lock_guard<std::mutex> lock(mu_);
-    chase_cache_.Clear();
+    dropped = chase_cache_.Drain();
     sigma_cache_.Clear();
   }
   if (tiers_ != nullptr) receipt = tiers_->ApplyDelta(ld);

@@ -514,7 +514,8 @@ class ContainmentEngine {
   mutable std::mutex mu_;  // guards the two caches below (the verdict tiers
                            // synchronize themselves)
   LruCache<SigmaAnalysis> sigma_cache_;
-  LruCache<std::shared_ptr<SharedChase>> chase_cache_;
+  using ChaseCache = LruCache<std::shared_ptr<SharedChase>>;
+  ChaseCache chase_cache_;
 
   // Outstanding request states, so destruction can cancel them all — the
   // futures may have been dropped, and without this a no-deadline

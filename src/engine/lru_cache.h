@@ -4,12 +4,14 @@
 // eviction ignored reuse and whose erase-by-key was an O(n) scan.
 //
 // Not thread-safe; the ContainmentEngine serializes access under its own
-// mutex. Capacity 0 disables storage entirely (Put is a no-op), which is how
-// a cache knob is turned off without sprinkling conditionals at call sites.
+// mutex. Capacity 0 disables storage entirely (Put stores nothing and hands
+// the value back), which is how a cache knob is turned off without
+// sprinkling conditionals at call sites.
 #ifndef CQCHASE_ENGINE_LRU_CACHE_H_
 #define CQCHASE_ENGINE_LRU_CACHE_H_
 
 #include <cstddef>
+#include <iterator>
 #include <list>
 #include <string>
 #include <unordered_map>
@@ -20,6 +22,9 @@ namespace cqchase {
 template <typename Value>
 class LruCache {
  public:
+  // Entries in recency order, front = most recent.
+  using Entries = std::list<std::pair<std::string, Value>>;
+
   explicit LruCache(size_t capacity) : capacity_(capacity) {}
 
   // Returns the value for `key` and marks it most-recently-used; nullptr on
@@ -32,21 +37,29 @@ class LruCache {
   }
 
   // Inserts or overwrites `key`, marks it most-recently-used, and evicts
-  // from the least-recently-used end until the capacity bound holds.
-  void Put(const std::string& key, Value value) {
-    if (capacity_ == 0) return;
+  // from the least-recently-used end until the capacity bound holds. The
+  // evicted entries (and an overwritten value) are returned rather than
+  // destroyed, so a caller holding a lock can destroy them after unlocking.
+  Entries Put(const std::string& key, Value value) {
+    Entries evicted;
+    if (capacity_ == 0) {
+      evicted.emplace_back(key, std::move(value));
+      return evicted;
+    }
     auto it = index_.find(key);
     if (it != index_.end()) {
+      evicted.emplace_back(key, std::move(it->second->second));
       it->second->second = std::move(value);
       recency_.splice(recency_.begin(), recency_, it->second);
-      return;
+      return evicted;
     }
     recency_.emplace_front(key, std::move(value));
     index_.emplace(key, recency_.begin());
     while (index_.size() > capacity_) {
       index_.erase(recency_.back().first);
-      recency_.pop_back();
+      evicted.splice(evicted.end(), recency_, std::prev(recency_.end()));
     }
+    return evicted;
   }
 
   void Clear() {
@@ -63,8 +76,8 @@ class LruCache {
   // most recent). For bulk rewrites — a schema-delta migration retags the
   // drained entries and re-inserts the survivors back-to-front, which
   // reconstructs the original recency order exactly.
-  std::list<std::pair<std::string, Value>> Drain() {
-    std::list<std::pair<std::string, Value>> out;
+  Entries Drain() {
+    Entries out;
     out.swap(recency_);
     index_.clear();
     return out;
@@ -75,10 +88,8 @@ class LruCache {
 
  private:
   size_t capacity_;
-  std::list<std::pair<std::string, Value>> recency_;  // front = MRU
-  std::unordered_map<std::string,
-                     typename std::list<std::pair<std::string, Value>>::iterator>
-      index_;
+  Entries recency_;  // front = MRU
+  std::unordered_map<std::string, typename Entries::iterator> index_;
 };
 
 }  // namespace cqchase

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <iterator>
 
 #include "base/string_util.h"
 
@@ -23,10 +27,12 @@ SymbolTable& SymbolTable::operator=(SymbolTable&& other) noexcept {
     dist_var_index_ = std::move(other.dist_var_index_);
     nondist_var_index_ = std::move(other.nondist_var_index_);
     fresh_counter_ = other.fresh_counter_;
-    ndv_slabs_ = std::move(other.ndv_slabs_);
+    table_slabs_ = std::move(other.table_slabs_);
+    chase_slabs_ = std::move(other.chase_slabs_);
     ndv_names_ = std::move(other.ndv_names_);
-    ndv_limit_ = other.ndv_limit_;
-    intern_range_ = other.intern_range_;
+    table_ndvs_ = other.table_ndvs_;
+    chase_blocks_ = other.chase_blocks_;
+    free_blocks_ = std::move(other.free_blocks_);
     ndv_blocks_handed_out_ = other.ndv_blocks_handed_out_;
     ndv_count_.store(other.ndv_count_.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
@@ -37,10 +43,12 @@ SymbolTable& SymbolTable::operator=(SymbolTable&& other) noexcept {
     other.dist_var_index_.clear();
     other.nondist_var_index_.clear();
     other.fresh_counter_ = 0;
-    other.ndv_slabs_.clear();
+    other.table_slabs_.clear();
+    other.chase_slabs_.clear();
     other.ndv_names_.clear();
-    other.ndv_limit_ = 0;
-    other.intern_range_ = IdRange{};
+    other.table_ndvs_ = 0;
+    other.chase_blocks_ = 0;
+    other.free_blocks_.clear();
     other.ndv_blocks_handed_out_ = 0;
     other.ndv_count_.store(0, std::memory_order_relaxed);
   }
@@ -66,37 +74,70 @@ const std::deque<std::string>& SymbolTable::pool(TermKind kind) const {
 
 // --- NDV arena ---------------------------------------------------------------
 
-void SymbolTable::EnsureNdvStorageLocked(uint32_t limit) {
+namespace {
+
+// Region exhaustion is a hard stop: wrapping would mint ids that alias live
+// symbols or Term::kInvalidId.
+[[noreturn]] void DieRegionExhausted(const char* region, uint64_t ids) {
+  std::fprintf(stderr,
+               "SymbolTable: %s NDV id region exhausted after %llu ids\n",
+               region, static_cast<unsigned long long>(ids));
+  std::abort();
+}
+
+}  // namespace
+
+SymbolTable::NdvSlot* SymbolTable::NdvSlotLocked(uint32_t id) {
   // The whole per-NDV cost of the arena: no name, no heap allocation.
   static_assert(sizeof(NdvSlot) <= 24, "an NDV costs at most 24 bytes");
-  while (ndv_slabs_.size() * kNdvSlabSize < limit) {
-    ndv_slabs_.push_back(std::make_unique<NdvSlot[]>(kNdvSlabSize));
+  if (id < kChaseNdvBase) {
+    assert(id < table_ndvs_);
+    return &table_slabs_[id / kNdvSlabSize][id % kNdvSlabSize];
+  }
+  const uint32_t slot = id - kChaseNdvBase;
+  assert(slot / kNdvBlockSize < chase_blocks_);
+  return &chase_slabs_[slot / kNdvSlabSize][slot % kNdvSlabSize];
+}
+
+void SymbolTable::EnsureSlab(Slabs& slabs, uint32_t slot) {
+  const size_t index = slot / kNdvSlabSize;
+  if (slabs.size() <= index) slabs.resize(index + 1);
+  if (slabs[index] == nullptr) {
+    slabs[index] = std::make_unique<NdvSlot[]>(kNdvSlabSize);  // poisoned
   }
 }
 
-SymbolTable::IdRange SymbolTable::ReserveBlockLocked() {
+uint32_t SymbolTable::NextTableNdvLocked() {
+  if (table_ndvs_ == kChaseNdvBase) DieRegionExhausted("table", table_ndvs_);
+  EnsureSlab(table_slabs_, table_ndvs_);
+  return table_ndvs_++;
+}
+
+uint32_t SymbolTable::LeaseBlockLocked(uint32_t min_block) {
   ++ndv_blocks_handed_out_;
-  // Rollbacks can leave ndv_limit_ mid-slab; clip so a block never
-  // straddles a slab boundary (shards cache one raw slot pointer).
-  const uint32_t slab_end =
-      (ndv_limit_ / kNdvSlabSize + 1) * kNdvSlabSize;
-  IdRange r{ndv_limit_, std::min(ndv_limit_ + kNdvBlockSize, slab_end)};
-  ndv_limit_ = r.end;
-  EnsureNdvStorageLocked(ndv_limit_);
-  return r;
-}
-
-void SymbolTable::ReturnRangeLocked(IdRange range) {
-  if (range.begin >= range.end) return;
-  if (range.end == ndv_limit_) ndv_limit_ = range.begin;
-  // Otherwise the tail is abandoned: ids are plentiful, order is not.
-}
-
-uint32_t SymbolTable::ReserveSingleNdvLocked() {
-  if (intern_range_.begin >= intern_range_.end) {
-    intern_range_ = ReserveBlockLocked();
+  // Descending order: [begin, above_end) are the free blocks >= min_block,
+  // the lowest of them last (for min_block 0, the vector's back).
+  auto above_end = std::upper_bound(free_blocks_.begin(), free_blocks_.end(),
+                                    min_block, std::greater<uint32_t>());
+  if (above_end != free_blocks_.begin()) {
+    const auto it = std::prev(above_end);
+    const uint32_t block = *it;
+    free_blocks_.erase(it);
+    return block;
   }
-  return intern_range_.begin++;
+  if (chase_blocks_ == kChaseBlockLimit) {
+    DieRegionExhausted("chase", static_cast<uint64_t>(chase_blocks_) *
+                                    kNdvBlockSize);
+  }
+  EnsureSlab(chase_slabs_, chase_blocks_ * kNdvBlockSize);
+  return chase_blocks_++;
+}
+
+void SymbolTable::FreeBlockLocked(uint32_t block) {
+  free_blocks_.insert(std::lower_bound(free_blocks_.begin(),
+                                       free_blocks_.end(), block,
+                                       std::greater<uint32_t>()),
+                      block);
 }
 
 std::string SymbolTable::ChaseNdvName(uint32_t id, const NdvProvenance& p) {
@@ -114,17 +155,35 @@ Term SymbolTable::NdvShard::MakeChaseNdv(const NdvProvenance& provenance) {
 }
 
 void SymbolTable::NdvShard::Refill() {
+  if (end_ != 0) full_blocks_.push_back(BlockOf(begin_));
   std::lock_guard<std::mutex> lock(*table_->mu_);
-  IdRange r = table_->ReserveBlockLocked();
-  begin_ = next_ = r.begin;
-  end_ = r.end;
-  base_ = table_->NdvSlotLocked(r.begin);
+  const uint32_t block = table_->LeaseBlockLocked(min_block_);
+  min_block_ = block + 1;  // ids keep increasing within this shard
+  begin_ = next_ = kChaseNdvBase + block * kNdvBlockSize;
+  end_ = begin_ + kNdvBlockSize;
+  base_ = table_->NdvSlotLocked(begin_);
 }
 
-void SymbolTable::NdvShard::ReturnRemainder() {
-  if (table_ == nullptr || next_ >= end_) return;
+void SymbolTable::NdvShard::Release() {
+  if (table_ == nullptr || end_ == 0) return;
+  // Poison what this shard minted (the rest of each block is still
+  // poisoned from its previous owner or its allocation) so a stale id
+  // cannot render as the block's next owner's NDV.
+  NdvSlot* current = static_cast<NdvSlot*>(base_);
+  for (uint32_t i = 0; i < next_ - begin_; ++i) {
+    current[i].name_index = kFreedNdv;
+  }
   std::lock_guard<std::mutex> lock(*table_->mu_);
-  table_->ReturnRangeLocked(IdRange{next_, end_});
+  for (uint32_t block : full_blocks_) {
+    NdvSlot* slots =
+        table_->NdvSlotLocked(kChaseNdvBase + block * kNdvBlockSize);
+    for (uint32_t i = 0; i < kNdvBlockSize; ++i) {
+      slots[i].name_index = kFreedNdv;
+    }
+    table_->FreeBlockLocked(block);
+  }
+  table_->FreeBlockLocked(BlockOf(begin_));
+  full_blocks_.clear();
   begin_ = next_ = end_ = 0;
   base_ = nullptr;
 }
@@ -140,7 +199,7 @@ Term SymbolTable::Intern(TermKind kind, std::string_view name) {
   if (it != index.end()) return Term(kind, it->second);
   uint32_t id;
   if (kind == TermKind::kNondistVar) {
-    id = ReserveSingleNdvLocked();
+    id = NextTableNdvLocked();
     NdvSlot slot;
     slot.name_index = static_cast<uint32_t>(ndv_names_.size());
     *NdvSlotLocked(id) = slot;
@@ -172,7 +231,7 @@ Term SymbolTable::InternNondistVar(std::string_view name) {
 
 Term SymbolTable::MakeChaseNdv(const NdvProvenance& provenance) {
   std::lock_guard<std::mutex> lock(*mu_);
-  const uint32_t id = ReserveSingleNdvLocked();
+  const uint32_t id = NextTableNdvLocked();
   *NdvSlotLocked(id) = NdvSlot::Chase(provenance);
   ndv_count_.fetch_add(1, std::memory_order_relaxed);
   nondist_var_index_.emplace(ChaseNdvName(id, provenance), id);
@@ -211,10 +270,11 @@ std::string SymbolTable::Name(Term t) const {
       assert(t.id() < p.size());
       return p[t.id()];
     }
-    assert(t.id() < ndv_limit_);
     slot = *NdvSlotLocked(t.id());
-    if (slot.name_index != kChaseNdv) return ndv_names_[slot.name_index];
+    assert(slot.name_index != kFreedNdv && "NDV of a dead chase");
+    if (slot.name_index < kFreedNdv) return ndv_names_[slot.name_index];
   }
+  if (slot.name_index == kFreedNdv) return StrCat("n", t.id(), "[freed]");
   return ChaseNdvName(t.id(), slot.provenance());
 }
 
@@ -235,8 +295,8 @@ std::string SymbolTable::DisplayName(Term t) const {
 std::optional<NdvProvenance> SymbolTable::Provenance(Term t) const {
   if (t.kind() != TermKind::kNondistVar) return std::nullopt;
   std::lock_guard<std::mutex> lock(*mu_);
-  assert(t.id() < ndv_limit_);
   const NdvSlot& slot = *NdvSlotLocked(t.id());
+  assert(slot.name_index != kFreedNdv && "NDV of a dead chase");
   if (slot.name_index != kChaseNdv) return std::nullopt;
   return slot.provenance();
 }

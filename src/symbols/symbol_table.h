@@ -7,43 +7,44 @@
 // chase rule introduces a fresh NDV, its identity encodes the attribute, the
 // source conjunct, the IND applied and the level of the created conjunct.
 //
-// NDV arena sharding. Chase steps are the hot path of every decision
-// procedure, and each IND step mints fresh NDVs. Rather than taking the
-// table mutex per mint (which serializes CheckMany's thread fan-out exactly
-// where it is hottest), NDV ids are handed out in *blocks*: an NdvShard holds
-// a reserved id range plus a raw pointer into the backing slab and mints
-// entirely lock-free; only block handoff (one mutex acquisition per
-// kNdvBlockSize mints, and none at all for FD-only chases) synchronizes.
-// A destroyed (or moved-over) shard returns its unused tail: if it is still
-// the top of the id space the high-water mark rolls back (sequential
-// workloads keep contiguous ids); otherwise the tail becomes a permanent
-// hole of <= 127 ids whose slab slots stay allocated. Holes therefore
-// only come from ranges outstanding at the same time (concurrent shards,
-// or a shard and the table's own intern cursor). A chase parked
-// for later resumption must not keep its block (Chase::ReturnUnusedNdvIds):
-// every later block would be reserved above it, and evicting the chase
-// would leave one hole per parked chase — the slab would grow with requests
-// rather than with minted NDVs. Every block is
-// therefore reserved *above every symbol in existence at handoff time*, so
-// a fresh NDV always lexicographically follows the query terms and all of
-// its chase's earlier mints — the paper's naming invariant. Across
-// concurrently-minting shards the interleaving of already-reserved blocks
-// is whatever the thread schedule made it; verdicts are isomorphism-
-// invariant, so that cannot change an answer.
+// NDV arena: two id regions. NDVs the table names or mints itself (parser
+// InternNondistVar, MakeFreshNondistVar, the locked MakeChaseNdv of the
+// artifact builders) take ids in [0, kChaseNdvBase), one at a time, and
+// live as long as the table. Chase NDVs take ids in [kChaseNdvBase,
+// Term::kInvalidId) and live only as long as the chase (or streaming call)
+// that minted them. Every chase NDV therefore sorts after every symbol the
+// table will ever intern, which is the paper's naming invariant ("a fresh
+// NDV follows all previously introduced symbols") with no ordering
+// constraint left on the chase region itself.
 //
-// An NDV costs one fixed NdvSlot in a slab that never moves once allocated,
-// so a shard can fill its reserved slots without touching any shared
+// Chase hot loops mint through an NdvShard, lock-free within a leased
+// block of kNdvBlockSize ids; only block handoff (one mutex acquisition per
+// block, none at all for FD-only chases) synchronizes. A shard keeps every
+// block it leased and returns all of them to the table's free list when it
+// is destroyed. A refill takes the lowest free block above the shard's
+// previous block, or carves a fresh one at the top of the region, so ids
+// strictly increase within one shard (one chase) whichever blocks it
+// reuses. The chase region's slabs are thus bounded by the blocks held at
+// one time (live and parked chases, in-flight streaming calls), not by the
+// number of decisions ever made. A recycled id names nothing once its
+// chase is gone: results that outlive a chase either drop chase NDVs
+// (stored verdicts), treat them as opaque ids (witness homomorphisms), or
+// copy the provenance they cite (certificates). Freed slots are poisoned,
+// so Name() or Provenance() of a dead chase's NDV asserts in debug builds.
+//
+// An NDV costs one fixed 24-byte NdvSlot in a slab that never moves once
+// allocated, so a shard fills its leased slots without touching any shared
 // structure. A slot holds no name: a chase NDV's slot is its provenance,
 // and Name() renders "n17[A2,c5,i1,L3]" from id + provenance on demand
 // (byte-identical every time, so nothing needs to store it). The rare NDVs
 // named by a caller (parser InternNondistVar, MakeFreshNondistVar) keep
 // their names in an append-only list the slot points into. Shard-minted
 // NDVs are *not* registered in the name index (that would need the lock):
-// Find() does not see them. Their names embed the id, so they cannot
-// collide with each other; they are fresh symbols nothing re-interns.
+// Find() does not see them.
 #ifndef CQCHASE_SYMBOLS_SYMBOL_TABLE_H_
 #define CQCHASE_SYMBOLS_SYMBOL_TABLE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -72,19 +73,33 @@ struct NdvProvenance {
 
 // Thread safety: interning, fresh-symbol creation, by-name lookups and
 // Name()/Provenance() reads are guarded by an internal mutex. NDV *minting
-// through an NdvShard* is lock-free within the shard's reserved block; see
+// through an NdvShard* is lock-free within the shard's leased block; see
 // the arena notes above.
 // Reading Name()/Provenance() of a term is safe from any thread that
 // obtained the term through a proper happens-before edge (a mutex, a thread
 // join, a cache publish) with its creator — which is the only way a term can
-// travel between threads anyway.
+// travel between threads anyway — and, for a chase NDV, while its chase is
+// alive.
 class SymbolTable {
  public:
-  // Ids are reserved in blocks of this many NDVs; slabs hold kNdvSlabSize
-  // slots. Block size divides slab size, so one block never straddles a
-  // slab boundary and a shard can cache a single raw NdvSlot pointer.
+  // Chase ids are leased in blocks of this many NDVs; slabs hold
+  // kNdvSlabSize slots. Block size divides slab size, so one block never
+  // straddles a slab boundary and a shard can cache a single raw NdvSlot
+  // pointer.
   static constexpr uint32_t kNdvBlockSize = 128;
   static constexpr uint32_t kNdvSlabSize = 1024;
+  // First id of the chase region; table-named NDVs take the ids below it.
+  static constexpr uint32_t kChaseNdvBase = 1u << 31;
+
+  // True for an NDV minted through an NdvShard: its id names something only
+  // while the chase that minted it is alive.
+  static bool IsChaseRegionNdv(Term t) {
+    return t.is_nondist_var() && t.is_valid() && t.id() >= kChaseNdvBase;
+  }
+
+  // Composes the provenance-encoding chase-NDV name, e.g. "n17[A2,c5,i1,L3]"
+  // — what Name() returns for a chase NDV while its chase is alive.
+  static std::string ChaseNdvName(uint32_t id, const NdvProvenance& p);
 
   SymbolTable() : mu_(std::make_unique<std::mutex>()) {}
 
@@ -109,9 +124,10 @@ class SymbolTable {
 
   // Creates a fresh NDV for the IND chase rule, taking the table mutex. Its
   // name encodes the provenance, e.g. "n17[A2,c5,i1,L3]", and is indexed so
-  // Find() sees it. Chase hot loops should mint through an NdvShard
-  // instead; this convenience entry point serves the single-threaded
-  // artifact builders (EMVD chase, Theorem 3 constructions).
+  // Find() sees it; it lives as long as the table. Chase hot loops should
+  // mint through an NdvShard instead; this convenience entry point serves
+  // the single-threaded artifact builders (EMVD chase, Theorem 3
+  // constructions).
   Term MakeChaseNdv(const NdvProvenance& provenance);
 
   // Creates a fresh anonymous NDV (used by generators and by the Theorem 3
@@ -125,8 +141,9 @@ class SymbolTable {
   // minted NDVs are not indexed and therefore not found here.
   std::optional<Term> Find(TermKind kind, std::string_view name) const;
 
-  // Printable name of a term. Terms must belong to this table. Returned by
-  // value: a chase NDV's name is rendered from its id and provenance.
+  // Printable name of a term. Terms must belong to this table (a chase NDV:
+  // to a live chase). Returned by value: a chase NDV's name is rendered
+  // from its id and provenance.
   std::string Name(Term t) const;
 
   // Rendering for query text that must re-parse: constants are quoted
@@ -136,54 +153,70 @@ class SymbolTable {
   // Provenance of a chase-created NDV; nullopt for other terms.
   std::optional<NdvProvenance> Provenance(Term t) const;
 
-  // A per-worker handle that mints NDVs lock-free from reserved id blocks.
+  // A per-chase handle that mints NDVs lock-free from leased id blocks.
   // One shard must be used by one thread at a time (typically: owned by one
-  // Chase). Destroying (or moving from) a shard returns its unused id range
-  // to the table's free pool. The table must outlive every shard.
+  // Chase). Destroying (or moving over) a shard returns every block it
+  // leased to the table's free list: its NDVs die with it. The table must
+  // outlive every shard.
   class NdvShard {
    public:
     NdvShard() = default;
     explicit NdvShard(SymbolTable* table) : table_(table) {}
-    ~NdvShard() { ReturnRemainder(); }
+    ~NdvShard() { Release(); }
 
     NdvShard(const NdvShard&) = delete;
     NdvShard& operator=(const NdvShard&) = delete;
     NdvShard(NdvShard&& other) noexcept { *this = std::move(other); }
     NdvShard& operator=(NdvShard&& other) noexcept {
       if (this != &other) {
-        ReturnRemainder();
+        Release();
         table_ = other.table_;
         base_ = other.base_;
         begin_ = other.begin_;
         next_ = other.next_;
         end_ = other.end_;
+        min_block_ = other.min_block_;
+        full_blocks_ = std::move(other.full_blocks_);
         other.table_ = nullptr;
         other.base_ = nullptr;
-        other.begin_ = other.next_ = other.end_ = 0;
+        other.begin_ = other.next_ = other.end_ = other.min_block_ = 0;
+        other.full_blocks_.clear();
       }
       return *this;
     }
 
     // Lock-free except when the current block is exhausted (then one table
-    // mutex acquisition reserves the next block). Minted ids strictly
-    // increase and follow every symbol that existed at block-handoff time.
+    // mutex acquisition leases the next block). Minted ids strictly
+    // increase and follow every table-region symbol.
     Term MakeChaseNdv(const NdvProvenance& provenance);
+
+    // Makes every later mint follow `t` too: a query built from another
+    // chase's facts may carry its chase-region NDVs, and this chase's fresh
+    // NDVs must sort after (and never equal) them. A no-op for other terms.
+    // Call before the first mint.
+    void MintAbove(Term t) {
+      if (IsChaseRegionNdv(t)) {
+        min_block_ = std::max(min_block_, BlockOf(t.id()) + 1);
+      }
+    }
 
     bool attached() const { return table_ != nullptr; }
 
    private:
-    void Refill();           // reserve the next block (locks the table)
-    void ReturnRemainder();  // give [next_, end_) back (locks the table)
+    void Refill();   // lease the next block (locks the table)
+    void Release();  // poison and free every leased block (locks the table)
 
     SymbolTable* table_ = nullptr;
     void* base_ = nullptr;  // NdvSlot* of id begin_; opaque to keep it private
-    uint32_t begin_ = 0;    // first id of the current block
+    uint32_t begin_ = 0;    // first id of the current block (0: none yet)
     uint32_t next_ = 0;     // next id to mint
-    uint32_t end_ = 0;      // one past the last reserved id
+    uint32_t end_ = 0;      // one past the current block
+    uint32_t min_block_ = 0;  // the next lease lands at or above this block
+    std::vector<uint32_t> full_blocks_;  // earlier blocks, all minted
   };
 
   // Creates a shard minting into this table. Cheap; the first block is
-  // reserved lazily on the first mint.
+  // leased lazily on the first mint.
   NdvShard CreateShard() { return NdvShard(this); }
 
   size_t num_constants() const {
@@ -194,23 +227,33 @@ class SymbolTable {
     std::lock_guard<std::mutex> lock(*mu_);
     return dist_vars_.size();
   }
-  // Count of *minted* NDVs (interned + chase-created). With sharding the id
-  // space may contain reserved-but-unused holes, so this can be less than
-  // the highest NDV id.
+  // Count of NDVs ever minted (interned, table-minted and shard-minted,
+  // including those of chases since destroyed).
   size_t num_nondist_vars() const {
     return ndv_count_.load(std::memory_order_relaxed);
   }
-  // One past the highest NDV id reserved so far; the slabs hold at least
-  // this many slots. Minus num_nondist_vars(), it is the count of
-  // reserved-but-unused ids (block tails in use plus abandoned holes).
+  // One past the highest table-region NDV id: the slots that live as long
+  // as the table (ids there are dense, so this is also their count).
   uint32_t ndv_high_water() const {
     std::lock_guard<std::mutex> lock(*mu_);
-    return ndv_limit_;
+    return table_ndvs_;
   }
-  // Total NDV id blocks ever handed out (to shards and to the table's own
-  // intern cursor). The arena's amortization story in one number: compare
-  // against num_nondist_vars() — the old design paid one lock per mint,
-  // this one pays one per block.
+  // Chase-region slots carved so far (blocks ever carved, times
+  // kNdvBlockSize). Freed blocks are recycled, so this tracks the most
+  // blocks held at one time rather than the NDVs ever minted.
+  size_t chase_ndv_slots() const {
+    std::lock_guard<std::mutex> lock(*mu_);
+    return static_cast<size_t>(chase_blocks_) * kNdvBlockSize;
+  }
+  // Chase-region blocks leased by live shards right now; 0 once every chase
+  // and streaming call is gone.
+  size_t chase_ndv_blocks_held() const {
+    std::lock_guard<std::mutex> lock(*mu_);
+    return chase_blocks_ - free_blocks_.size();
+  }
+  // Total chase-region block leases (fresh or recycled). The arena's
+  // amortization story in one number: compare against num_nondist_vars() —
+  // one lock per block, not per mint.
   uint64_t ndv_blocks_handed_out() const {
     std::lock_guard<std::mutex> lock(*mu_);
     return ndv_blocks_handed_out_;
@@ -218,16 +261,30 @@ class SymbolTable {
 
  private:
   friend class NdvShard;
+  friend class SymbolTableTestPeer;
+
+  // Blocks the chase region holds: its last block must end at or below
+  // Term::kInvalidId, which no NDV may take.
+  static constexpr uint32_t kChaseBlockLimit =
+      (Term::kInvalidId - kChaseNdvBase) / kNdvBlockSize;
+  // Block of a chase-region id; block b holds ids from
+  // kChaseNdvBase + b * kNdvBlockSize.
+  static uint32_t BlockOf(uint32_t id) {
+    return (id - kChaseNdvBase) / kNdvBlockSize;
+  }
 
   // One NDV: a chase NDV's provenance, or for a caller-named NDV the index
-  // of its name in ndv_names_ (the provenance fields then unused).
+  // of its name in ndv_names_ (the provenance fields then unused). A slot
+  // no live NDV owns — never minted, or freed with its chase — is tagged
+  // kFreedNdv.
   static constexpr uint32_t kChaseNdv = UINT32_MAX;
+  static constexpr uint32_t kFreedNdv = UINT32_MAX - 1;
   struct NdvSlot {
     uint64_t source_conjunct = 0;
     uint32_t attribute_index = 0;
     uint32_t ind_index = 0;
     uint32_t level = 0;
-    uint32_t name_index = kChaseNdv;
+    uint32_t name_index = kFreedNdv;
 
     static NdvSlot Chase(const NdvProvenance& p) {
       return {p.source_conjunct, p.attribute_index, p.ind_index, p.level,
@@ -237,13 +294,7 @@ class SymbolTable {
       return {attribute_index, source_conjunct, ind_index, level};
     }
   };
-
-  // A reserved-but-unconsumed id range, [begin, end); always within one
-  // block (hence one slab).
-  struct IdRange {
-    uint32_t begin = 0;
-    uint32_t end = 0;
-  };
+  using Slabs = std::vector<std::unique_ptr<NdvSlot[]>>;
 
   std::deque<std::string>& pool(TermKind kind);
   const std::deque<std::string>& pool(TermKind kind) const;
@@ -252,35 +303,26 @@ class SymbolTable {
 
   // --- NDV arena internals (all require *mu_ unless noted) -----------------
 
-  // Slot address of an NDV id. Safe to call without the lock only for ids
-  // inside a range the caller owns (the slab pointer is cached by shards).
-  NdvSlot* NdvSlotLocked(uint32_t id) {
-    return &ndv_slabs_[id / kNdvSlabSize][id % kNdvSlabSize];
-  }
+  // Slot address of an NDV id in either region. Shards cache the address of
+  // their current block, so they write it without the lock.
+  NdvSlot* NdvSlotLocked(uint32_t id);
   const NdvSlot* NdvSlotLocked(uint32_t id) const {
     return const_cast<SymbolTable*>(this)->NdvSlotLocked(id);
   }
 
-  // Grows the slab array to cover ids < limit.
-  void EnsureNdvStorageLocked(uint32_t limit);
+  // Makes `slabs` cover region slot `slot`. Slabs are allocated on first
+  // touch (all slots poisoned), so only the pointer vector spans the slots
+  // below it.
+  static void EnsureSlab(Slabs& slabs, uint32_t slot);
 
-  // Reserves the next block at the high-water mark (clipped to the current
-  // slab's end so a block never straddles slabs). Blocks always sit above
-  // every id reserved before, which is what keeps fresh NDVs
-  // lexicographically above all existing symbols.
-  IdRange ReserveBlockLocked();
+  // Takes the next table-region id (aborts when the region is full).
+  uint32_t NextTableNdvLocked();
 
-  // Takes one id for an intern/fresh-NDV call, from the table's own cursor
-  // range (refilled through ReserveBlockLocked like any shard).
-  uint32_t ReserveSingleNdvLocked();
-
-  // Composes the provenance-encoding chase-NDV name, e.g. "n17[A2,c5,i1,L3]".
-  static std::string ChaseNdvName(uint32_t id, const NdvProvenance& p);
-
-  // Returns an unused tail: rolls the high-water mark back when the range
-  // still tops the id space, else abandons it (reusing a low range would
-  // put later-minted NDVs lexicographically below existing symbols).
-  void ReturnRangeLocked(IdRange range);
+  // Leases a chase-region block: the lowest free block >= min_block, else
+  // a freshly carved one (aborts when the region is full).
+  uint32_t LeaseBlockLocked(uint32_t min_block);
+  // Puts a block back on the free list.
+  void FreeBlockLocked(uint32_t block);
 
   // unique_ptr keeps the table movable (a mutex itself is not); the move
   // operations re-seat a fresh mutex in the source so it stays usable.
@@ -292,12 +334,17 @@ class SymbolTable {
   std::unordered_map<std::string, uint32_t> nondist_var_index_;
   uint64_t fresh_counter_ = 0;
 
-  // NDV arena: slabs never move or shrink; slots are written once by their
-  // id's owner and read-only afterwards. ndv_names_ only grows.
-  std::vector<std::unique_ptr<NdvSlot[]>> ndv_slabs_;
+  // NDV arena: slabs never move or shrink. Table-region slots are written
+  // once; a chase-region slot is written by the shard leasing its block and
+  // poisoned when that shard frees it. ndv_names_ only grows.
+  Slabs table_slabs_;
+  Slabs chase_slabs_;
   std::deque<std::string> ndv_names_;
-  uint32_t ndv_limit_ = 0;  // high-water mark of block reservation
-  IdRange intern_range_;    // the table's own single-id cursor
+  uint32_t table_ndvs_ = 0;    // table-region ids taken
+  uint32_t chase_blocks_ = 0;  // chase-region blocks carved
+  // Sorted descending, so the lowest free block (what a new chase leases)
+  // is popped from the back; no allocation per lease or free once grown.
+  std::vector<uint32_t> free_blocks_;
   uint64_t ndv_blocks_handed_out_ = 0;
   std::atomic<uint64_t> ndv_count_{0};
 };

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+
 #include "chase/chase_graph.h"
 #include "core/homomorphism.h"
 #include "cq/cq_parser.h"
@@ -292,6 +295,43 @@ TEST(ChaseEngineTest, InitTwiceFails) {
   ASSERT_TRUE(chase.Init(s.queries[0]).ok());
   EXPECT_EQ(chase.Init(s.queries[0]).code(),
             StatusCode::kFailedPrecondition);
+}
+
+TEST(ChaseEngineTest, ChaseOfAChaseMintsAboveTheNdvsItCarries) {
+  // A query built from a chase's facts carries that chase's NDVs. A chase
+  // of it must mint above them, even with a lower NDV block free for reuse:
+  // the FD rule's representative choice and the parallel core's
+  // provisional-fact order both rely on fresh NDVs following every term.
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddRelation("R", {"a", "b"}).ok());
+  ASSERT_TRUE(catalog.AddRelation("S", {"x", "y"}).ok());
+  SymbolTable symbols;
+  ConjunctiveQuery q = *ParseQuery(catalog, symbols, "ans(h) :- R(h, 'v')");
+  DependencySet into_s = *ParseDependencies(catalog, "R[2] <= S[1]");
+  DependencySet into_r = *ParseDependencies(catalog, "S[2] <= R[1]");
+  auto earlier = std::make_unique<Chase>(
+      *BuildChase(q, into_s, symbols, ChaseVariant::kRequired, ChaseLimits{}));
+  Chase source =
+      *BuildChase(q, into_s, symbols, ChaseVariant::kRequired, ChaseLimits{});
+  earlier.reset();  // frees the NDV block below source's
+  ConjunctiveQuery carried = source.AsQuery();
+  std::set<Term> carried_terms;
+  for (const Fact& f : carried.conjuncts()) {
+    carried_terms.insert(f.terms.begin(), f.terms.end());
+  }
+  ASSERT_TRUE(SymbolTable::IsChaseRegionNdv(*carried_terms.rbegin()));
+
+  Chase chase = *BuildChase(carried, into_r, symbols, ChaseVariant::kRequired,
+                            ChaseLimits{});
+  size_t fresh = 0;
+  for (const Fact& f : chase.AliveFacts()) {
+    for (Term t : f.terms) {
+      if (carried_terms.count(t) != 0) continue;
+      ++fresh;
+      EXPECT_GT(t, *carried_terms.rbegin());
+    }
+  }
+  EXPECT_EQ(fresh, 1u);  // R(n, n') for the carried S('v', n)
 }
 
 TEST(ChaseEngineTest, AsInstanceViewsChaseAsDatabase) {

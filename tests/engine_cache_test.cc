@@ -6,16 +6,20 @@
 // under CheckMany thread fan-out.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
 #include "base/string_util.h"
+#include "core/certificate.h"
 #include "core/containment.h"
 #include "cq/cq_parser.h"
 #include "deps/deps_parser.h"
 #include "engine/canonical.h"
 #include "engine/engine.h"
+#include "engine/lru_cache.h"
 #include "gen/generators.h"
 #include "gen/scenarios.h"
 
@@ -358,11 +362,11 @@ TEST_F(CacheTest, ChaseCacheHammeredAtCapacityStaysBoundedAndConsistent) {
 }
 
 TEST_F(CacheTest, ParkedChasesDoNotStrandNdvBlocks) {
-  // Every decision below parks its chase in the prefix cache. A parked
-  // chase that kept its NDV id block would push the next chase's block
-  // above it and strand up to a block of slab entries per request; with the
-  // tail returned at the end of each turn, the arena's high-water mark stays
-  // within one block of the NDVs actually minted.
+  // Every decision below parks its chase in the prefix cache, NDV blocks
+  // and all. Evicting a chase frees its blocks for the next chase, so the
+  // chase region stays within the blocks the cache (plus the one deciding
+  // chase) holds, and the table region — the NDVs that live as long as the
+  // table — stays within a block of what the table itself named.
   constexpr int kDecisions = 1000;
   std::vector<ConjunctiveQuery> qs;
   for (int i = 0; i < kDecisions; ++i) {
@@ -386,6 +390,95 @@ TEST_F(CacheTest, ParkedChasesDoNotStrandNdvBlocks) {
             static_cast<uint64_t>(kDecisions));
   EXPECT_LE(symbols_.ndv_high_water(),
             symbols_.num_nondist_vars() + SymbolTable::kNdvBlockSize);
+  EXPECT_LE(symbols_.chase_ndv_slots(), (config.chase_cache_capacity + 2) *
+                                            SymbolTable::kNdvBlockSize);
+}
+
+TEST_F(CacheTest, ChaseRegionIsTheSameAfterOneAndTenThousandColdDecisions) {
+  // The chase region is bounded by the chases alive at once, not by the
+  // decisions made: 9 000 more cold decisions, each minting NDVs into a
+  // chase that is parked and later evicted, carve no further slots.
+  constexpr int kFirst = 1000;
+  constexpr int kTotal = 10000;
+  ConjunctiveQuery qp = Parse("ans(p) :- R(p, p0), S(p0, p1)");
+  EngineConfig config;  // default chase cache
+  config.executor_threads = 1;
+  ContainmentEngine engine(&catalog_, &symbols_, config);
+  size_t slots_after_first = 0;
+  for (int i = 0; i < kTotal; ++i) {
+    ConjunctiveQuery q =
+        Parse(StrCat("ans(h", i, ") :- R(h", i, ", 'v", i, "')"));
+    Result<EngineOutcome> outcome =
+        engine.Submit(ContainmentRequest::Borrow(q, qp, deps_)).Get();
+    ASSERT_TRUE(outcome.ok()) << outcome.status();
+    ASSERT_TRUE(outcome->verdict.report.contained);
+    if (i + 1 == kFirst) slots_after_first = symbols_.chase_ndv_slots();
+  }
+  EXPECT_EQ(engine.stats().chases_built, static_cast<uint64_t>(kTotal));
+  EXPECT_GE(symbols_.num_nondist_vars(), static_cast<uint64_t>(kTotal));
+  EXPECT_EQ(symbols_.chase_ndv_slots(), slots_after_first);
+  EXPECT_LE(slots_after_first, (config.chase_cache_capacity + 2) *
+                                   SymbolTable::kNdvBlockSize);
+}
+
+TEST_F(CacheTest, CertificateOutlivesItsChaseAndItsRecycledBlock) {
+  // A certificate copies the provenance of the NDVs it cites: after its
+  // chase is evicted and another chase mints into the same ids, it prints
+  // the same bytes and still verifies.
+  EngineConfig config;
+  config.chase_cache_capacity = 1;
+  config.executor_threads = 1;
+  ContainmentEngine engine(&catalog_, &symbols_, config);
+  ConjunctiveQuery q = Parse("ans(h) :- R(h, 'v')");
+  ConjunctiveQuery qp = Parse("ans(p) :- R(p, p0), S(p0, p1)");
+  Result<std::optional<ContainmentCertificate>> cert =
+      engine.Certify(q, qp, deps_);
+  ASSERT_TRUE(cert.ok()) << cert.status();
+  ASSERT_TRUE(cert->has_value());
+  const ContainmentCertificate& c = **cert;
+  ASSERT_EQ(c.steps.size(), 1u);
+  const Term cited = c.steps[0].fact.terms[1];  // S('v', n)
+  ASSERT_TRUE(SymbolTable::IsChaseRegionNdv(cited));
+  const std::string text = c.ToString(catalog_, symbols_);
+  EXPECT_NE(text.find(symbols_.Name(cited)), std::string::npos);
+
+  // Churn under a Σ whose chase mints into column 0: each decision evicts
+  // the previous chase (capacity 1) and reuses its block.
+  DependencySet other = *ParseDependencies(catalog_, "R[1] <= S[2]");
+  ConjunctiveQuery other_qp = Parse("ans(p) :- R(p, p0), S(p1, p)");
+  for (int i = 0; i < 4; ++i) {
+    ConjunctiveQuery churn =
+        Parse(StrCat("ans(h", i, ") :- R(h", i, ", 'w", i, "')"));
+    Result<EngineVerdict> v = engine.Check(churn, other_qp, other);
+    ASSERT_TRUE(v.ok()) << v.status();
+    ASSERT_TRUE(v->report.contained);
+  }
+  EXPECT_EQ(c.ToString(catalog_, symbols_), text);
+  EXPECT_TRUE(VerifyCertificate(c, q, qp, deps_, symbols_).ok());
+  // The block really was reused: the cited id now names the last churn
+  // chase's NDV, which the table renders differently.
+  EXPECT_EQ(symbols_.chase_ndv_slots(), SymbolTable::kNdvBlockSize);
+  EXPECT_EQ(text.find(symbols_.Name(cited)), std::string::npos);
+}
+
+TEST(LruCacheTest, PutHandsBackWhatItEvicts) {
+  LruCache<int> cache(2);
+  EXPECT_TRUE(cache.Put("a", 1).empty());
+  EXPECT_TRUE(cache.Put("b", 2).empty());
+  ASSERT_NE(cache.Get("a"), nullptr);  // b is now least recent
+  LruCache<int>::Entries evicted = cache.Put("c", 3);
+  ASSERT_EQ(evicted.size(), 1u);
+  EXPECT_EQ(evicted.front(), (std::pair<std::string, int>("b", 2)));
+  evicted = cache.Put("a", 10);  // overwrite hands back the old value
+  ASSERT_EQ(evicted.size(), 1u);
+  EXPECT_EQ(evicted.front().second, 1);
+  EXPECT_EQ(*cache.Get("a"), 10);
+  EXPECT_EQ(cache.size(), 2u);
+  LruCache<int> off(0);
+  evicted = off.Put("x", 7);  // capacity 0 stores nothing
+  ASSERT_EQ(evicted.size(), 1u);
+  EXPECT_EQ(evicted.front().second, 7);
+  EXPECT_EQ(off.size(), 0u);
 }
 
 TEST_F(CacheTest, StreamingDecisionsLeaveTheNameIndexAlone) {

@@ -25,16 +25,25 @@
 namespace cqchase {
 namespace {
 
+// Shards outlive their minting threads: a chase NDV names something only
+// while its shard is alive, and the checks below read them afterwards.
+std::vector<SymbolTable::NdvShard> MakeShards(SymbolTable& table, int n) {
+  std::vector<SymbolTable::NdvShard> shards;
+  for (int i = 0; i < n; ++i) shards.push_back(table.CreateShard());
+  return shards;
+}
+
 TEST(ShardConcurrencyTest, ParallelShardsMintDistinctReadableNdvs) {
   SymbolTable table;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 4000;
   std::vector<std::vector<Term>> minted(kThreads);
+  std::vector<SymbolTable::NdvShard> shards = MakeShards(table, kThreads);
   {
     std::vector<std::thread> pool;
     for (int w = 0; w < kThreads; ++w) {
-      pool.emplace_back([&table, &minted, w] {
-        SymbolTable::NdvShard shard = table.CreateShard();
+      pool.emplace_back([&shards, &minted, w] {
+        SymbolTable::NdvShard& shard = shards[w];
         minted[w].reserve(kPerThread);
         for (int i = 0; i < kPerThread; ++i) {
           minted[w].push_back(shard.MakeChaseNdv(NdvProvenance{
@@ -76,11 +85,12 @@ TEST(ShardConcurrencyTest, ShardMintingInterleavedWithLockedInterning) {
   constexpr int kPerThread = 2000;
   std::vector<std::vector<Term>> minted(kThreads);
   std::vector<Term> interned;
+  std::vector<SymbolTable::NdvShard> shards = MakeShards(table, kThreads);
   {
     std::vector<std::thread> pool;
     for (int w = 0; w < kThreads; ++w) {
-      pool.emplace_back([&table, &minted, w] {
-        SymbolTable::NdvShard shard = table.CreateShard();
+      pool.emplace_back([&shards, &minted, w] {
+        SymbolTable::NdvShard& shard = shards[w];
         for (int i = 0; i < kPerThread; ++i) {
           minted[w].push_back(shard.MakeChaseNdv(NdvProvenance{}));
         }
@@ -238,12 +248,13 @@ TEST(CheckManyConcurrencyTest, ConcurrentAskersOfOneExactKeyShareOneChase) {
   EXPECT_EQ(stats.chase_prefix_reuses, 15u);
 }
 
-TEST(SubmitConcurrencyTest, ParkedChaseTailReturnsRaceBlockRefills) {
+TEST(SubmitConcurrencyTest, ParkedChasesRaceBlockRecycling) {
   // Four executor workers decide cold IND tasks through the shared chase
-  // cache. Every turn ends by returning its chase's unused NDV block tail
-  // under the table mutex while other workers' shards refill blocks, and
-  // the second ask of each Q resumes a parked chase, which must reserve a
-  // fresh block. Verdicts must match a cache-less sequential oracle.
+  // cache. Evicted chases return their NDV blocks under the table mutex
+  // while other workers' shards lease blocks, and the second ask of each Q
+  // resumes a parked chase that kept its blocks. Verdicts must match a
+  // cache-less sequential oracle, and once the engine is gone every block
+  // is back on the free list.
   Catalog catalog;
   ASSERT_TRUE(catalog.AddRelation("R", {"a", "b"}).ok());
   ASSERT_TRUE(catalog.AddRelation("S", {"x", "y"}).ok());
@@ -278,12 +289,12 @@ TEST(SubmitConcurrencyTest, ParkedChaseTailReturnsRaceBlockRefills) {
 
   EngineConfig config;
   config.executor_threads = 4;
-  ContainmentEngine engine(&catalog, &symbols, config);
+  auto engine = std::make_unique<ContainmentEngine>(&catalog, &symbols, config);
   std::vector<EngineFuture<EngineOutcome>> futures;
   for (const ConjunctiveQuery& q : qs) {
     for (const ConjunctiveQuery& qp : rhs) {
       futures.push_back(
-          engine.Submit(ContainmentRequest::Borrow(q, qp, deps)));
+          engine->Submit(ContainmentRequest::Borrow(q, qp, deps)));
     }
   }
   for (size_t i = 0; i < futures.size(); ++i) {
@@ -291,16 +302,17 @@ TEST(SubmitConcurrencyTest, ParkedChaseTailReturnsRaceBlockRefills) {
     ASSERT_TRUE(got.ok()) << "task " << i << ": " << got.status();
     EXPECT_EQ(got->verdict.report.contained, expected[i]) << "task " << i;
   }
-  EngineStats stats = engine.stats();
+  EngineStats stats = engine->stats();
   EXPECT_GT(stats.chase_prefix_reuses, 0u);
-  EXPECT_GE(symbols.ndv_high_water(), symbols.num_nondist_vars());
+  engine.reset();
+  EXPECT_EQ(symbols.chase_ndv_blocks_held(), 0u);
 }
 
 TEST(SubmitConcurrencyTest, StreamingShardsRaceChaseShards) {
   // Four client threads submit to a four-worker engine. Single-conjunct Q'
   // take the PSPACE streaming route, which mints its frontier NDVs through
   // a per-call shard; multi-conjunct Q' chase, minting through the chase's
-  // shard. Both refill blocks from, and return tails to, the one shared
+  // shard. Both lease blocks from, and return them to, the one shared
   // SymbolTable while other workers render names and read provenance.
   // Verdicts must match a sequential oracle that never streams.
   Catalog catalog;
@@ -340,7 +352,7 @@ TEST(SubmitConcurrencyTest, StreamingShardsRaceChaseShards) {
 
   EngineConfig config;
   config.executor_threads = 4;
-  ContainmentEngine engine(&catalog, &symbols, config);
+  auto engine = std::make_unique<ContainmentEngine>(&catalog, &symbols, config);
   std::vector<std::vector<Result<EngineOutcome>>> got(kClients);
   {
     std::vector<std::thread> clients;
@@ -349,7 +361,7 @@ TEST(SubmitConcurrencyTest, StreamingShardsRaceChaseShards) {
         for (int k = 0; k < kPerClient; ++k) {
           const size_t i = static_cast<size_t>(c * kPerClient + k);
           got[c].push_back(engine
-                               .Submit(ContainmentRequest::Borrow(
+                               ->Submit(ContainmentRequest::Borrow(
                                    qs[i], rhs[i % rhs.size()], deps))
                                .Get());
           const Term h = qs[i].summary()[0];
@@ -373,7 +385,72 @@ TEST(SubmitConcurrencyTest, StreamingShardsRaceChaseShards) {
     }
   }
   EXPECT_EQ(streamed, static_cast<uint64_t>(kClients * kPerClient / 2));
-  EXPECT_GE(symbols.ndv_high_water(), symbols.num_nondist_vars());
+  engine.reset();
+  EXPECT_EQ(symbols.chase_ndv_blocks_held(), 0u);
+}
+
+TEST(SubmitConcurrencyTest, ChaseCacheChurnDropsEvictedChasesOffTheLock) {
+  // Four workers churn a two-entry chase cache: nearly every decision
+  // evicts a parked chase, whose destruction frees its NDV blocks (taking
+  // the symbol-table mutex) after the engine mutex is released, while the
+  // other workers' chases lease those blocks and resume surviving entries.
+  // Verdicts must match a cache-less sequential oracle.
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddRelation("R", {"a", "b"}).ok());
+  ASSERT_TRUE(catalog.AddRelation("S", {"x", "y"}).ok());
+  SymbolTable symbols;
+  DependencySet deps =
+      *ParseDependencies(catalog, "R[2] <= S[1]\nS[2] <= R[1]");
+  auto parse = [&](const std::string& text) {
+    Result<ConjunctiveQuery> q = ParseQuery(catalog, symbols, text);
+    EXPECT_TRUE(q.ok()) << q.status();
+    return *std::move(q);
+  };
+  std::vector<ConjunctiveQuery> qs;
+  for (int i = 0; i < 16; ++i) {
+    qs.push_back(parse(StrCat("ans(h) :- R(h, 'v", i, "')")));
+  }
+  const std::vector<ConjunctiveQuery> rhs = {
+      parse("ans(p) :- R(p, p0), S(p0, p1), R(p1, p2)"),  // contained
+      parse("ans(r) :- R(r, r0), S(r0, 'w')"),            // not contained
+  };
+
+  EngineConfig oracle_config;
+  oracle_config.enable_cache = false;
+  ContainmentEngine oracle(&catalog, &symbols, oracle_config);
+  std::vector<bool> expected;
+  for (const ConjunctiveQuery& q : qs) {
+    for (const ConjunctiveQuery& qp : rhs) {
+      Result<EngineVerdict> v = oracle.Check(q, qp, deps);
+      ASSERT_TRUE(v.ok()) << v.status();
+      expected.push_back(v->report.contained);
+    }
+  }
+
+  EngineConfig config;
+  config.executor_threads = 4;
+  config.verdict_cache_capacity = 0;  // every ask reaches the chase cache
+  config.chase_cache_capacity = 2;
+  auto engine = std::make_unique<ContainmentEngine>(&catalog, &symbols, config);
+  constexpr int kRounds = 3;
+  std::vector<EngineFuture<EngineOutcome>> futures;
+  for (int round = 0; round < kRounds; ++round) {
+    for (const ConjunctiveQuery& q : qs) {
+      for (const ConjunctiveQuery& qp : rhs) {
+        futures.push_back(
+            engine->Submit(ContainmentRequest::Borrow(q, qp, deps)));
+      }
+    }
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    Result<EngineOutcome> got = futures[i].Get();
+    ASSERT_TRUE(got.ok()) << "task " << i << ": " << got.status();
+    EXPECT_EQ(got->verdict.report.contained, expected[i % expected.size()])
+        << "task " << i;
+  }
+  EXPECT_LE(engine->cache_sizes().chase_entries, 2u);
+  engine.reset();
+  EXPECT_EQ(symbols.chase_ndv_blocks_held(), 0u);
 }
 
 }  // namespace
