@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Canonical CI entry point, nine stages (each timed; the wall-clock table
+# Canonical CI entry point, ten stages (each timed; the wall-clock table
 # at the end makes slow stages visible in logs):
 #
 #  1. release-build: Release configure + build. Built -O3 explicitly (not the
@@ -9,7 +9,14 @@
 #  2. ctest: the full suite. Tests carry LABELS (unit / engine / concurrency
 #     / store / chase / net) and per-test TIMEOUT properties, so a hang is a
 #     named per-test failure, not a stuck job.
-#  3. perf-gates: enforced perf smokes. bench_engine_cache exits non-zero if
+#  3. perfbench-smoke: the end-to-end benchmark (perfbench/) as a verdict
+#     check. Runs its harness selftest, then each of the four workloads for
+#     2 s untraced; run.py exits non-zero when any verdict its oracles refute
+#     (or any request fails), so this is the stage that checks verdicts
+#     served from every tier — LRU, local store, remote over TCP — and the
+#     survivors of EvolveSigma. No timing is gated here. Placed before
+#     perf-gates so a red perf gate cannot hide it.
+#  4. perf-gates: enforced perf smokes. bench_engine_cache exits non-zero if
 #     cached and uncached verdicts diverge or the >= 2x cache speedup is
 #     missed; bench_checkmany_scaling if worker fan-out verdicts diverge or
 #     8-worker throughput misses the target for the host's core count;
@@ -26,17 +33,17 @@
 #     FD+IND task fails to decide with allow_semidecision=false (the
 #     reliance analyzer's kAcyclicInd fragment must stay a real decision
 #     procedure, not a semi-decision in disguise).
-#  4. warmstart-gate: the persistent-tier restart contract. Runs
+#  5. warmstart-gate: the persistent-tier restart contract. Runs
 #     bench_store_warmstart twice against the same fresh store directory; the
 #     cold run populates the store and checks verdict parity against a
 #     store-less engine, the warm run additionally exits non-zero unless it
 #     answered the whole repeated workload with zero chases built.
-#  5. tier-gate: the distributed-tier contract in-process. bench_tier_stack
+#  6. tier-gate: the distributed-tier contract in-process. bench_tier_stack
 #     runs engine A cold (publishing over the loopback RemoteTier to a shared
 #     verdict authority) and then engine B with cold local caches, which must
 #     answer the whole workload over the remote tier: exit non-zero unless
 #     chases_built == 0, remote_hits > 0, and verdicts match the oracle.
-#  6. tcp-gate: the distributed-tier contract over real sockets. Starts the
+#  7. tcp-gate: the distributed-tier contract over real sockets. Starts the
 #     standalone verdict_authorityd (store-backed, ephemeral port scraped
 #     from its "listening HOST:PORT" line) and runs bench_remote_tcp against
 #     it: engine A publishes over TCP, engine B with cold caches must answer
@@ -47,17 +54,17 @@
 #     daemon (graceful drain must exit 0 with a shutdown summary) and
 #     restarts it on the same store to prove the published verdicts
 #     survived. The daemon is always torn down via trap, pass or fail.
-#  7. asan-ubsan: AddressSanitizer + UndefinedBehaviorSanitizer over the
+#  8. asan-ubsan: AddressSanitizer + UndefinedBehaviorSanitizer over the
 #     store/serialize/engine/tier/net binaries. The store and the tier wire
 #     protocol parse attacker-shaped bytes (and their tests feed them
 #     corrupted input), so the parsing code runs under ASan+UBSan from day
 #     one; -fno-sanitize-recover turns any UB into a non-zero exit.
-#  8. tsan: ThreadSanitizer over the concurrency-bearing binaries (sharded
+#  9. tsan: ThreadSanitizer over the concurrency-bearing binaries (sharded
 #     symbol arena, shared chase prefixes, parallel witness-class sweeps on
 #     the work-stealing pool, CheckMany fan-out, executor fork/join,
 #     write-behind store/tier flush, thread-per-connection authority
 #     server): any data race fails CI.
-#  9. static-analysis: clang-tidy (profile in .clang-tidy: bugprone-*,
+# 10. static-analysis: clang-tidy (profile in .clang-tidy: bugprone-*,
 #     performance-*, concurrency-*, plus two zero-cost style checks) over
 #     every translation unit in compile_commands.json, warnings-as-errors.
 #     Hosts without clang-tidy fall back to a strict-warning syntax-only
@@ -105,7 +112,7 @@ stage() {
 }
 
 release_build() {
-  # Compile commands exported for stage 8: the static analysis must see the
+  # Compile commands exported for static-analysis: that stage must see the
   # exact flags the shipped configuration compiles with.
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release \
     -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
@@ -114,6 +121,14 @@ release_build() {
 
 run_ctest() {
   (cd build && ctest --output-on-failure -j "${JOBS}")
+}
+
+perfbench_smoke() {
+  python3 perfbench/run.py --selftest
+  local workload
+  for workload in warm_wide cold_mixed fleet_rw schema_evolve; do
+    python3 perfbench/run.py --workload "${workload}" --seconds 2 --trace 0
+  done
 }
 
 perf_gates() {
@@ -279,6 +294,7 @@ fi
 
 stage release-build   release_build
 stage ctest           run_ctest
+stage perfbench-smoke perfbench_smoke
 stage perf-gates      perf_gates
 stage warmstart-gate  warmstart_gate
 stage tier-gate       tier_gate

@@ -269,8 +269,14 @@ std::string CanonicalSigmaKey(const DependencySet& deps) {
 std::string CanonicalTaskKey(const ConjunctiveQuery& q,
                              const ConjunctiveQuery& q_prime,
                              const DependencySet& deps, ChaseVariant variant) {
+  return CanonicalTaskKey(q, q_prime, CanonicalSigmaKey(deps), variant);
+}
+
+std::string CanonicalTaskKey(const ConjunctiveQuery& q,
+                             const ConjunctiveQuery& q_prime,
+                             std::string_view sigma_key, ChaseVariant variant) {
   std::string out =
-      StrCat("V", static_cast<int>(variant), "|", CanonicalSigmaKey(deps), "|");
+      StrCat("V", static_cast<int>(variant), "|", sigma_key, "|");
   AppendQueryKey(&out, q);
   out += "|=>|";
   AppendQueryKey(&out, q_prime);

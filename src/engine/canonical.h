@@ -20,6 +20,7 @@
 #define CQCHASE_ENGINE_CANONICAL_H_
 
 #include <string>
+#include <string_view>
 
 #include "chase/chase.h"
 #include "cq/query.h"
@@ -49,6 +50,13 @@ std::string CanonicalSigmaKey(const DependencySet& deps);
 std::string CanonicalTaskKey(const ConjunctiveQuery& q,
                              const ConjunctiveQuery& q_prime,
                              const DependencySet& deps, ChaseVariant variant);
+
+// The same key, given Σ's already-rendered CanonicalSigmaKey: a caller that
+// needs the Σ key for other lookups renders it once and passes it here
+// (byte-identical to the form above, which wraps this one).
+std::string CanonicalTaskKey(const ConjunctiveQuery& q,
+                             const ConjunctiveQuery& q_prime,
+                             std::string_view sigma_key, ChaseVariant variant);
 
 }  // namespace cqchase
 

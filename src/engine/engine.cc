@@ -74,6 +74,23 @@ void AppendExactQueryKey(std::string* out, const ConjunctiveQuery& q) {
   }
 }
 
+// Re-labels a certificate's derivation steps from the IND order of the Σ the
+// chase ran on to the asker's Σ, which holds the same dependencies (equal
+// canonical keys) possibly in another order: DerivationStep::ind_index
+// indexes the Σ the certificate is verified against.
+void RelabelStepsForAsker(const DependencySet& chase_deps,
+                          const DependencySet& asker_deps,
+                          ContainmentCertificate* cert) {
+  const std::vector<InclusionDependency>& from = chase_deps.inds();
+  const std::vector<InclusionDependency>& to = asker_deps.inds();
+  for (DerivationStep& step : cert->steps) {
+    const InclusionDependency& ind = from[step.ind_index];
+    if (step.ind_index < to.size() && to[step.ind_index] == ind) continue;
+    step.ind_index = static_cast<uint32_t>(
+        std::find(to.begin(), to.end(), ind) - to.begin());
+  }
+}
+
 // Q with conjunct `skip` removed.
 ConjunctiveQuery WithoutConjunct(const ConjunctiveQuery& q, size_t skip) {
   ConjunctiveQuery out(&q.catalog(), &q.symbols());
@@ -223,15 +240,33 @@ SigmaAnalysis ContainmentEngine::Analyze(const DependencySet& deps) {
   // Stateless engines (the compatibility wrappers) skip the keyed cache:
   // the classification predicates are cheaper than building the key.
   if (!config_.enable_cache) return AnalyzeSigma(deps, *catalog_);
-  const std::string key = CanonicalSigmaKey(deps);
+  return SigmaRecordFor(deps, CanonicalSigmaKey(deps))->analysis;
+}
+
+std::shared_ptr<const ContainmentEngine::SigmaRecord>
+ContainmentEngine::SigmaRecordFor(const DependencySet& deps,
+                                  const std::string& sigma_key) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (const SigmaAnalysis* hit = sigma_cache_.Get(key)) return *hit;
+    if (const std::shared_ptr<const SigmaRecord>* hit =
+            sigma_cache_.Get(sigma_key)) {
+      return *hit;
+    }
   }
-  SigmaAnalysis analysis = AnalyzeSigma(deps, *catalog_);
+  auto record = std::make_shared<SigmaRecord>();
+  record->analysis = AnalyzeSigma(deps, *catalog_);
+  record->fingerprint = SigmaFingerprint(deps);
+  record->deps = std::make_shared<const DependencySet>(deps);
+  SigmaCache::Entries evicted;  // destroyed after unlocking
   std::lock_guard<std::mutex> lock(mu_);
-  sigma_cache_.Put(key, analysis);
-  return analysis;
+  // A racing asker of the same Σ may have inserted first: keep its record,
+  // so every chase of one canonical Σ runs on a single copy.
+  if (const std::shared_ptr<const SigmaRecord>* hit =
+          sigma_cache_.Get(sigma_key)) {
+    return *hit;
+  }
+  evicted = sigma_cache_.Put(sigma_key, record);
+  return record;
 }
 
 std::optional<DecisionStrategy> ContainmentEngine::RouteOf(
@@ -319,10 +354,12 @@ std::vector<EngineFuture<EngineOutcome>> ContainmentEngine::SubmitAll(
   if (requests.size() > 1) {
     std::vector<std::string> keys;
     keys.reserve(requests.size());
+    SigmaKeysByAddress sigma_keys;
     for (const ContainmentRequest& r : requests) {
       if (r.q == nullptr || r.q_prime == nullptr || r.deps == nullptr) continue;
       if (r.options.want_certificate) continue;
-      keys.push_back(TierKeyForPrefetch(*r.q, *r.q_prime, *r.deps));
+      keys.push_back(
+          TierKeyForPrefetch(*r.q, *r.q_prime, *r.deps, &sigma_keys));
       if (keys.back().empty()) keys.pop_back();
     }
     PrefetchTierKeys(keys);
@@ -388,8 +425,19 @@ Result<EngineOutcome> ContainmentEngine::Execute(
   // cache keys; serve them uncached — and classify Σ against *their*
   // catalog, whose relation ids the dependencies refer to.
   const bool foreign_catalog = &q.catalog() != catalog_;
-  const SigmaAnalysis analysis =
-      foreign_catalog ? AnalyzeSigma(deps, q.catalog()) : Analyze(deps);
+  // Σ is rendered at most once per request: the Σ-record lookup, the task
+  // key and the chase-prefix key all read this one string.
+  std::string sigma_key;
+  std::shared_ptr<const SigmaRecord> sigma;
+  SigmaAnalysis uncached_analysis;
+  if (config_.enable_cache && !foreign_catalog) {
+    sigma_key = CanonicalSigmaKey(deps);
+    sigma = SigmaRecordFor(deps, sigma_key);
+  } else {
+    uncached_analysis = AnalyzeSigma(deps, q.catalog());
+  }
+  const SigmaAnalysis& analysis =
+      sigma != nullptr ? sigma->analysis : uncached_analysis;
   const bool cacheable = config_.enable_cache && tiers_ != nullptr &&
                          !foreign_catalog && &q_prime.catalog() == catalog_;
 
@@ -397,6 +445,10 @@ Result<EngineOutcome> ContainmentEngine::Execute(
   ctx.options = &options;
   ctx.control = control;
   ctx.cache_chase_prefix = cache_chase_prefix;
+  if (sigma != nullptr) {
+    ctx.sigma_key = &sigma_key;
+    ctx.sigma = sigma.get();
+  }
   EngineOutcome outcome;
   if (options.want_certificate) ctx.cert_out = &outcome.certificate;
   // Cacheable decisions harvest their chase's used-dependency set so the
@@ -411,7 +463,7 @@ Result<EngineOutcome> ContainmentEngine::Execute(
   }
 
   const std::string key =
-      CanonicalTaskKey(q, q_prime, deps, config_.containment.variant);
+      CanonicalTaskKey(q, q_prime, sigma_key, config_.containment.variant);
   // A certificate request skips the verdict-tier *reads*: a cached verdict
   // dropped its chase derivation, so there is nothing to extract a proof
   // from. It still publishes its verdict below for later certificate-free
@@ -468,7 +520,7 @@ Result<EngineOutcome> ContainmentEngine::Execute(
   // entry with its Σ's fingerprint, and with the chase's used-dependency
   // lineage when one ran — a chase-free strategy publishes lineage-unknown
   // and can only ever survive a delta monotonically.
-  stored.sigma_fp = SigmaFingerprint(deps);
+  stored.sigma_fp = sigma->fingerprint;
   if (lineage.known) {
     stored.lineage_known = true;
     stored.used_fps = std::move(lineage.used_fps);
@@ -480,14 +532,16 @@ Result<EngineOutcome> ContainmentEngine::Execute(
 
 std::string ContainmentEngine::TierKeyForPrefetch(
     const ConjunctiveQuery& q, const ConjunctiveQuery& q_prime,
-    const DependencySet& deps) const {
+    const DependencySet& deps, SigmaKeysByAddress* sigma_keys) const {
   // Mirrors Execute's cacheable conditions: foreign-catalog (or
   // foreign-symbol) tasks are served uncached there, so prefetching their
   // keys would probe the tiers for entries Execute will never read.
   if (tiers_ == nullptr || !config_.enable_cache) return {};
   if (&q.catalog() != catalog_ || &q_prime.catalog() != catalog_) return {};
   if (&q.symbols() != symbols_ || &q_prime.symbols() != symbols_) return {};
-  return CanonicalTaskKey(q, q_prime, deps, config_.containment.variant);
+  auto [it, fresh] = sigma_keys->try_emplace(&deps);
+  if (fresh) it->second = CanonicalSigmaKey(deps);
+  return CanonicalTaskKey(q, q_prime, it->second, config_.containment.variant);
 }
 
 void ContainmentEngine::PrefetchTierKeys(const std::vector<std::string>& keys) {
@@ -643,11 +697,10 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
     options.limits.runner = &chase_runner_;
   }
 
-  // Symbol-table identity is enforced at the Execute entry point; only
-  // catalog identity still needs checking for the exact-key cache.
-  const bool cacheable = ctx.cache_chase_prefix && config_.enable_cache &&
-                         config_.chase_cache_capacity > 0 &&
-                         &q.catalog() == catalog_;
+  // Symbol-table identity is enforced at the Execute entry point, and
+  // Execute hands over a Σ record only for caching, same-catalog requests.
+  const bool cacheable = ctx.cache_chase_prefix && ctx.sigma != nullptr &&
+                         config_.chase_cache_capacity > 0;
   std::shared_ptr<SharedChase> shared;
   std::optional<Chase> local_chase;
   Chase* chase_ptr = nullptr;
@@ -665,8 +718,8 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
   ChaseStats chase_stats_before;
   if (cacheable) {
     std::string chase_key =
-        StrCat("V", static_cast<int>(options.variant), "|",
-               CanonicalSigmaKey(deps), "|");
+        StrCat("V", static_cast<int>(options.variant), "|", *ctx.sigma_key,
+               "|");
     AppendExactQueryKey(&chase_key, q);
     // An evicted prefix may hold the last reference to its chase: drop it
     // after unlocking, so a whole Chase (and the symbol-table lock its NDV
@@ -684,10 +737,10 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
     evicted.clear();
     shared_lock = std::unique_lock<std::mutex>(shared->mu);
     if (!shared->built) {
-      // First asker through the entry lock builds the chase. The entry owns
-      // a stable copy of Σ so the Chase's internal pointer outlives the
-      // caller's DependencySet.
-      shared->deps = std::make_unique<DependencySet>(deps);
+      // First asker through the entry lock builds the chase, on the Σ
+      // record's copy of Σ: the Chase's internal pointer then outlives the
+      // caller's DependencySet, and no chase miss copies Σ again.
+      shared->deps = ctx.sigma->deps;
       shared->chase = std::make_unique<Chase>(&q.catalog(), symbols_,
                                               shared->deps.get(),
                                               options.variant, options.limits);
@@ -719,6 +772,10 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
   }
 
   Chase& chase = *chase_ptr;
+  // The Σ the chase runs on, whose dependency order its used-dependency
+  // bitmaps and IND labels index: for a shared prefix the record's copy,
+  // which may order Σ differently from this asker's `deps`.
+  const DependencySet& chase_deps = shared != nullptr ? *shared->deps : deps;
   // This asker's cancellation/deadline applies for exactly this asker's
   // turn on the chase: attach now, detach before unlocking, so a shared
   // prefix never carries a dead asker's control into the next turn. A
@@ -840,7 +897,10 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
       cert.q_is_empty = true;
       *ctx.cert_out = std::move(cert);
     } else if (result->witness.has_value()) {
-      *ctx.cert_out = ExtractCertificateFromChase(chase, *result->witness);
+      ContainmentCertificate cert =
+          ExtractCertificateFromChase(chase, *result->witness);
+      RelabelStepsForAsker(chase_deps, deps, &cert);
+      *ctx.cert_out = std::move(cert);
     }
     if (ctx.cert_out->has_value()) Bump(stats_.certificates_built);
   }
@@ -873,7 +933,8 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
   if (ctx.lineage != nullptr && result.ok()) {
     ctx.lineage->known = true;
     ctx.lineage->used_fps =
-        UsedDependencyFingerprints(deps, chase.used_inds(), chase.used_fds());
+        UsedDependencyFingerprints(chase_deps, chase.used_inds(),
+                                   chase.used_fds());
   }
 
   chase.set_control(nullptr);
@@ -930,9 +991,11 @@ std::vector<Result<EngineVerdict>> ContainmentEngine::CheckMany(
   if (tasks.size() > 1) {
     std::vector<std::string> keys;
     keys.reserve(tasks.size());
+    SigmaKeysByAddress sigma_keys;
     for (const ContainmentTask& t : tasks) {
       if (t.q == nullptr || t.q_prime == nullptr || t.deps == nullptr) continue;
-      keys.push_back(TierKeyForPrefetch(*t.q, *t.q_prime, *t.deps));
+      keys.push_back(
+          TierKeyForPrefetch(*t.q, *t.q_prime, *t.deps, &sigma_keys));
       if (keys.back().empty()) keys.pop_back();
     }
     PrefetchTierKeys(keys);

@@ -64,6 +64,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "chase/chase.h"
@@ -323,7 +324,8 @@ class ContainmentEngine {
 
   // --- Introspection -------------------------------------------------------
 
-  // The Σ analysis the dispatcher would use (cached per canonical Σ key).
+  // The Σ analysis the dispatcher would use (cached per canonical Σ key, in
+  // the Σ's record).
   SigmaAnalysis Analyze(const DependencySet& deps);
 
   // The strategy the dispatcher selects a priori for this (Q', Σ) shape, or
@@ -384,21 +386,38 @@ class ContainmentEngine {
                            const DependencySet& new_deps);
 
  private:
+  // Everything the engine derives from Σ alone, computed once per distinct
+  // canonical Σ key (when the key first misses the Σ cache) and immutable
+  // afterwards, so it is shared across threads without a lock: the
+  // classification, the whole-Σ fingerprint every published verdict is
+  // tagged with, and one stable copy of Σ for the shared chases to run on.
+  // Σs that differ only in insertion order share one record; `deps` keeps
+  // the order of whichever of them built it (see SharedChase).
+  struct SigmaRecord {
+    SigmaAnalysis analysis;
+    uint64_t fingerprint = 0;  // SigmaFingerprint (analysis/delta.h)
+    std::shared_ptr<const DependencySet> deps;
+  };
+
   // A shared, resumable chase prefix. The engine hands out shared_ptrs: the
   // LRU map holds one reference and every in-flight asker holds another, so
   // eviction under load never destroys a chase mid-use — the last asker
   // does. `mu` serializes extension (a Chase is not internally thread-safe);
   // concurrent askers of the same exact (Q, Σ, variant) queue here and each
   // resumes the single shared prefix where the previous one left it. The
-  // entry owns a stable copy of Σ so the Chase's internal pointer outlives
-  // any caller's DependencySet. Each asker attaches its own ChaseControl for
-  // its turn and detaches before unlocking, so one asker's deadline or
-  // cancellation never aborts another's.
+  // chase runs on its Σ record's copy of Σ (shared, so it outlives both the
+  // record's cache entry and any caller's DependencySet). That copy may
+  // list the dependencies in another order than a later asker's Σ with the
+  // same canonical key: the chase's used-dependency bitmaps and IND labels
+  // index `deps`, so lineage is fingerprinted against `deps` and
+  // certificate steps are re-indexed to the asker's Σ. Each asker attaches
+  // its own ChaseControl for its turn and detaches before unlocking, so one
+  // asker's deadline or cancellation never aborts another's.
   struct SharedChase {
     std::mutex mu;  // guards everything below
     bool built = false;
     Status init_status;
-    std::unique_ptr<DependencySet> deps;
+    std::shared_ptr<const DependencySet> deps;
     std::unique_ptr<Chase> chase;
   };
 
@@ -424,6 +443,11 @@ class ContainmentEngine {
     std::optional<ContainmentCertificate>* cert_out = nullptr;
     LineageCapture* lineage = nullptr;
     bool cache_chase_prefix = true;
+    // The request's Σ rendered once (CanonicalSigmaKey) and its record;
+    // both null when the engine keeps no caches for this request (cache
+    // off, or a foreign catalog).
+    const std::string* sigma_key = nullptr;
+    const SigmaRecord* sigma = nullptr;
   };
 
   // The one decision path everything funnels into: validate, classify,
@@ -454,6 +478,11 @@ class ContainmentEngine {
                                           const SigmaAnalysis& analysis,
                                           const ExecContext& ctx);
 
+  // The record for Σ, whose canonical key the caller rendered: the cached
+  // one, or a fresh one inserted unless a racing asker inserted first.
+  std::shared_ptr<const SigmaRecord> SigmaRecordFor(
+      const DependencySet& deps, const std::string& sigma_key);
+
   // Check()'s body, minus the public-entry stats increment.
   Result<EngineVerdict> CheckCounted(const ConjunctiveQuery& q,
                                      const ConjunctiveQuery& q_prime,
@@ -468,10 +497,14 @@ class ContainmentEngine {
 
   // The canonical tier key for a task this engine may serve from its tiers,
   // or "" when the task is not cacheable here (foreign catalog or symbol
-  // table — the same conditions Execute applies before probing).
+  // table — the same conditions Execute applies before probing). A burst
+  // renders each distinct Σ (by address) once, into `sigma_keys`.
+  using SigmaKeysByAddress =
+      std::unordered_map<const DependencySet*, std::string>;
   std::string TierKeyForPrefetch(const ConjunctiveQuery& q,
                                  const ConjunctiveQuery& q_prime,
-                                 const DependencySet& deps) const;
+                                 const DependencySet& deps,
+                                 SigmaKeysByAddress* sigma_keys) const;
 
   // Batched tier warm-up for a CheckMany/SubmitAll burst: one
   // TierStack::Prefetch over the burst's keys, so a network tier pays one
@@ -513,7 +546,8 @@ class ContainmentEngine {
 
   mutable std::mutex mu_;  // guards the two caches below (the verdict tiers
                            // synchronize themselves)
-  LruCache<SigmaAnalysis> sigma_cache_;
+  using SigmaCache = LruCache<std::shared_ptr<const SigmaRecord>>;
+  SigmaCache sigma_cache_;
   using ChaseCache = LruCache<std::shared_ptr<SharedChase>>;
   ChaseCache chase_cache_;
 

@@ -452,7 +452,9 @@ struct ChainWorld {
       EXPECT_TRUE(full.AddInd(catalog, ab).ok());
       EXPECT_TRUE(full.AddInd(catalog, bc).ok());
       EXPECT_TRUE(edited.AddInd(catalog, ab).ok());
-      if (i != 0) EXPECT_TRUE(edited.AddInd(catalog, bc).ok());
+      if (i != 0) {
+        EXPECT_TRUE(edited.AddInd(catalog, bc).ok());
+      }
     }
     for (size_t i = 0; i < kChains; ++i) {
       lhs.push_back(*ParseQuery(catalog, symbols,
@@ -526,6 +528,56 @@ TEST(EvolveSigmaDifferentialTest, RetaggedVerdictsMatchColdEngine) {
     }
   }
   EXPECT_GT(warm.stats().monotone_hits, 0u);
+}
+
+// A shared chase prefix indexes the Σ it was built on, not the Σ of a later
+// asker with the same canonical key but another dependency order: Σ_fwd =
+// [A⊆B, X⊆Y] builds the prefix of A(x, y), Σ_rev = [X⊆Y, A⊆B] resumes it.
+// The resumed decision used A⊆B; had its lineage been read against Σ_rev's
+// order it would name X⊆Y, and removing A⊆B would keep the entry exact and
+// serve "contained" where a cold engine says "not contained".
+TEST(EvolveSigmaDifferentialTest, ReorderedSigmaResumingAPrefixKeepsLineage) {
+  Catalog catalog;
+  SymbolTable symbols;
+  const RelationId a = *catalog.AddRelation("A", {"x", "y"});
+  const RelationId b = *catalog.AddRelation("B", {"x", "y"});
+  const RelationId x = *catalog.AddRelation("X", {"x", "y"});
+  const RelationId y = *catalog.AddRelation("Y", {"x", "y"});
+  const InclusionDependency ab{a, {0}, b, {0}};
+  const InclusionDependency xy{x, {0}, y, {0}};
+  DependencySet fwd, rev, xy_only;
+  ASSERT_TRUE(fwd.AddInd(catalog, ab).ok());
+  ASSERT_TRUE(fwd.AddInd(catalog, xy).ok());
+  ASSERT_TRUE(rev.AddInd(catalog, xy).ok());
+  ASSERT_TRUE(rev.AddInd(catalog, ab).ok());
+  ASSERT_TRUE(xy_only.AddInd(catalog, xy).ok());
+  const ConjunctiveQuery q = *ParseQuery(catalog, symbols, "ans(x) :- A(x, y)");
+  const ConjunctiveQuery one_b =
+      *ParseQuery(catalog, symbols, "ans(x) :- B(x, z)");
+  const ConjunctiveQuery two_b =
+      *ParseQuery(catalog, symbols, "ans(x) :- B(x, z), B(x, w)");
+
+  EngineConfig config;
+  config.route_streaming_single_conjunct = false;  // chase → lineage capture
+  ContainmentEngine warm(&catalog, &symbols, config);
+  Result<EngineVerdict> built = warm.Check(q, one_b, fwd);
+  ASSERT_TRUE(built.ok());
+  EXPECT_TRUE(built->report.contained);
+  Result<EngineVerdict> resumed = warm.Check(q, two_b, rev);
+  ASSERT_TRUE(resumed.ok());
+  EXPECT_TRUE(resumed->report.contained);
+  ASSERT_EQ(warm.stats().chase_prefix_reuses, 1u);
+
+  const DeltaReceipt receipt = warm.EvolveSigma(rev, xy_only);
+  EXPECT_EQ(receipt.dropped, 2u);  // both decisions fired A⊆B
+  EXPECT_EQ(receipt.kept_exact, 0u);
+
+  Result<EngineVerdict> reask = warm.Check(q, two_b, xy_only);
+  ContainmentEngine cold(&catalog, &symbols, EngineConfig{});
+  Result<EngineVerdict> truth = cold.Check(q, two_b, xy_only);
+  ASSERT_TRUE(reask.ok() && truth.ok());
+  EXPECT_FALSE(truth->report.contained);
+  EXPECT_EQ(reask->report.contained, truth->report.contained);
 }
 
 // An empty edit is the identity: nothing examined, nothing dropped, caches

@@ -6,11 +6,15 @@
 // under CheckMany thread fan-out.
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "analysis/delta.h"
 #include "base/rng.h"
 #include "base/string_util.h"
 #include "core/certificate.h"
@@ -159,6 +163,85 @@ TEST_F(CacheTest, CanonicalTaskKeyBytesArePinned) {
   }
 }
 
+// Σ with the same dependencies in reverse insertion order: the same
+// canonical key, a different dependency numbering.
+DependencySet Reversed(const Catalog& catalog, const DependencySet& deps) {
+  DependencySet out;
+  for (auto it = deps.fds().rbegin(); it != deps.fds().rend(); ++it) {
+    EXPECT_TRUE(out.AddFd(catalog, *it).ok());
+  }
+  for (auto it = deps.inds().rbegin(); it != deps.inds().rend(); ++it) {
+    EXPECT_TRUE(out.AddInd(catalog, *it).ok());
+  }
+  return out;
+}
+
+// Σs of every SigmaClass from the src/gen generators, drawn from seeds
+// 1, 2, … until each class has shown up: per seed an empty Σ, an FD-only
+// Σ, IND-only Σs of width 1 and 2, a key-based Σ, and key-based FDs mixed
+// with random INDs (kAcyclicInd or kGeneral, by the INDs' reliance cycles).
+struct GeneratedSigmas {
+  Catalog catalog;
+  std::vector<DependencySet> sigmas;
+  std::set<SigmaClass> classes;
+
+  GeneratedSigmas() {
+    Rng catalog_rng(7);
+    RandomCatalogParams cp;
+    cp.num_relations = 3;
+    cp.min_arity = 2;
+    cp.max_arity = 3;
+    catalog = RandomCatalog(catalog_rng, cp);
+    for (uint64_t seed = 1; seed <= 200 && classes.size() < 7; ++seed) {
+      Rng rng(seed);
+      RandomKeyBasedParams kp;
+      kp.num_inds = 2;
+      const DependencySet key_based = RandomKeyBasedDeps(rng, catalog, kp);
+      RandomIndParams w1;
+      w1.count = 3;
+      RandomIndParams w2;
+      w2.count = 2;
+      w2.width = 2;
+      DependencySet mixed = key_based.FdsOnly();
+      const DependencySet mixed_inds = RandomIndOnlyDeps(rng, catalog, w1);
+      for (const InclusionDependency& ind : mixed_inds.inds()) {
+        EXPECT_TRUE(mixed.AddInd(catalog, ind).ok());
+      }
+      for (DependencySet deps :
+           {DependencySet(), key_based.FdsOnly(),
+            RandomIndOnlyDeps(rng, catalog, w1),
+            RandomIndOnlyDeps(rng, catalog, w2), key_based, mixed}) {
+        classes.insert(AnalyzeSigma(deps, catalog).sigma_class);
+        sigmas.push_back(std::move(deps));
+      }
+    }
+  }
+};
+
+TEST(CanonicalKeyParityTest, RenderedSigmaFormMatchesOnEverySigmaClass) {
+  GeneratedSigmas g;
+  ASSERT_EQ(g.classes.size(), 7u) << "a SigmaClass never showed up";
+  SymbolTable symbols;
+  Rng rng(11);
+  for (size_t i = 0; i < g.sigmas.size(); ++i) {
+    const DependencySet& deps = g.sigmas[i];
+    RandomQueryParams qp;
+    qp.constant_prob = 0.2;
+    qp.name_prefix = StrCat("l", i);
+    const ConjunctiveQuery q = RandomQuery(rng, g.catalog, symbols, qp);
+    qp.num_conjuncts = 2;
+    qp.name_prefix = StrCat("r", i);
+    const ConjunctiveQuery q_prime = RandomQuery(rng, g.catalog, symbols, qp);
+    const std::string sigma_key = CanonicalSigmaKey(deps);
+    EXPECT_EQ(sigma_key, CanonicalSigmaKey(Reversed(g.catalog, deps)));
+    for (ChaseVariant v : {ChaseVariant::kOblivious, ChaseVariant::kRequired}) {
+      EXPECT_EQ(CanonicalTaskKey(q, q_prime, sigma_key, v),
+                CanonicalTaskKey(q, q_prime, deps, v))
+          << "Σ #" << i;
+    }
+  }
+}
+
 // --- Verdict-cache behavior --------------------------------------------------
 
 TEST_F(CacheTest, HitOnIsomorphicReAsk) {
@@ -276,6 +359,187 @@ TEST(CacheParityTest, IdenticalVerdictsWithCacheOnAndOffAcrossScenarios) {
         EXPECT_EQ(again->report.contained, a->report.contained);
       }
     }
+  }
+}
+
+// The differential contract over generated Σs of every decidable class,
+// each asked in two dependency orders that share one Σ record and one chase
+// prefix per Q: a caching engine serves exactly the cache-less verdicts on
+// Check, Submit, SubmitAll and warm re-asks, and every certificate it
+// returns verifies against the asker's own Σ.
+TEST(CacheParityTest, CachingEngineMatchesCachelessAcrossSigmaOrders) {
+  GeneratedSigmas g;
+  SymbolTable symbols;
+  EngineConfig off_config;
+  off_config.enable_cache = false;
+  EngineConfig on_config;
+  on_config.executor_threads = 2;
+  ContainmentEngine off(&g.catalog, &symbols, off_config);
+  ContainmentEngine on(&g.catalog, &symbols, on_config);
+  Rng rng(5);
+  size_t contained = 0;
+  size_t certified = 0;
+  for (size_t i = 0; i < g.sigmas.size(); ++i) {
+    const DependencySet& fwd = g.sigmas[i];
+    if (!AnalyzeSigma(fwd, g.catalog).decidable) continue;
+    const DependencySet rev = Reversed(g.catalog, fwd);
+    RandomQueryParams qp;
+    qp.num_conjuncts = 3;
+    qp.name_prefix = StrCat("l", i);
+    const ConjunctiveQuery q = RandomQuery(rng, g.catalog, symbols, qp);
+    std::vector<ConjunctiveQuery> q_primes;
+    for (size_t j = 0; j < 3; ++j) {
+      Result<ConjunctiveQuery> planted =
+          PlantedSuperQuery(rng, q, fwd, symbols, j, /*chase_depth=*/2);
+      if (planted.ok()) q_primes.push_back(*std::move(planted));
+      qp.num_conjuncts = 2;
+      qp.name_prefix = StrCat("r", i, "_", j);
+      q_primes.push_back(RandomQuery(rng, g.catalog, symbols, qp));
+    }
+    const bool certifiable = CertifiableSigma(fwd, g.catalog);
+    for (const DependencySet* deps : {&fwd, &rev}) {
+      std::vector<ContainmentRequest> burst;
+      std::vector<bool> truths;
+      for (const ConjunctiveQuery& q_prime : q_primes) {
+        const std::string where =
+            StrCat("Σ #", i, deps == &rev ? " rev" : " fwd", " Q' ",
+                   q_prime.ToString());
+        Result<EngineVerdict> truth = off.Check(q, q_prime, *deps);
+        ASSERT_TRUE(truth.ok()) << where << ": " << truth.status();
+        Result<EngineVerdict> checked = on.Check(q, q_prime, *deps);
+        Result<EngineOutcome> submitted =
+            on.Submit(ContainmentRequest::Borrow(q, q_prime, *deps)).Get();
+        ASSERT_TRUE(checked.ok() && submitted.ok()) << where;
+        EXPECT_EQ(checked->report.contained, truth->report.contained) << where;
+        EXPECT_EQ(submitted->verdict.report.contained, truth->report.contained)
+            << where;
+        truths.push_back(truth->report.contained);
+        burst.push_back(ContainmentRequest::Borrow(q, q_prime, *deps));
+        if (!truth->report.contained) continue;
+        ++contained;
+        if (!certifiable) continue;
+        Result<std::optional<ContainmentCertificate>> cert =
+            on.Certify(q, q_prime, *deps);
+        ASSERT_TRUE(cert.ok() && cert->has_value()) << where;
+        EXPECT_TRUE(VerifyCertificate(**cert, q, q_prime, *deps, symbols).ok())
+            << where;
+        ++certified;
+      }
+      std::vector<EngineFuture<EngineOutcome>> futures =
+          on.SubmitAll(std::move(burst));
+      for (size_t j = 0; j < futures.size(); ++j) {
+        Result<EngineOutcome> got = futures[j].Get();
+        ASSERT_TRUE(got.ok()) << "Σ #" << i << " burst " << j;
+        EXPECT_EQ(got->verdict.report.contained, truths[j])
+            << "Σ #" << i << " burst " << j;
+        EXPECT_TRUE(got->verdict.cache_hit) << "Σ #" << i << " burst " << j;
+      }
+    }
+  }
+  EXPECT_GT(contained, 0u);
+  EXPECT_GT(certified, 0u);
+  EXPECT_GT(on.stats().chase_prefix_reuses, 0u);
+}
+
+// --- Σ records: one per canonical Σ, shared by every dependency order --------
+
+// Σ_fwd = [A⊆B, X⊆Y] and Σ_rev = [X⊆Y, A⊆B]: one canonical key, two IND
+// numberings.
+class ReorderedSigmaTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const RelationId a = *catalog_.AddRelation("A", {"x", "y"});
+    const RelationId b = *catalog_.AddRelation("B", {"x", "y"});
+    const RelationId x = *catalog_.AddRelation("X", {"x", "y"});
+    const RelationId y = *catalog_.AddRelation("Y", {"x", "y"});
+    ASSERT_TRUE(fwd_.AddInd(catalog_, {a, {0}, b, {0}}).ok());
+    ASSERT_TRUE(fwd_.AddInd(catalog_, {x, {0}, y, {0}}).ok());
+    rev_ = Reversed(catalog_, fwd_);
+    config_.route_streaming_single_conjunct = false;
+    config_.executor_threads = 1;
+  }
+
+  ConjunctiveQuery Parse(const std::string& text) {
+    Result<ConjunctiveQuery> q = ParseQuery(catalog_, symbols_, text);
+    EXPECT_TRUE(q.ok()) << q.status();
+    return *std::move(q);
+  }
+
+  Catalog catalog_;
+  SymbolTable symbols_;
+  DependencySet fwd_;
+  DependencySet rev_;
+  EngineConfig config_;
+};
+
+// A Σ_rev asker resuming the prefix Σ_fwd built gets a certificate whose
+// steps cite Σ_rev's IND numbering — through Certify and through Submit.
+TEST_F(ReorderedSigmaTest, CertificateFromAResumedPrefixCitesTheAskersInds) {
+  ContainmentEngine engine(&catalog_, &symbols_, config_);
+  const ConjunctiveQuery q = Parse("ans(x) :- A(x, y)");
+  const ConjunctiveQuery one_b = Parse("ans(x) :- B(x, z)");
+  const ConjunctiveQuery two_b = Parse("ans(x) :- B(x, z), B(x, w)");
+  ASSERT_TRUE(engine.Check(q, one_b, fwd_).ok());
+
+  Result<std::optional<ContainmentCertificate>> certified =
+      engine.Certify(q, two_b, rev_);
+  ASSERT_TRUE(certified.ok() && certified->has_value());
+  ASSERT_FALSE((*certified)->steps.empty());
+  EXPECT_EQ((*certified)->steps[0].ind_index, 1u);  // A⊆B in Σ_rev
+  EXPECT_TRUE(VerifyCertificate(**certified, q, two_b, rev_, symbols_).ok());
+
+  RequestOptions want;
+  want.want_certificate = true;
+  Result<EngineOutcome> submitted =
+      engine.Submit(ContainmentRequest::Borrow(q, two_b, rev_, want)).Get();
+  ASSERT_TRUE(submitted.ok() && submitted->certificate.has_value());
+  EXPECT_TRUE(
+      VerifyCertificate(*submitted->certificate, q, two_b, rev_, symbols_)
+          .ok());
+  EXPECT_EQ(engine.stats().chases_built, 1u);
+  EXPECT_EQ(engine.stats().chase_prefix_reuses, 2u);
+}
+
+// A fresh chase runs on the Σ record's copy, which keeps the order of the
+// asker that built the record (here Σ_fwd); a Σ_rev certificate from it
+// still cites Σ_rev's numbering.
+TEST_F(ReorderedSigmaTest, CertificateFromTheRecordsCopyCitesTheAskersInds) {
+  ContainmentEngine engine(&catalog_, &symbols_, config_);
+  engine.Analyze(fwd_);  // the record now holds Σ_fwd's order
+  const ConjunctiveQuery q = Parse("ans(x) :- A(x, y)");
+  const ConjunctiveQuery qp = Parse("ans(x) :- B(x, z)");
+  Result<std::optional<ContainmentCertificate>> cert =
+      engine.Certify(q, qp, rev_);
+  ASSERT_TRUE(cert.ok() && cert->has_value());
+  EXPECT_TRUE(VerifyCertificate(**cert, q, qp, rev_, symbols_).ok());
+  EXPECT_EQ(engine.cache_sizes().sigma_entries, 1u);
+}
+
+// Σs differing only in insertion order share one record, and every verdict
+// published under either is tagged with the asker's Σ fingerprint.
+TEST_F(ReorderedSigmaTest, InsertionOrdersShareOneRecordAndItsFingerprint) {
+  std::string dir = StrCat(::testing::TempDir(), "/cqchase_sigma_XXXXXX");
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  EngineConfig config = config_;
+  config.store_path = dir;
+  ContainmentEngine engine(&catalog_, &symbols_, config);
+  ASSERT_NE(engine.store(), nullptr) << engine.store_status();
+  const ConjunctiveQuery q = Parse("ans(x) :- A(x, y)");
+  const ConjunctiveQuery one_b = Parse("ans(x) :- B(x, z)");
+  const ConjunctiveQuery one_y = Parse("ans(x) :- Y(x, z)");
+  ASSERT_TRUE(engine.Check(q, one_b, fwd_).ok());
+  ASSERT_TRUE(engine.Check(q, one_y, rev_).ok());
+  EXPECT_EQ(engine.cache_sizes().sigma_entries, 1u);
+  EXPECT_EQ(engine.Analyze(rev_).sigma_class, SigmaClass::kIndOnlyW1);
+  EXPECT_EQ(engine.cache_sizes().sigma_entries, 1u);
+
+  const ChaseVariant variant = config.containment.variant;
+  for (const auto& [q_prime, deps] :
+       {std::pair(&one_b, &fwd_), std::pair(&one_y, &rev_)}) {
+    std::optional<StoredVerdict> stored =
+        engine.store()->Lookup(CanonicalTaskKey(q, *q_prime, *deps, variant));
+    ASSERT_TRUE(stored.has_value());
+    EXPECT_EQ(stored->sigma_fp, SigmaFingerprint(*deps));
   }
 }
 
