@@ -142,6 +142,7 @@ void EmitRecord(const CaseSpec& spec, const char* core, const RunResult& r,
                         static_cast<double>(r.stats.bulk_ind_applications));
   counters.emplace_back("max_batch_rows",
                         static_cast<double>(r.stats.max_batch_rows));
+  counters.emplace_back("prepare_ms", r.stats.prepare_ms);
   counters.emplace_back("join_ms", r.stats.join_ms);
   counters.emplace_back("retain_ms", r.stats.retain_ms);
   counters.emplace_back("fd_ms", r.stats.fd_ms);

@@ -252,6 +252,11 @@ tsan() {
     echo "=== tsan: ${t} ==="
     ./build-tsan/"${t}"
   done
+  # Regression guard for the closed-connection reaping race (a handler
+  # observed closed before its row was reapable).
+  echo "=== tsan: net_test ClosedConnectionRowsAreBounded x30 ==="
+  ./build-tsan/net_test \
+    --gtest_filter=ServerTest.ClosedConnectionRowsAreBounded --gtest_repeat=30
 }
 
 # clang-tidy over the exact flags of the shipped build (stage 1 exports

@@ -45,16 +45,20 @@
 //    layer share no reliance in either direction — the independent work
 //    sets a future intra-chase scheduler executes concurrently.
 //  * ReachableInds(): the closure of "which INDs can ever fire" from the
-//    relations present in an initial query, used by the bulk chase core to
-//    prune dead witness groups (chase/bulk.cc). An IND fires only on a fact
+//    relations present in an initial query. The bulk chase core computes
+//    the same fixpoint per chase over its ChasePlan's relation -> INDs
+//    index (chase/plan.h, chase/bulk.cc), touching reachable INDs only, to
+//    prune dead masks and witness groups. An IND fires only on a fact
 //    of its lhs relation; facts exist only at level 0 or as IND rhs output;
 //    FD merges never introduce a new relation. So the closure over
 //    lhs-present => rhs-present is exact, not heuristic: a pruned IND
 //    cannot fire in *any* core, which is why pruning preserves the
 //    bit-identical scalar/bulk parity contract.
 //
-// The analysis is pure and cached: SigmaAnalysis carries the graph by
-// shared_ptr through the engine's sigma LRU (engine/sigma_class.h).
+// The analysis is pure and computed once per Σ: SigmaAnalysis carries the
+// graph by shared_ptr through the engine's sigma LRU
+// (engine/sigma_class.h), and the Σ record's ChasePlan (chase/plan.h)
+// reuses that same graph, so no chase of a cached Σ rebuilds it.
 #ifndef CQCHASE_ANALYSIS_RELIANCE_H_
 #define CQCHASE_ANALYSIS_RELIANCE_H_
 
@@ -129,7 +133,7 @@ class SigmaGraph {
   // layer are pairwise reliance-independent; executing the layers in order
   // respects every edge. This is the dependency-application DAG the parallel
   // chase core schedules: ChaseCoreMode::kParallel maps each pending
-  // (level, IND) batch to its IND's component depth (BulkState::ind_depth)
+  // (level, IND) batch to its IND's component depth (ChasePlan::depth)
   // and launches one layer of witness-class tasks per depth, barrier
   // between layers. Note the mapping is *scheduling* structure only —
   // same-depth INDs may still share an rhs relation and thus a witness
@@ -139,10 +143,12 @@ class SigmaGraph {
     return frontiers_;
   }
 
-  // --- Pruning (the bulk-core consumer) ------------------------------------
+  // --- Pruning --------------------------------------------------------------
   // `relations_present[r]` marks relations with at least one initial fact.
   // Returns, per IND, whether it can ever become applicable: the fixpoint of
-  // present-lhs => present-rhs over the INDs. Exact (see file comment).
+  // present-lhs => present-rhs over the INDs. Exact (see file comment). The
+  // bulk core walks the same fixpoint per chase over its plan's index
+  // (Chase::PrepareBulk) rather than calling this O(|Σ|)-per-pass form.
   std::vector<bool> ReachableInds(
       const std::vector<bool>& relations_present) const;
 

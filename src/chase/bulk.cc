@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/reliance.h"
 #include "base/string_util.h"
 #include "chase/bulk.h"
 #include "chase/chase.h"
@@ -32,69 +31,83 @@ double MsSince(SteadyClock::time_point start) {
 }  // namespace
 
 void Chase::PrepareBulk() {
+  const SteadyClock::time_point prepare_start = SteadyClock::now();
   bulk_ = std::make_unique<BulkState>();
   BulkState& b = *bulk_;
-  const auto& inds = deps_->inds();
-  const size_t words = considered_.words_per_row();
-  b.applicable_mask.assign(catalog_->num_relations(), {});
-  b.group_of_ind.assign(inds.size(), BulkState::kPrunedGroup);
-  b.ind_has_fresh_columns.resize(inds.size());
-  b.ind_depth.assign(inds.size(), 0);
+  const ChasePlan& plan = *plan_;
+  const std::vector<InclusionDependency>& inds = deps_->inds();
+  b.relation_slot.assign(catalog_->num_relations(), BulkState::kNone);
+  b.group_of_ind.assign(inds.size(), BulkState::kNone);
+  b.segment_of_ind.assign(inds.size(), BulkState::kNone);
 
   // Reliance pruning: an IND fires only on a fact of its lhs relation, and
   // relations gain facts only from the initial conjuncts or as some fired
   // IND's rhs (FD merges never introduce a relation). So the reliance
   // closure from the relations present now — PrepareBulk runs before the
   // first IND application, when only level-0 conjuncts exist — is exactly
-  // the set of INDs that can ever fire, in either core. Pruned INDs get no
-  // mask bit and no witness group: the scalar oracle never steps them
-  // either, so the bit-identical parity contract is preserved (differential
-  // proof in tests/reliance_test.cc).
-  std::vector<bool> present(catalog_->num_relations(), false);
+  // the set of INDs that can ever fire, in either core (the fixpoint
+  // SigmaGraph::ReachableInds computes, walked here over the plan's
+  // relation -> INDs index so it touches reachable INDs only). Pruned INDs
+  // get no mask bit and no witness group: the scalar oracle never steps
+  // them either, so the bit-identical parity contract is preserved
+  // (differential proof in tests/reliance_test.cc).
+  std::vector<RelationId> queue;
+  auto touch = [&](RelationId relation) {
+    if (b.relation_slot[relation] != BulkState::kNone) return;
+    b.relation_slot[relation] = static_cast<uint32_t>(b.relations.size());
+    b.relations.emplace_back();
+    queue.push_back(relation);
+  };
   for (const ChaseConjunct& c : conjuncts_) {
-    if (c.alive) present[c.fact.relation] = true;
+    if (c.alive) touch(c.fact.relation);
   }
-  const SigmaGraph graph(*deps_, *catalog_);
-  const std::vector<bool> reachable = graph.ReachableInds(present);
-
-  std::set<std::pair<RelationId, std::vector<uint32_t>>> all_projections;
-  std::map<std::pair<RelationId, std::vector<uint32_t>>, uint32_t> group_index;
-  for (uint32_t k = 0; k < inds.size(); ++k) {
-    const InclusionDependency& ind = inds[k];
-    all_projections.emplace(ind.rhs_relation, ind.rhs_columns);
-    if (!reachable[k]) {
-      ++stats_.inds_pruned;
-      continue;
+  const size_t words = considered_.words_per_row();
+  uint64_t reachable = 0;
+  while (!queue.empty()) {
+    const RelationId lhs = queue.back();
+    queue.pop_back();
+    for (const uint32_t k : plan.inds_from(lhs)) {
+      ++reachable;
+      const InclusionDependency& ind = inds[k];
+      touch(ind.rhs_relation);
+      // `touch` may have grown b.relations: index it only afterwards.
+      std::vector<uint64_t>& mask =
+          b.relations[b.relation_slot[lhs]].applicable;
+      if (mask.empty()) mask.assign(words, 0);
+      mask[k / 64] |= uint64_t{1} << (k % 64);
+      // The rhs relation's groups are few; a linear scan finds the group of
+      // the IND's projection (identified by the plan's columns object).
+      const std::vector<uint32_t>* columns =
+          &plan.projections()[plan.projection_of(k)].columns;
+      std::vector<uint32_t>& rhs_groups =
+          b.relations[b.relation_slot[ind.rhs_relation]].groups;
+      uint32_t group = BulkState::kNone;
+      for (const uint32_t g : rhs_groups) {
+        if (b.groups[g].columns == columns) group = g;
+      }
+      if (group == BulkState::kNone) {
+        group = static_cast<uint32_t>(b.groups.size());
+        b.groups.push_back(BulkState::WitnessGroup{columns, {}});
+        rhs_groups.push_back(group);
+      }
+      b.group_of_ind[k] = group;
     }
-    std::vector<uint64_t>& mask = b.applicable_mask[ind.lhs_relation];
-    if (mask.empty()) mask.assign(words, 0);
-    mask[k / 64] |= uint64_t{1} << (k % 64);
-    auto [it, inserted] = group_index.emplace(
-        std::make_pair(ind.rhs_relation, ind.rhs_columns),
-        static_cast<uint32_t>(b.groups.size()));
-    if (inserted) {
-      b.groups.push_back(
-          BulkState::WitnessGroup{ind.rhs_relation, ind.rhs_columns, {}});
-    }
-    b.group_of_ind[k] = it->second;
-    b.ind_has_fresh_columns[k] =
-        ind.width() < catalog_->arity(ind.rhs_relation);
-    b.ind_depth[k] = graph.components()[graph.ComponentOf(k)].depth;
   }
-  stats_.witness_groups_pruned = all_projections.size() - b.groups.size();
-  b.groups_of_relation.assign(catalog_->num_relations(), {});
-  for (uint32_t g = 0; g < b.groups.size(); ++g) {
-    b.groups_of_relation[b.groups[g].relation].push_back(g);
-  }
+  stats_.inds_pruned += inds.size() - reachable;
+  stats_.witness_groups_pruned = plan.projections().size() - b.groups.size();
   b.witness_dirty = true;
+  stats_.prepare_ms += MsSince(prepare_start);
 }
 
 void Chase::AddToWitnessGroups(const ChaseConjunct& conjunct) {
-  for (uint32_t g : bulk_->groups_of_relation[conjunct.fact.relation]) {
+  const BulkState::RelationState* state =
+      bulk_->Relation(conjunct.fact.relation);
+  if (state == nullptr) return;
+  for (uint32_t g : state->groups) {
     BulkState::WitnessGroup& group = bulk_->groups[g];
     std::vector<Term> projection;
-    projection.reserve(group.columns.size());
-    for (uint32_t col : group.columns) {
+    projection.reserve(group.columns->size());
+    for (uint32_t col : *group.columns) {
       projection.push_back(conjunct.fact.terms[col]);
     }
     group.index[std::move(projection)].emplace(conjunct.fact, conjunct.id);
@@ -110,16 +123,41 @@ void Chase::RebuildWitnessGroups() {
   bulk_->witness_dirty = false;
 }
 
+ColumnSegment& Chase::SweepSegment(std::vector<ColumnSegment>* acc,
+                                   uint32_t ind, uint32_t level) {
+  uint32_t& slot = bulk_->segment_of_ind[ind];
+  if (slot == BulkState::kNone) {
+    slot = static_cast<uint32_t>(acc->size());
+    ColumnSegment& seg = acc->emplace_back();
+    seg.level = level;
+    seg.ind_index = ind;
+    seg.relation = deps_->inds()[ind].rhs_relation;
+  }
+  return (*acc)[slot];
+}
+
+void Chase::FlushSweepSegments(std::vector<ColumnSegment>* acc) {
+  std::sort(acc->begin(), acc->end(),
+            [](const ColumnSegment& x, const ColumnSegment& y) {
+              return x.ind_index < y.ind_index;
+            });
+  for (ColumnSegment& seg : *acc) {
+    bulk_->segment_of_ind[seg.ind_index] = BulkState::kNone;
+    ++stats_.segments_built;
+    segments_.Add(std::move(seg));
+  }
+  acc->clear();
+}
+
 bool Chase::BulkHasPendingWork(uint32_t level) const {
   const size_t words = considered_.words_per_row();
   for (const ChaseConjunct& c : conjuncts_) {
     if (!c.alive || c.level >= level) continue;
-    const std::vector<uint64_t>& mask =
-        bulk_->applicable_mask[c.fact.relation];
-    if (mask.empty()) continue;
+    const std::vector<uint64_t>* mask = bulk_->Applicable(c.fact.relation);
+    if (mask == nullptr) continue;
     const uint64_t* row = considered_.Row(c.id);
     for (size_t w = 0; w < words; ++w) {
-      if ((mask[w] & ~(row != nullptr ? row[w] : 0)) != 0) return true;
+      if (((*mask)[w] & ~(row != nullptr ? row[w] : 0)) != 0) return true;
     }
   }
   return false;
@@ -145,12 +183,12 @@ Result<bool> Chase::RunLevelBatch(uint32_t effective) {
   std::vector<uint64_t> frontier;
   for (const ChaseConjunct& c : conjuncts_) {
     if (!c.alive || c.level >= effective || c.level > frontier_level) continue;
-    const std::vector<uint64_t>& mask = b.applicable_mask[c.fact.relation];
-    if (mask.empty()) continue;
+    const std::vector<uint64_t>* mask = b.Applicable(c.fact.relation);
+    if (mask == nullptr) continue;
     const uint64_t* row = considered_.Row(c.id);
     bool pending = false;
     for (size_t w = 0; w < words && !pending; ++w) {
-      pending = (mask[w] & ~(row != nullptr ? row[w] : 0)) != 0;
+      pending = ((*mask)[w] & ~(row != nullptr ? row[w] : 0)) != 0;
     }
     if (!pending) continue;
     if (c.level < frontier_level) {
@@ -175,19 +213,16 @@ Result<bool> Chase::RunLevelBatch(uint32_t effective) {
   stats_.retain_ms += MsSince(retain_start);
 
   // --- Join phase: apply every pending IND across the frontier. -----------
-  // Per-IND columnar accumulators; whatever was minted is flushed into
-  // segments_ on every exit path (including aborts — those mints happened).
-  std::vector<ColumnSegment> acc(inds.size());
+  // Columnar accumulators, one per IND that mints in this sweep; whatever
+  // was minted is flushed into segments_ on every exit path (including
+  // aborts — those mints happened).
+  std::vector<ColumnSegment> acc;
   struct SweepGuard {
     Chase* chase;
     std::vector<ColumnSegment>* acc;
     SteadyClock::time_point join_start = SteadyClock::now();
     ~SweepGuard() {
-      for (ColumnSegment& seg : *acc) {
-        if (seg.rows() == 0) continue;
-        ++chase->stats_.segments_built;
-        chase->segments_.Add(std::move(seg));
-      }
+      chase->FlushSweepSegments(acc);
       chase->stats_.join_ms += MsSince(join_start);
     }
   } sweep_guard{this, &acc};
@@ -200,7 +235,7 @@ Result<bool> Chase::RunLevelBatch(uint32_t effective) {
     // conjuncts_ may reallocate on push_back; it cannot change value
     // mid-sweep (a merge would have aborted the sweep first).
     const Fact source_fact = conjuncts_[IndexOfId(source_id)].fact;
-    const std::vector<uint64_t>& mask = b.applicable_mask[source_fact.relation];
+    const std::vector<uint64_t>& mask = *b.Applicable(source_fact.relation);
     const uint64_t* row = considered_.Row(source_id);
     pending_inds.clear();
     for (size_t w = 0; w < words; ++w) {
@@ -240,7 +275,7 @@ Result<bool> Chase::RunLevelBatch(uint32_t effective) {
         witness = it->second.begin()->second;  // min (fact, id)
       }
       if (variant_ == ChaseVariant::kRequired ||
-          (witness.has_value() && !b.ind_has_fresh_columns[k])) {
+          (witness.has_value() && !plan_->has_fresh_columns(k))) {
         if (witness.has_value()) {
           MarkIndUsed(k);
           arcs_.push_back(ChaseArc{source_id, *witness, k, /*cross=*/true});
@@ -268,13 +303,7 @@ Result<bool> Chase::RunLevelBatch(uint32_t effective) {
             StrCat("chase exceeded max_conjuncts=", limits_.max_conjuncts));
       }
       const uint64_t new_id = next_id_++;
-      ColumnSegment& seg = acc[k];
-      if (seg.rows() == 0) {
-        seg.level = new_level;
-        seg.ind_index = k;
-        seg.relation = ind.rhs_relation;
-      }
-      seg.AppendRow(created, new_id, source_id);
+      SweepSegment(&acc, k, new_level).AppendRow(created, new_id, source_id);
       conjuncts_.push_back(ChaseConjunct{new_id, std::move(created), new_level,
                                          /*alive=*/true, source_id, k});
       MarkIndUsed(k);

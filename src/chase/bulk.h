@@ -9,7 +9,7 @@
 // change level-L facts. So instead of maintaining a pending set at all, it
 // recomputes the frontier per level from two dense structures:
 //
-//  * applicable_mask: per-relation bitmask of INDs whose lhs is that
+//  * applicable masks: per-relation bitmask of INDs whose lhs is that
 //    relation. AND-NOT against the conjunct's ConsideredSet row gives its
 //    pending INDs in a few word ops.
 //  * witness groups: one (projection -> witnesses) index per DISTINCT
@@ -17,6 +17,12 @@
 //    wide Σ typically has far fewer distinct projections than INDs, so a
 //    minted conjunct updates a handful of groups instead of |Σ| per-IND
 //    witness maps.
+//
+// Everything Σ-only behind them (the reliance graph, the IND -> projection
+// layout, fresh-column flags, component depths, the relation -> INDs index)
+// is compiled once per Σ into a shared, immutable ChasePlan
+// (chase/plan.h); BulkState holds only what one chase reaches from its own
+// level-0 relations.
 //
 // The sweep itself visits the frontier in (fact, id) order applying pending
 // INDs ascending — exactly the scalar core's (level, fact, id, ind) order —
@@ -49,47 +55,63 @@
 
 namespace cqchase {
 
-// Per-chase working state built by Chase::PrepareBulk from the immutable Σ.
-// Rebuilt only when Σ-visible structure changes (never mid-chase); the
-// witness indexes inside are additionally rebuilt whenever witness_dirty is
-// set. Not thread-safe: the parallel core reads `groups` concurrently from
-// witness-class tasks but guarantees writes happen only between barriers on
-// the coordinating thread (chase/parallel.cc).
+// Per-chase working state, instantiated by Chase::PrepareBulk from the
+// chase's ChasePlan before the first IND application: the reachable-IND
+// closure from the level-0 relations, masks and witness groups for the
+// reachable INDs only. Building it costs O(reachable INDs) plus two dense
+// uint32 index arrays (per relation, per IND) — the plan already did the
+// O(|Σ|) compilation once for every chase of its Σ. The witness indexes
+// inside are rebuilt whenever witness_dirty is set. Not thread-safe: the
+// parallel core reads `groups` concurrently from witness-class tasks but
+// guarantees writes happen only between barriers on the coordinating
+// thread (chase/parallel.cc).
 struct BulkState {
-  // group_of_ind value for INDs pruned at PrepareBulk time: statically
-  // unreachable from the initial relations per the Σ reliance analysis
-  // (analysis/reliance.h), so they get no mask bit and no witness group.
-  // Never dereferenced — a pruned IND's lhs relation never holds a fact, so
-  // no sweep ever selects it.
-  static constexpr uint32_t kPrunedGroup = ~uint32_t{0};
+  // Slot value for a pruned IND, an untouched relation, or an IND with no
+  // segment open in the current sweep.
+  static constexpr uint32_t kNone = ~uint32_t{0};
 
-  // Per-relation bitmask over IND indices (ConsideredSet row layout): bit k
-  // set iff inds()[k].lhs_relation is that relation AND the IND survived
-  // reliance pruning. Empty vector = no applicable INDs for the relation.
-  std::vector<std::vector<uint64_t>> applicable_mask;
+  // What the chase knows about one relation it can ever hold facts of: a
+  // level-0 relation, or the rhs of a reachable IND.
+  struct RelationState {
+    // Bitmask over IND indices (ConsideredSet row layout): bit k set iff
+    // inds()[k].lhs_relation is this relation AND the IND is reachable.
+    // Empty = no applicable INDs for the relation.
+    std::vector<uint64_t> applicable;
+    std::vector<uint32_t> groups;  // witness groups over this relation
+  };
+  std::vector<uint32_t> relation_slot;  // RelationId -> relations, or kNone
+  std::vector<RelationState> relations;
 
-  // One witness index per distinct (rhs_relation, rhs_columns). The inner
-  // set is ordered (fact, id) so begin() is the paper's deterministic
-  // witness — same invariant as the scalar witness_index_.
+  const RelationState* Relation(RelationId relation) const {
+    const uint32_t slot = relation_slot[relation];
+    return slot == kNone ? nullptr : &relations[slot];
+  }
+  // The applicable mask of `relation`, or nullptr when no reachable IND
+  // reads it.
+  const std::vector<uint64_t>* Applicable(RelationId relation) const {
+    const RelationState* state = Relation(relation);
+    return state == nullptr || state->applicable.empty() ? nullptr
+                                                         : &state->applicable;
+  }
+
+  // One witness index per distinct projection of a reachable IND (the
+  // plan's ChasePlan::Projection, which outlives this state). The inner set
+  // is ordered (fact, id) so begin() is the paper's deterministic witness —
+  // same invariant as the scalar witness_index_.
   struct WitnessGroup {
-    RelationId relation = 0;
-    std::vector<uint32_t> columns;
+    const std::vector<uint32_t>* columns = nullptr;
     std::map<std::vector<Term>, std::set<std::pair<Fact, uint64_t>>> index;
   };
   std::vector<WitnessGroup> groups;
-  std::vector<uint32_t> group_of_ind;  // IND index -> groups index
-  std::vector<std::vector<uint32_t>> groups_of_relation;
 
-  // Per-IND: does the rhs have columns outside rhs_columns (fresh NDVs)?
-  std::vector<bool> ind_has_fresh_columns;
-
-  // Per-IND: reliance-component depth from SigmaGraph::frontiers()
-  // (analysis/reliance.h), i.e. the longest acyclic component path feeding
-  // the IND. Meaningless (zero) for pruned INDs. The parallel core launches
-  // witness-class tasks depth-layer by depth-layer — depth is *scheduling*
-  // structure only; correctness comes from witness-class disjointness
-  // (chase/parallel.cc).
-  std::vector<uint32_t> ind_depth;
+  // Per IND: its witness group, or kNone when pruned (statically
+  // unreachable from the initial relations per the Σ reliance analysis,
+  // analysis/reliance.h). Never dereferenced for a pruned IND — its lhs
+  // relation never holds a fact, so no sweep ever selects it.
+  std::vector<uint32_t> group_of_ind;
+  // Per IND: index of its segment in the open sweep's accumulator, kNone
+  // when it has minted nothing yet this sweep (see Chase::SweepSegment).
+  std::vector<uint32_t> segment_of_ind;
 
   // Set by Chase::SubstituteTerm: an FD merge mutated facts, so the groups
   // (and any in-flight frontier) are stale. The current sweep aborts and the

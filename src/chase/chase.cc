@@ -5,18 +5,20 @@
 #include <chrono>
 #include <limits>
 #include <map>
+#include <memory>
+#include <utility>
 
 #include "base/string_util.h"
 #include "chase/bulk.h"
 
 namespace cqchase {
 
-Chase::Chase(const Catalog* catalog, SymbolTable* symbols,
-             const DependencySet* deps, ChaseVariant variant,
-             ChaseLimits limits)
-    : catalog_(catalog),
+Chase::Chase(std::shared_ptr<const ChasePlan> plan, SymbolTable* symbols,
+             ChaseVariant variant, ChaseLimits limits)
+    : plan_(std::move(plan)),
+      catalog_(&plan_->catalog()),
       symbols_(symbols),
-      deps_(deps),
+      deps_(&plan_->deps()),
       variant_(variant),
       limits_(limits),
       ndv_shard_(symbols->CreateShard()) {
@@ -24,6 +26,16 @@ Chase::Chase(const Catalog* catalog, SymbolTable* symbols,
   used_inds_.assign(deps_->inds().size(), false);
   used_fds_.assign(deps_->fds().size(), false);
 }
+
+Chase::Chase(const Catalog* catalog, SymbolTable* symbols,
+             const DependencySet* deps, ChaseVariant variant,
+             ChaseLimits limits)
+    : Chase(std::make_shared<const ChasePlan>(
+                catalog,
+                // Non-owning: the caller keeps *deps alive.
+                std::shared_ptr<const DependencySet>(
+                    std::shared_ptr<const DependencySet>(), deps)),
+            symbols, variant, limits) {}
 
 // Out of line: BulkState is incomplete in chase.h.
 Chase::~Chase() = default;

@@ -38,6 +38,7 @@
 
 #include "base/status.h"
 #include "chase/control.h"
+#include "chase/plan.h"
 #include "chase/segment.h"
 #include "cq/fact.h"
 #include "cq/query.h"
@@ -124,8 +125,14 @@ struct BulkState;  // chase/bulk.h
 
 class Chase {
  public:
-  // The engine creates fresh NDVs in `symbols` as it runs; `symbols` must
-  // outlive the Chase and be the table `query` was built against.
+  // A chase of the plan's Σ over the plan's catalog (chase/plan.h). Any
+  // number of chases, on any threads, may share one plan. The engine
+  // creates fresh NDVs in `symbols` as it runs; `symbols` must outlive the
+  // Chase and be the table `query` was built against.
+  Chase(std::shared_ptr<const ChasePlan> plan, SymbolTable* symbols,
+        ChaseVariant variant, ChaseLimits limits);
+  // Compiles a private plan of *deps (not copied: `catalog` and `deps` must
+  // outlive the Chase) and runs exactly the code above.
   Chase(const Catalog* catalog, SymbolTable* symbols,
         const DependencySet* deps, ChaseVariant variant, ChaseLimits limits);
   ~Chase();
@@ -160,6 +167,11 @@ class Chase {
   // --- Inspection ---------------------------------------------------------
 
   const SymbolTable& symbols() const { return *symbols_; }
+  const ChasePlan& plan() const { return *plan_; }
+  // The Σ this chase runs on (the plan's): every IND index the chase
+  // reports — arcs, parent_ind, used_inds(), NDV provenance — numbers
+  // deps().inds().
+  const DependencySet& deps() const { return *deps_; }
   const std::vector<ChaseConjunct>& conjuncts() const { return conjuncts_; }
   const std::vector<ChaseArc>& arcs() const { return arcs_; }
   const std::vector<Term>& summary() const { return summary_; }
@@ -305,9 +317,17 @@ class Chase {
   // Pending-work probe without the scalar pending_ set: scans conjuncts
   // against per-relation applicable-IND masks minus considered_ rows.
   bool BulkHasPendingWork(uint32_t level) const;
-  void PrepareBulk();           // static Σ shape (masks, witness groups)
+  // Instantiates bulk_ from the plan: reachable INDs, masks, witness groups.
+  void PrepareBulk();
   void RebuildWitnessGroups();  // from-scratch witness rebuild (post-merge)
   void AddToWitnessGroups(const ChaseConjunct& conjunct);
+  // The open sweep's segment for IND `ind` in `acc`, opened at `level` on
+  // the IND's first mint of the sweep. The reference is valid until the
+  // next call.
+  ColumnSegment& SweepSegment(std::vector<ColumnSegment>* acc, uint32_t ind,
+                              uint32_t level);
+  // Moves a finished sweep's segments into segments_, ascending by IND.
+  void FlushSweepSegments(std::vector<ColumnSegment>* acc);
 
   // --- Parallel core; implemented in chase/parallel.cc --------------------
   // Level-frontier loop under ChaseCoreMode::kParallel: same shape as
@@ -322,9 +342,10 @@ class Chase {
   // any (conjunct, IND) pair was processed.
   Result<bool> RunLevelFrontier(uint32_t effective);
 
-  const Catalog* catalog_;
+  std::shared_ptr<const ChasePlan> plan_;
+  const Catalog* catalog_;     // &plan_->catalog()
   SymbolTable* symbols_;
-  const DependencySet* deps_;
+  const DependencySet* deps_;  // &plan_->deps()
   ChaseVariant variant_;
   ChaseLimits limits_;
   // Per-chase NDV allocation shard: IND steps mint fresh NDVs without

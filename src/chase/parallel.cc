@@ -23,7 +23,7 @@
 //   1. (parallel) per class: decide mint-vs-cross for each pair and pick the
 //                 deterministic witness, writing only into the pair itself.
 //                 Classes launch depth-layer by depth-layer following
-//                 SigmaGraph::frontiers() (BulkState::ind_depth), barrier per
+//                 SigmaGraph::frontiers() (ChasePlan::depth), barrier per
 //                 layer — scheduling structure only, correctness needs just
 //                 the class disjointness;
 //   2a. (seq)     pure simulation: walk pairs in scalar order assigning the
@@ -116,12 +116,12 @@ Result<bool> Chase::RunLevelFrontier(uint32_t effective) {
   std::vector<uint64_t> frontier;
   for (const ChaseConjunct& c : conjuncts_) {
     if (!c.alive || c.level >= effective || c.level > frontier_level) continue;
-    const std::vector<uint64_t>& mask = b.applicable_mask[c.fact.relation];
-    if (mask.empty()) continue;
+    const std::vector<uint64_t>* mask = b.Applicable(c.fact.relation);
+    if (mask == nullptr) continue;
     const uint64_t* row = considered_.Row(c.id);
     bool pending = false;
     for (size_t w = 0; w < words && !pending; ++w) {
-      pending = (mask[w] & ~(row != nullptr ? row[w] : 0)) != 0;
+      pending = ((*mask)[w] & ~(row != nullptr ? row[w] : 0)) != 0;
     }
     if (!pending) continue;
     if (c.level < frontier_level) {
@@ -149,11 +149,11 @@ Result<bool> Chase::RunLevelFrontier(uint32_t effective) {
   std::vector<RelationId> class_relation;  // cls -> rhs relation
   std::vector<std::vector<size_t>> class_pairs;  // cls -> pair indexes
   std::vector<uint32_t> class_of_relation(catalog_->num_relations(),
-                                          BulkState::kPrunedGroup);
+                                          BulkState::kNone);
   std::vector<bool> ind_present(inds.size(), false);
   for (const uint64_t source_id : frontier) {
     const std::vector<uint64_t>& mask =
-        b.applicable_mask[conjuncts_[IndexOfId(source_id)].fact.relation];
+        *b.Applicable(conjuncts_[IndexOfId(source_id)].fact.relation);
     const uint64_t* row = considered_.Row(source_id);
     for (size_t w = 0; w < words; ++w) {
       uint64_t bits = mask[w] & ~(row != nullptr ? row[w] : 0);
@@ -163,7 +163,7 @@ Result<bool> Chase::RunLevelFrontier(uint32_t effective) {
         bits &= bits - 1;
         const RelationId rel = inds[k].rhs_relation;
         uint32_t& cls = class_of_relation[rel];
-        if (cls == BulkState::kPrunedGroup) {
+        if (cls == BulkState::kNone) {
           cls = static_cast<uint32_t>(class_relation.size());
           class_relation.push_back(rel);
           class_pairs.emplace_back();
@@ -257,7 +257,7 @@ Result<bool> Chase::RunLevelFrontier(uint32_t effective) {
       for (uint32_t c : ind.lhs_columns) {
         x_values.push_back(source_fact.terms[c]);
       }
-      const bool fresh = b.ind_has_fresh_columns[p.ind];
+      const bool fresh = plan_->has_fresh_columns(p.ind);
 
       // Witness probe: deterministic min (fact, id) over the shared group
       // index (pre-sweep conjuncts) and the overlay (earlier in-class
@@ -312,12 +312,12 @@ Result<bool> Chase::RunLevelFrontier(uint32_t effective) {
       for (size_t i = 0; i < ind.rhs_columns.size(); ++i) {
         p.created.terms[ind.rhs_columns[i]] = x_values[i];
       }
-      for (const uint32_t g : b.groups_of_relation[ind.rhs_relation]) {
+      for (const uint32_t g : b.Relation(ind.rhs_relation)->groups) {
         const BulkState::WitnessGroup& group = b.groups[g];
         std::vector<Term> projection;
-        projection.reserve(group.columns.size());
+        projection.reserve(group.columns->size());
         bool all_valid = true;
-        for (const uint32_t col : group.columns) {
+        for (const uint32_t col : *group.columns) {
           const Term t = p.created.terms[col];
           if (!t.is_valid()) {
             all_valid = false;
@@ -333,12 +333,12 @@ Result<bool> Chase::RunLevelFrontier(uint32_t effective) {
   };
 
   // Launch depth-layer by depth-layer per SigmaGraph::frontiers() (via the
-  // precomputed BulkState::ind_depth), barrier per layer.
+  // plan's precomputed ChasePlan::depth), barrier per layer.
   std::map<uint32_t, std::vector<uint32_t>> layers;  // depth -> classes
   for (uint32_t cls = 0; cls < class_relation.size(); ++cls) {
     uint32_t depth = std::numeric_limits<uint32_t>::max();
     for (const size_t pi : class_pairs[cls]) {
-      depth = std::min(depth, b.ind_depth[pairs[pi].ind]);
+      depth = std::min(depth, plan_->depth(pairs[pi].ind));
     }
     layers[depth].push_back(cls);
   }
@@ -473,17 +473,13 @@ Result<bool> Chase::RunLevelFrontier(uint32_t effective) {
     if (present) ++stats_.parallel_batches;
   }
 
-  std::vector<ColumnSegment> acc(inds.size());
+  std::vector<ColumnSegment> acc;
   struct SweepGuard {
     Chase* chase;
     std::vector<ColumnSegment>* acc;
     SteadyClock::time_point join_start = SteadyClock::now();
     ~SweepGuard() {
-      for (ColumnSegment& seg : *acc) {
-        if (seg.rows() == 0) continue;
-        ++chase->stats_.segments_built;
-        chase->segments_.Add(std::move(seg));
-      }
+      chase->FlushSweepSegments(acc);
       chase->stats_.join_ms += MsSince(join_start);
     }
   } sweep_guard{this, &acc};
@@ -512,7 +508,6 @@ Result<bool> Chase::RunLevelFrontier(uint32_t effective) {
       arcs_.push_back(ChaseArc{p.source_id, witness_id, p.ind, /*cross=*/true});
       continue;
     }
-    const InclusionDependency& ind = inds[p.ind];
     const uint32_t new_level = frontier_level + 1;
     Fact created = std::move(p.created);
     for (uint32_t col = 0; col < created.terms.size(); ++col) {
@@ -524,13 +519,8 @@ Result<bool> Chase::RunLevelFrontier(uint32_t effective) {
     const uint64_t new_id = next_id_++;
     assert(new_id == p.new_id);
     (void)new_id;
-    ColumnSegment& seg = acc[p.ind];
-    if (seg.rows() == 0) {
-      seg.level = new_level;
-      seg.ind_index = p.ind;
-      seg.relation = ind.rhs_relation;
-    }
-    seg.AppendRow(created, p.new_id, p.source_id);
+    SweepSegment(&acc, p.ind, new_level)
+        .AppendRow(created, p.new_id, p.source_id);
     conjuncts_.push_back(ChaseConjunct{p.new_id, std::move(created), new_level,
                                        /*alive=*/true, p.source_id, p.ind});
     MarkIndUsed(p.ind);

@@ -66,6 +66,8 @@ struct ChaseStats {
                                        // executed across committed sweeps
   uint64_t parallel_max_depth_width = 0;  // most witness-class tasks launched
                                           // inside one depth layer
+  double prepare_ms = 0.0;  // bulk: instantiating the chase's reachable
+                            // slice of its ChasePlan (PrepareBulk)
   double join_ms = 0.0;    // bulk: witness probes + NDV minting sweeps
   double retain_ms = 0.0;  // bulk: frontier collection/sort + witness-group
                            // (re)builds

@@ -256,7 +256,11 @@ ContainmentEngine::SigmaRecordFor(const DependencySet& deps,
   auto record = std::make_shared<SigmaRecord>();
   record->analysis = AnalyzeSigma(deps, *catalog_);
   record->fingerprint = SigmaFingerprint(deps);
-  record->deps = std::make_shared<const DependencySet>(deps);
+  // The plan's Σ copy lists the dependencies in `deps`'s order, which the
+  // analysis graph's nodes index, so the plan reuses that graph.
+  record->plan = std::make_shared<const ChasePlan>(
+      catalog_, std::make_shared<const DependencySet>(deps),
+      record->analysis.graph);
   SigmaCache::Entries evicted;  // destroyed after unlocking
   std::lock_guard<std::mutex> lock(mu_);
   // A racing asker of the same Σ may have inserted first: keep its record,
@@ -663,7 +667,7 @@ Result<EngineVerdict> ContainmentEngine::DecideUncached(
       report.contained = sr.contained;
       report.level_bound = Theorem2LevelBound(q_prime.conjuncts().size(),
                                               deps.size(),
-                                              deps.MaxIndWidth());
+                                              analysis.max_ind_width);
       report.chase_conjuncts = sr.conjuncts_streamed;
       report.chase_levels = sr.decided_at_level;
       report.chase_outcome = ChaseOutcome::kTruncated;
@@ -699,6 +703,8 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
 
   // Symbol-table identity is enforced at the Execute entry point, and
   // Execute hands over a Σ record only for caching, same-catalog requests.
+  // Every chase of such a request — shared prefix or not — runs on the
+  // record's compiled plan and its Σ.
   const bool cacheable = ctx.cache_chase_prefix && ctx.sigma != nullptr &&
                          config_.chase_cache_capacity > 0;
   std::shared_ptr<SharedChase> shared;
@@ -738,11 +744,9 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
     shared_lock = std::unique_lock<std::mutex>(shared->mu);
     if (!shared->built) {
       // First asker through the entry lock builds the chase, on the Σ
-      // record's copy of Σ: the Chase's internal pointer then outlives the
-      // caller's DependencySet, and no chase miss copies Σ again.
-      shared->deps = ctx.sigma->deps;
-      shared->chase = std::make_unique<Chase>(&q.catalog(), symbols_,
-                                              shared->deps.get(),
+      // record's plan: the chase then outlives the caller's DependencySet,
+      // and no chase miss copies Σ or recompiles it.
+      shared->chase = std::make_unique<Chase>(ctx.sigma->plan, symbols_,
                                               options.variant, options.limits);
       shared->init_status = shared->chase->Init(q);
       shared->built = true;
@@ -760,11 +764,18 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
     // status to every asker instead of rebuilding just to re-fail.
     if (!shared->init_status.ok()) return shared->init_status;
     chase_ptr = shared->chase.get();
+  } else if (ctx.sigma != nullptr) {
+    // Unshared, but the request has a Σ record: the chase lives and dies in
+    // this call, on the record's plan.
+    local_chase.emplace(ctx.sigma->plan, symbols_, options.variant,
+                        options.limits);
   } else {
-    // Uncached: the chase lives and dies in this call, directly on the
-    // caller's Σ — no copies, matching the pre-engine cost profile.
+    // No Σ record (cache off, or a foreign catalog): a private plan of the
+    // caller's Σ.
     local_chase.emplace(&q.catalog(), symbols_, &deps, options.variant,
                         options.limits);
+  }
+  if (local_chase.has_value()) {
     Status init = local_chase->Init(q);
     if (!init.ok()) return init;
     chase_ptr = &*local_chase;
@@ -773,9 +784,9 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
 
   Chase& chase = *chase_ptr;
   // The Σ the chase runs on, whose dependency order its used-dependency
-  // bitmaps and IND labels index: for a shared prefix the record's copy,
-  // which may order Σ differently from this asker's `deps`.
-  const DependencySet& chase_deps = shared != nullptr ? *shared->deps : deps;
+  // bitmaps and IND labels index: under a Σ record the record's copy, which
+  // may order Σ differently from this asker's `deps`.
+  const DependencySet& chase_deps = chase.deps();
   // This asker's cancellation/deadline applies for exactly this asker's
   // turn on the chase: attach now, detach before unlocking, so a shared
   // prefix never carries a dead asker's control into the next turn. A
@@ -792,8 +803,8 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
   // the same saturation/bound evidence).
   Result<ContainmentReport> result = [&]() -> Result<ContainmentReport> {
     ContainmentReport report;
-    report.level_bound = Theorem2LevelBound(q_prime.conjuncts().size(),
-                                            deps.size(), deps.MaxIndWidth());
+    report.level_bound = Theorem2LevelBound(
+        q_prime.conjuncts().size(), deps.size(), analysis.max_ind_width);
     uint64_t bound = report.level_bound;
     const bool bound_is_complete = analysis.decidable;  // Lemma 5 applies
     if (analysis.sigma_class == SigmaClass::kAcyclicInd &&

@@ -69,6 +69,7 @@
 
 #include "chase/chase.h"
 #include "chase/control.h"
+#include "chase/plan.h"
 #include "core/certificate.h"
 #include "core/containment.h"
 #include "core/minimize.h"
@@ -390,13 +391,15 @@ class ContainmentEngine {
   // canonical Σ key (when the key first misses the Σ cache) and immutable
   // afterwards, so it is shared across threads without a lock: the
   // classification, the whole-Σ fingerprint every published verdict is
-  // tagged with, and one stable copy of Σ for the shared chases to run on.
-  // Σs that differ only in insertion order share one record; `deps` keeps
-  // the order of whichever of them built it (see SharedChase).
+  // tagged with, and the compiled chase plan (chase/plan.h) — which owns
+  // one stable copy of Σ and reuses analysis.graph — that every chase of
+  // this Σ runs on. Σs that differ only in insertion order share one
+  // record; the plan's Σ keeps the order of whichever of them built it
+  // (see SharedChase).
   struct SigmaRecord {
     SigmaAnalysis analysis;
     uint64_t fingerprint = 0;  // SigmaFingerprint (analysis/delta.h)
-    std::shared_ptr<const DependencySet> deps;
+    std::shared_ptr<const ChasePlan> plan;
   };
 
   // A shared, resumable chase prefix. The engine hands out shared_ptrs: the
@@ -405,11 +408,11 @@ class ContainmentEngine {
   // does. `mu` serializes extension (a Chase is not internally thread-safe);
   // concurrent askers of the same exact (Q, Σ, variant) queue here and each
   // resumes the single shared prefix where the previous one left it. The
-  // chase runs on its Σ record's copy of Σ (shared, so it outlives both the
-  // record's cache entry and any caller's DependencySet). That copy may
-  // list the dependencies in another order than a later asker's Σ with the
-  // same canonical key: the chase's used-dependency bitmaps and IND labels
-  // index `deps`, so lineage is fingerprinted against `deps` and
+  // chase runs on its Σ record's plan (shared, so it and its Σ outlive both
+  // the record's cache entry and any caller's DependencySet). The plan's Σ
+  // may list the dependencies in another order than a later asker's Σ with
+  // the same canonical key: the chase's used-dependency bitmaps and IND
+  // labels index chase->deps(), so lineage is fingerprinted against it and
   // certificate steps are re-indexed to the asker's Σ. Each asker attaches
   // its own ChaseControl for its turn and detaches before unlocking, so one
   // asker's deadline or cancellation never aborts another's.
@@ -417,7 +420,6 @@ class ContainmentEngine {
     std::mutex mu;  // guards everything below
     bool built = false;
     Status init_status;
-    std::shared_ptr<const DependencySet> deps;
     std::unique_ptr<Chase> chase;
   };
 

@@ -85,7 +85,8 @@ struct SigmaAnalysis {
   // The Σ reliance graph (analysis/reliance.h): dependency-level positive
   // reliances + FD interference, SCC-condensed with frontier layers. Always
   // populated by AnalyzeSigma; shared because SigmaAnalysis is cached by
-  // value in the engine's sigma LRU and the graph is immutable.
+  // value in the engine's sigma LRU and the graph is immutable (the Σ
+  // record's ChasePlan holds the same graph).
   std::shared_ptr<const SigmaGraph> graph;
   // When the IND reliance subgraph is acyclic: the critical-path chase-depth
   // bound (no conjunct can sit deeper than the longest IND reliance chain).

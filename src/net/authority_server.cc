@@ -193,17 +193,18 @@ void VerdictAuthorityServer::ServeConnection(Connection* conn) {
     totals_.bytes_in += framed.size();
     totals_.bytes_out += response.size();
   }
+  // One conns_mu_ section closes the connection in every respect at once:
+  // Stop()'s shutdown sweep reads this fd under the same lock (a close
+  // racing that sweep could hand the descriptor number to an unrelated
+  // file), and stats() reads `open` under it — so whoever sees
+  // connections_open drop also sees `done`, and the next accept's
+  // ReapFinishedLocked retires this row.
+  std::lock_guard<std::mutex> lock(conns_mu_);
   {
-    std::lock_guard<std::mutex> lock(conn->mu);
+    std::lock_guard<std::mutex> conn_lock(conn->mu);
     conn->stats.open = false;
   }
-  {
-    // Under conns_mu_: Stop()'s shutdown sweep reads this fd under the same
-    // lock, and a close racing that sweep could hand the descriptor number
-    // to an unrelated file.
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conn->fd.Reset();
-  }
+  conn->fd.Reset();
   conn->done.store(true, std::memory_order_release);
 }
 
@@ -215,8 +216,9 @@ void VerdictAuthorityServer::ReapFinishedLocked() {
       ++it;
       continue;
     }
-    // `done` is the handler's last store, so the thread needs no further
-    // locks — joining under conns_mu_ cannot deadlock here.
+    // The handler stores `done` in its last conns_mu_ section, which it has
+    // left if we see it here; it takes no further locks, so joining under
+    // conns_mu_ cannot deadlock.
     if (conn->thread.joinable()) conn->thread.join();
     closed_rows_.push_back(conn->stats);
     it = conns_.erase(it);

@@ -23,6 +23,7 @@
 
 #include "base/rng.h"
 #include "chase/chase.h"
+#include "chase/plan.h"
 #include "core/certificate.h"
 #include "cq/cq_parser.h"
 #include "deps/deps_parser.h"
@@ -63,15 +64,21 @@ struct ChaseRun {
 
 using UniverseBuilder = std::function<void(Rng&, ChaseRun&)>;
 
-ChaseRun RunOne(uint64_t seed, const UniverseBuilder& build,
-                ChaseCoreMode mode, ChaseVariant variant, ChaseLimits limits,
-                uint32_t level) {
+// The universe of `seed`, not yet chased.
+ChaseRun BuildUniverse(uint64_t seed, const UniverseBuilder& build) {
   ChaseRun run;
   run.catalog = std::make_unique<Catalog>();
   run.symbols = std::make_unique<SymbolTable>();
   run.deps = std::make_unique<DependencySet>();
   Rng rng(seed);
   build(rng, run);
+  return run;
+}
+
+ChaseRun RunOne(uint64_t seed, const UniverseBuilder& build,
+                ChaseCoreMode mode, ChaseVariant variant, ChaseLimits limits,
+                uint32_t level) {
+  ChaseRun run = BuildUniverse(seed, build);
   limits.core = mode;
   run.chase = std::make_unique<Chase>(run.catalog.get(), run.symbols.get(),
                                       run.deps.get(), variant, limits);
@@ -253,6 +260,75 @@ TEST(ChaseCoreParity, FdOnlyFamilies) {
     RunParityCase(seed, build, ChaseVariant::kRequired, limits, /*level=*/4,
                   "fd-only seed=" + std::to_string(seed));
   }
+}
+
+// A chase on a plan compiled ahead of time and shared — the engine's Σ
+// record shape — is byte-identical to a chase that compiles its own, in
+// every core, including the pruning counters the plan feeds. Two chases
+// interleave level by level on the one plan (each in its own twin
+// universe; the twins' catalogs are identical by construction, so one
+// plan serves both), and each must match its private-plan twin.
+TEST(ChaseCoreParity, SharedPlanMatchesPrivatePlan) {
+  ChaseLimits limits;
+  limits.max_conjuncts = 4000;
+  uint64_t pruned = 0;  // the plan's pruning inputs were exercised
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const UniverseBuilder build =
+        seed % 2 == 0 ? IndOnlyUniverse(6, 10 + seed * 4, 1 + seed % 3, 4)
+                      : KeyBasedUniverse(1 + seed % 2, 6, 0.2);
+    for (ChaseCoreMode mode : {ChaseCoreMode::kScalar, ChaseCoreMode::kBulk,
+                               ChaseCoreMode::kParallel}) {
+      ChaseLimits core_limits = mode == ChaseCoreMode::kParallel
+                                    ? ParallelLimits(limits, seed)
+                                    : limits;
+      core_limits.core = mode;
+      const std::string label = "seed=" + std::to_string(seed) + " core=" +
+                                std::to_string(static_cast<int>(mode));
+      ChaseRun priv[2] = {BuildUniverse(seed, build),
+                          BuildUniverse(seed, build)};
+      ChaseRun shared[2] = {BuildUniverse(seed, build),
+                            BuildUniverse(seed, build)};
+      auto plan = std::make_shared<const ChasePlan>(
+          shared[0].catalog.get(),
+          std::make_shared<const DependencySet>(*shared[0].deps));
+      for (int i = 0; i < 2; ++i) {
+        priv[i].chase = std::make_unique<Chase>(
+            priv[i].catalog.get(), priv[i].symbols.get(), priv[i].deps.get(),
+            ChaseVariant::kRequired, core_limits);
+        shared[i].chase = std::make_unique<Chase>(
+            plan, shared[i].symbols.get(), ChaseVariant::kRequired,
+            core_limits);
+        ASSERT_TRUE(priv[i].chase->Init(priv[i].queries.at(0)).ok());
+        ASSERT_TRUE(shared[i].chase->Init(shared[i].queries.at(0)).ok());
+      }
+      for (uint32_t level = 1; level <= 3; ++level) {
+        for (int i = 0; i < 2; ++i) {
+          priv[i].expand_status = priv[i].chase->ExpandToLevel(level).status();
+          shared[i].expand_status =
+              shared[i].chase->ExpandToLevel(level).status();
+        }
+      }
+      for (int i = 0; i < 2; ++i) {
+        const std::string run_label = label + " chase " + std::to_string(i);
+        EXPECT_EQ(&shared[i].chase->plan(), plan.get());
+        EXPECT_EQ(priv[i].chase->plan().graph().Fingerprint(),
+                  plan->graph().Fingerprint());
+        ExpectSameStatus(priv[i].expand_status, shared[i].expand_status,
+                         run_label);
+        ExpectIdenticalPrefixes(*priv[i].chase, *shared[i].chase, run_label);
+        const ChaseStats& p = priv[i].chase->chase_stats();
+        const ChaseStats& s = shared[i].chase->chase_stats();
+        EXPECT_EQ(p.steps, s.steps) << run_label;
+        EXPECT_EQ(p.inds_pruned, s.inds_pruned) << run_label;
+        EXPECT_EQ(p.witness_groups_pruned, s.witness_groups_pruned)
+            << run_label;
+        EXPECT_EQ(priv[i].chase->used_inds(), shared[i].chase->used_inds())
+            << run_label;
+        pruned += s.inds_pruned;
+      }
+    }
+  }
+  EXPECT_GT(pruned, 0u);
 }
 
 // Paper scenarios, including the Figure 1 infinite chase truncated at

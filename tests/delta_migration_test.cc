@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -578,6 +579,100 @@ TEST(EvolveSigmaDifferentialTest, ReorderedSigmaResumingAPrefixKeepsLineage) {
   ASSERT_TRUE(reask.ok() && truth.ok());
   EXPECT_FALSE(truth->report.contained);
   EXPECT_EQ(reask->report.contained, truth->report.contained);
+}
+
+// The same world down every chase path of a request with a Σ record —
+// shared prefix, unshared chase (chase_cache_capacity = 0) and Minimize's
+// cache_chase_prefix=false probes — each on the record's compiled plan.
+// Whichever of Σ_fwd / Σ_rev built the record, EvolveSigma must keep and
+// drop the same entries, and every re-ask must match a cold engine.
+TEST(EvolveSigmaDifferentialTest, ReorderedSigmaLineageOnEveryChasePath) {
+  Catalog catalog;
+  SymbolTable symbols;
+  const RelationId a = *catalog.AddRelation("A", {"x", "y"});
+  const RelationId b = *catalog.AddRelation("B", {"x", "y"});
+  const RelationId x = *catalog.AddRelation("X", {"x", "y"});
+  const RelationId y = *catalog.AddRelation("Y", {"x", "y"});
+  const InclusionDependency ab{a, {0}, b, {0}};
+  const InclusionDependency xy{x, {0}, y, {0}};
+  DependencySet fwd, rev, xy_only;
+  ASSERT_TRUE(fwd.AddInd(catalog, ab).ok());
+  ASSERT_TRUE(fwd.AddInd(catalog, xy).ok());
+  ASSERT_TRUE(rev.AddInd(catalog, xy).ok());
+  ASSERT_TRUE(rev.AddInd(catalog, ab).ok());
+  ASSERT_TRUE(xy_only.AddInd(catalog, xy).ok());
+  auto parse = [&](const char* text) {
+    return *ParseQuery(catalog, symbols, text);
+  };
+  const ConjunctiveQuery q = parse("ans(x) :- A(x, y)");
+  const ConjunctiveQuery one_b = parse("ans(x) :- B(x, z)");
+  const ConjunctiveQuery two_b = parse("ans(x) :- B(x, z), B(x, w)");
+  // Minimize probes A(x, y) ⊆ redundant (fires A⊆B: contained) and
+  // B(x, z) ⊆ redundant (fires nothing: not contained).
+  const ConjunctiveQuery redundant = parse("ans(x) :- A(x, y), B(x, z)");
+  ContainmentEngine cold(&catalog, &symbols, EngineConfig{});
+
+  struct Path {
+    const char* name;
+    size_t chase_cache_capacity;
+    bool minimize;
+  };
+  for (const Path& path : {Path{"shared prefix", 32, false},
+                           Path{"unshared chase", 0, false},
+                           Path{"minimize probes", 32, true}}) {
+    std::optional<DeltaReceipt> first;
+    for (const DependencySet* builder : {&fwd, &rev}) {
+      SCOPED_TRACE(StrCat(path.name, " builder=",
+                          builder == &fwd ? "fwd" : "rev"));
+      EngineConfig config;
+      config.route_streaming_single_conjunct = false;  // chase → lineage
+      config.chase_cache_capacity = path.chase_cache_capacity;
+      ContainmentEngine warm(&catalog, &symbols, config);
+      warm.Analyze(*builder);  // the record takes the builder's order
+      if (path.minimize) {
+        Result<MinimizeReport> minimized = warm.Minimize(redundant, rev);
+        ASSERT_TRUE(minimized.ok());
+        EXPECT_EQ(minimized->removed_conjuncts, 1u);
+      } else {
+        for (const ConjunctiveQuery* q_prime : {&one_b, &two_b}) {
+          Result<EngineVerdict> decided = warm.Check(q, *q_prime, rev);
+          ASSERT_TRUE(decided.ok());
+          EXPECT_TRUE(decided->report.contained);
+        }
+      }
+
+      const DeltaReceipt receipt = warm.EvolveSigma(rev, xy_only);
+      if (path.minimize) {
+        EXPECT_EQ(receipt.dropped, 1u);     // A(x, y) ⊆ redundant fired A⊆B
+        EXPECT_EQ(receipt.kept_exact, 1u);  // B(x, z) ⊆ redundant fired none
+      } else {
+        EXPECT_EQ(receipt.dropped, 2u);  // both decisions fired A⊆B
+        EXPECT_EQ(receipt.kept_exact, 0u);
+      }
+      if (!first.has_value()) {
+        first = receipt;
+      } else {
+        EXPECT_EQ(receipt.examined, first->examined);
+        EXPECT_EQ(receipt.kept_exact, first->kept_exact);
+        EXPECT_EQ(receipt.kept_monotone, first->kept_monotone);
+        EXPECT_EQ(receipt.dropped, first->dropped);
+      }
+
+      if (path.minimize) {
+        Result<MinimizeReport> reask = warm.Minimize(redundant, xy_only);
+        Result<MinimizeReport> truth = cold.Minimize(redundant, xy_only);
+        ASSERT_TRUE(reask.ok() && truth.ok());
+        EXPECT_EQ(truth->removed_conjuncts, 0u);
+        EXPECT_EQ(reask->removed_conjuncts, truth->removed_conjuncts);
+      } else {
+        Result<EngineVerdict> reask = warm.Check(q, two_b, xy_only);
+        Result<EngineVerdict> truth = cold.Check(q, two_b, xy_only);
+        ASSERT_TRUE(reask.ok() && truth.ok());
+        EXPECT_FALSE(truth->report.contained);
+        EXPECT_EQ(reask->report.contained, truth->report.contained);
+      }
+    }
+  }
 }
 
 // An empty edit is the identity: nothing examined, nothing dropped, caches

@@ -515,6 +515,69 @@ TEST_F(ReorderedSigmaTest, CertificateFromTheRecordsCopyCitesTheAskersInds) {
   EXPECT_EQ(engine.cache_sizes().sigma_entries, 1u);
 }
 
+// Every chase of a request with a Σ record runs on the record's compiled
+// plan, whose IND numbering is that of whichever order built the record.
+// Down each chase path — shared prefix, an unshared chase
+// (chase_cache_capacity = 0) and the cache_chase_prefix=false probes of
+// Minimize / IsNonMinimal — and for every (builder, asker) order pair,
+// verdicts must equal a cache-less engine's and every certificate must
+// verify against the asker's Σ.
+TEST_F(ReorderedSigmaTest, EveryChasePathRunsOnTheRecordsPlan) {
+  const ConjunctiveQuery q = Parse("ans(x, u) :- A(x, y), X(u, v)");
+  const std::vector<ConjunctiveQuery> rhs = {
+      Parse("ans(x, u) :- B(x, z), X(u, v)"),  // contained through A⊆B
+      Parse("ans(x, u) :- A(x, y), Y(u, w)"),  // contained through X⊆Y
+      Parse("ans(x, u) :- B(x, z), Y(u, w)"),  // contained through both
+      Parse("ans(x, u) :- Y(x, z), X(u, v)"),  // not contained
+  };
+  const ConjunctiveQuery redundant =
+      Parse("ans(x, u) :- A(x, y), B(x, z), X(u, v), Y(u, w)");
+  const ConjunctiveQuery minimal = Parse("ans(x, u) :- A(x, y), X(u, v)");
+  EngineConfig cacheless = config_;
+  cacheless.enable_cache = false;
+  ContainmentEngine truth(&catalog_, &symbols_, cacheless);
+  EngineConfig unshared = config_;
+  unshared.chase_cache_capacity = 0;
+
+  for (const EngineConfig& config : {config_, unshared}) {
+    for (const DependencySet* builder : {&fwd_, &rev_}) {
+      for (const DependencySet* asker : {&fwd_, &rev_}) {
+        SCOPED_TRACE(StrCat("chase_cache_capacity=",
+                            config.chase_cache_capacity, " builder=",
+                            builder == &fwd_ ? "fwd" : "rev", " asker=",
+                            asker == &fwd_ ? "fwd" : "rev"));
+        ContainmentEngine engine(&catalog_, &symbols_, config);
+        engine.Analyze(*builder);  // the record takes the builder's order
+        for (const ConjunctiveQuery& qp : rhs) {
+          Result<EngineVerdict> want = truth.Check(q, qp, *asker);
+          Result<EngineVerdict> got = engine.Check(q, qp, *asker);
+          ASSERT_TRUE(want.ok() && got.ok());
+          EXPECT_EQ(got->report.contained, want->report.contained);
+          Result<std::optional<ContainmentCertificate>> cert =
+              engine.Certify(q, qp, *asker);
+          ASSERT_TRUE(cert.ok()) << cert.status();
+          ASSERT_EQ(cert->has_value(), want->report.contained);
+          if (cert->has_value()) {
+            EXPECT_TRUE(
+                VerifyCertificate(**cert, q, qp, *asker, symbols_).ok());
+          }
+        }
+        Result<MinimizeReport> minimized = engine.Minimize(redundant, *asker);
+        Result<MinimizeReport> want_min = truth.Minimize(redundant, *asker);
+        ASSERT_TRUE(minimized.ok() && want_min.ok());
+        EXPECT_EQ(CanonicalQueryKey(minimized->query),
+                  CanonicalQueryKey(want_min->query));
+        EXPECT_EQ(CanonicalQueryKey(minimized->query),
+                  CanonicalQueryKey(minimal));
+        Result<bool> non_minimal = engine.IsNonMinimal(redundant, *asker);
+        ASSERT_TRUE(non_minimal.ok());
+        EXPECT_TRUE(*non_minimal);
+        EXPECT_EQ(engine.cache_sizes().sigma_entries, 1u);
+      }
+    }
+  }
+}
+
 // Σs differing only in insertion order share one record, and every verdict
 // published under either is tagged with the asker's Σ fingerprint.
 TEST_F(ReorderedSigmaTest, InsertionOrdersShareOneRecordAndItsFingerprint) {

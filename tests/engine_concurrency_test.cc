@@ -6,8 +6,10 @@
 // single shared chase per exact key); TSan covers the memory model.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -451,6 +453,80 @@ TEST(SubmitConcurrencyTest, ChaseCacheChurnDropsEvictedChasesOffTheLock) {
   EXPECT_LE(engine->cache_sizes().chase_entries, 2u);
   engine.reset();
   EXPECT_EQ(symbols.chase_ndv_blocks_held(), 0u);
+}
+
+TEST(SubmitConcurrencyTest, ColdDecisionsShareOneWideSigmaPlan) {
+  // Eight threads cold-decide distinct Q under one wide Σ at once: every
+  // chase runs on the single Σ record's compiled plan, each instantiating
+  // only the slice its Q reaches. Verdicts and the pruning counters must
+  // match a cache-less oracle whose chases compile private plans.
+  constexpr int kThreads = 8;
+  constexpr int kChains = 40;  // A_i[x] ⊆ B_i[x] ⊆ C_i[x]: 80 INDs
+  Catalog catalog;
+  SymbolTable symbols;
+  DependencySet deps;
+  for (int i = 0; i < kChains; ++i) {
+    const RelationId a = *catalog.AddRelation(StrCat("A", i), {"x", "y"});
+    const RelationId b = *catalog.AddRelation(StrCat("B", i), {"x", "y"});
+    const RelationId c = *catalog.AddRelation(StrCat("C", i), {"x", "y"});
+    ASSERT_TRUE(deps.AddInd(catalog, {a, {0}, b, {0}}).ok());
+    ASSERT_TRUE(deps.AddInd(catalog, {b, {0}, c, {0}}).ok());
+  }
+  auto parse = [&](const std::string& text) {
+    Result<ConjunctiveQuery> q = ParseQuery(catalog, symbols, text);
+    EXPECT_TRUE(q.ok()) << q.status();
+    return *std::move(q);
+  };
+  // Per chain: A_i ⊆ C_i (contained through both chain INDs) and C_i ⊆ A_i
+  // (not contained).
+  std::vector<ConjunctiveQuery> qs, rhs;
+  for (int i = 0; i < kChains; ++i) {
+    qs.push_back(parse(StrCat("ans(x) :- A", i, "(x, y)")));
+    rhs.push_back(parse(StrCat("ans(p) :- C", i, "(p, z)")));
+    qs.push_back(parse(StrCat("ans(x) :- C", i, "(x, y)")));
+    rhs.push_back(parse(StrCat("ans(p) :- A", i, "(p, z)")));
+  }
+
+  EngineConfig oracle_config;
+  oracle_config.enable_cache = false;
+  oracle_config.route_streaming_single_conjunct = false;
+  ContainmentEngine oracle(&catalog, &symbols, oracle_config);
+  std::vector<bool> expected;
+  for (size_t i = 0; i < qs.size(); ++i) {
+    Result<EngineVerdict> v = oracle.Check(qs[i], rhs[i], deps);
+    ASSERT_TRUE(v.ok()) << v.status();
+    EXPECT_EQ(v->report.contained, i % 2 == 0) << "task " << i;
+    expected.push_back(v->report.contained);
+  }
+
+  EngineConfig config;
+  config.route_streaming_single_conjunct = false;
+  ContainmentEngine engine(&catalog, &symbols, config);
+  ASSERT_EQ(engine.Analyze(deps).sigma_class, SigmaClass::kIndOnlyW1);
+  std::vector<std::optional<bool>> got(qs.size());
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (size_t i = t; i < qs.size(); i += kThreads) {
+        Result<EngineVerdict> v = engine.Check(qs[i], rhs[i], deps);
+        if (v.ok()) got[i] = v->report.contained;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t i = 0; i < qs.size(); ++i) {
+    ASSERT_TRUE(got[i].has_value()) << "task " << i;
+    EXPECT_EQ(*got[i], expected[i]) << "task " << i;
+  }
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(engine.cache_sizes().sigma_entries, 1u);
+  EXPECT_EQ(stats.chases_built, qs.size());
+  EXPECT_EQ(stats.chases_built, oracle.stats().chases_built);
+  EXPECT_EQ(stats.inds_pruned, oracle.stats().inds_pruned);
+  EXPECT_GT(stats.inds_pruned, 0u);
 }
 
 }  // namespace
