@@ -7,9 +7,9 @@
 // same-exact-key askers — so worker fan-out should scale with the cores the
 // host actually grants.
 //
-// Exit code enforces the claim like bench_engine_cache: non-zero if the
-// three runs' verdicts diverge, or if the 8-worker throughput misses the
-// target for the host's usable core count — >= 2x on >= 4 cores (the
+// Exit code enforces the claim: non-zero if the three runs' verdicts
+// diverge, or if the 8-worker throughput misses the target for the host's
+// usable core count — >= 2x on >= 4 cores (the
 // acceptance bar), a reduced bar on 2-3 cores, and on a single-core host
 // (where no wall-clock speedup is physically possible) the gate degrades to
 // "8x oversubscription costs <= 1/0.75 of sequential", which still fails if

@@ -4,8 +4,8 @@
 // Part 1 (report-only): the SigmaGraph is built inside AnalyzeSigma, which
 // sits on the hot path of every cache-missing Check. On a wide Σ (~300
 // distinct width-1 INDs — the regime bench_chase_bulk enforces for the
-// chase core) the full analysis (edge construction, Tarjan condensation,
-// critical path) must stay well under the cost of the chase it precedes;
+// chase core) the full analysis (edge construction, IND critical path)
+// must stay well under the cost of the chase it precedes;
 // the record reports best-of-N wall time so the trajectory catches a
 // regression from linear to quadratic edge construction.
 //
@@ -80,20 +80,15 @@ void RunAnalysisCost() {
   counters.emplace_back("inds", static_cast<double>(graph->num_inds()));
   counters.emplace_back("fds", static_cast<double>(graph->num_fds()));
   counters.emplace_back("edges", static_cast<double>(graph->edges().size()));
-  counters.emplace_back("components",
-                        static_cast<double>(graph->components().size()));
-  counters.emplace_back("frontier_layers",
-                        static_cast<double>(graph->frontiers().size()));
   counters.emplace_back("acyclic",
                         graph->IndSubgraphAcyclic() ? 1.0 : 0.0);
   counters.emplace_back("fingerprint",
                         FingerprintCounter(graph->Fingerprint()));
   PrintJsonRecord("reliance_analysis_wide", best_ms, counters);
   std::printf(
-      "wide Σ analysis: %zu INDs, %zu edges, %zu components, %zu frontier "
-      "layers | best of %d: %.3f ms (report-only; sub-ms expected)\n",
-      graph->num_inds(), graph->edges().size(), graph->components().size(),
-      graph->frontiers().size(), kReps, best_ms);
+      "wide Σ analysis: %zu INDs, %zu edges | best of %d: %.3f ms "
+      "(report-only; sub-ms expected)\n",
+      graph->num_inds(), graph->edges().size(), kReps, best_ms);
 }
 
 // --- Part 2: the acyclic-fragment decidability gate --------------------------

@@ -65,7 +65,11 @@ inline void PrintHeader(const std::string& experiment,
 //   8 — Σ-lineage schema evolution: entries_retagged/entries_dropped/
 //       monotone_hits in AppendEngineCounters; bench_schema_evolution
 //       reports delta receipts per edit
-inline constexpr int kBenchRecordSchema = 8;
+//   9 — parallel chase core removed: AppendEngineCounters drops
+//       parallel_batches/parallel_serialized_levels, chase_core is
+//       0 scalar / 1 bulk, and bench_reliance drops its components/
+//       frontiers counters
+inline constexpr int kBenchRecordSchema = 9;
 
 // One-line machine-readable record, emitted by every bench so the perf
 // trajectory can be scraped (`grep '^{"bench"'` over the run log). Integral
@@ -132,10 +136,6 @@ inline void AppendEngineCounters(
                         static_cast<double>(stats.bulk_ind_applications));
   counters.emplace_back("inds_pruned",
                         static_cast<double>(stats.inds_pruned));
-  counters.emplace_back("parallel_batches",
-                        static_cast<double>(stats.parallel_batches));
-  counters.emplace_back("parallel_serialized_levels",
-                        static_cast<double>(stats.parallel_serialized_levels));
   counters.emplace_back("entries_retagged",
                         static_cast<double>(stats.entries_retagged));
   counters.emplace_back("entries_dropped",
@@ -213,8 +213,8 @@ inline void AppendEngineConfig(
   counters.emplace_back("store_enabled", has_store_tier ? 1.0 : 0.0);
   counters.emplace_back("tiers_configured",
                         static_cast<double>(config.tiers.size()));
-  // Numeric ChaseCoreMode (0 scalar, 1 bulk, 2 parallel); replaces the
-  // schema<=6 boolean chase_core_bulk.
+  // Numeric ChaseCoreMode (0 scalar, 1 bulk); replaces the schema<=6
+  // boolean chase_core_bulk.
   counters.emplace_back(
       "chase_core",
       static_cast<double>(static_cast<int>(config.containment.limits.core)));

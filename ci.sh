@@ -16,23 +16,19 @@
 #     served from every tier — LRU, local store, remote over TCP — and the
 #     survivors of EvolveSigma. No timing is gated here. Placed before
 #     perf-gates so a red perf gate cannot hide it.
-#  4. perf-gates: enforced perf smokes. bench_engine_cache exits non-zero if
-#     cached and uncached verdicts diverge or the >= 2x cache speedup is
-#     missed; bench_checkmany_scaling if worker fan-out verdicts diverge or
-#     8-worker throughput misses the target for the host's core count;
-#     bench_submit_throughput if pooled async submission loses to the legacy
-#     per-call thread fan-out or verdicts diverge between the two modes;
-#     bench_chase_bulk if the set-at-a-time chase core diverges from the
-#     scalar oracle (prefix, steps, or terminal status) or misses the >= 2x
-#     speedup bound on the wide-Σ workload; bench_chase_parallel if the
-#     parallel chase core diverges from the scalar oracle or the bulk core
-#     on the same wide-Σ workload, or (on hosts with >= 4 hardware threads)
-#     misses the >= 1.5x single-request speedup over the bulk core — on
-#     narrower hosts the speedup is report-only, parity stays enforced;
-#     bench_reliance if any acyclic
-#     FD+IND task fails to decide with allow_semidecision=false (the
-#     reliance analyzer's kAcyclicInd fragment must stay a real decision
-#     procedure, not a semi-decision in disguise).
+#  4. perf-gates: enforced perf smokes. bench_checkmany_scaling exits
+#     non-zero if worker fan-out verdicts diverge or 8-worker throughput
+#     misses the target for the host's core count; bench_submit_throughput if
+#     pooled async submission loses to the legacy per-call thread fan-out or
+#     verdicts diverge between the two modes; bench_chase_bulk if the
+#     set-at-a-time chase core diverges from the scalar oracle (prefix,
+#     steps, or terminal status) or misses the >= 2x speedup bound on the
+#     wide-Σ workload; bench_reliance if any acyclic FD+IND task fails to
+#     decide with allow_semidecision=false (the reliance analyzer's
+#     kAcyclicInd fragment must stay a real decision procedure, not a
+#     semi-decision in disguise); bench_schema_evolution unless a 1-IND edit
+#     on a warm wide-Σ store invalidates O(touched) verdicts and every
+#     survivor matches a fresh-engine oracle.
 #  5. warmstart-gate: the persistent-tier restart contract. Runs
 #     bench_store_warmstart twice against the same fresh store directory; the
 #     cold run populates the store and checks verdict parity against a
@@ -60,10 +56,10 @@
 #     corrupted input), so the parsing code runs under ASan+UBSan from day
 #     one; -fno-sanitize-recover turns any UB into a non-zero exit.
 #  9. tsan: ThreadSanitizer over the concurrency-bearing binaries (sharded
-#     symbol arena, shared chase prefixes, parallel witness-class sweeps on
-#     the work-stealing pool, CheckMany fan-out, executor fork/join,
-#     write-behind store/tier flush, thread-per-connection authority
-#     server): any data race fails CI.
+#     symbol arena, shared chase prefixes and their cancel/deadline release,
+#     the work-stealing executor, CheckMany fan-out, write-behind store/tier
+#     flush, thread-per-connection authority server): any data race fails
+#     CI.
 # 10. static-analysis: clang-tidy (profile in .clang-tidy: bugprone-*,
 #     performance-*, concurrency-*, plus two zero-cost style checks) over
 #     every translation unit in compile_commands.json, warnings-as-errors.
@@ -132,11 +128,9 @@ perfbench_smoke() {
 }
 
 perf_gates() {
-  ./build/bench_engine_cache
   ./build/bench_checkmany_scaling
   ./build/bench_submit_throughput
   ./build/bench_chase_bulk
-  ./build/bench_chase_parallel
   ./build/bench_reliance
   # Σ-lineage survival: a 1-IND edit on a warm wide-Σ store must invalidate
   # O(touched) verdicts and every survivor must match a fresh-engine oracle.
@@ -227,7 +221,7 @@ ASAN_TESTS=(serialize_test store_test tier_test net_test engine_test
             reliance_test executor_test lineage_test delta_migration_test
             string_util_test symbol_table_test pspace_test chase_test
             cq_parser_test certificate_test containment_test
-            engine_concurrency_test)
+            engine_concurrency_test engine_submit_test)
 asan_ubsan() {
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -O1 -g" \

@@ -23,14 +23,7 @@ uint64_t Mix(uint64_t h, uint64_t v) {
 SigmaGraph::SigmaGraph(const DependencySet& deps, const Catalog& catalog) {
   num_inds_ = deps.inds().size();
   num_fds_ = deps.fds().size();
-  num_relations_ = catalog.num_relations();
-  ind_lhs_rel_.reserve(num_inds_);
-  ind_rhs_rel_.reserve(num_inds_);
-  for (const InclusionDependency& ind : deps.inds()) {
-    ind_lhs_rel_.push_back(ind.lhs_relation);
-    ind_rhs_rel_.push_back(ind.rhs_relation);
-  }
-  BuildEdges(deps);
+  BuildEdges(deps, catalog.num_relations());
   adj_.assign(num_nodes(), {});
   for (const RelianceEdge& e : edges_) adj_[e.from].push_back(e.to);
   for (std::vector<uint32_t>& succ : adj_) {
@@ -38,25 +31,25 @@ SigmaGraph::SigmaGraph(const DependencySet& deps, const Catalog& catalog) {
     succ.erase(std::unique(succ.begin(), succ.end()), succ.end());
   }
   ComputeIndCriticalPath();
-  Condense();
   fingerprint_ = ComputeFingerprint();
 }
 
-void SigmaGraph::BuildEdges(const DependencySet& deps) {
+void SigmaGraph::BuildEdges(const DependencySet& deps, size_t num_relations) {
+  const std::vector<InclusionDependency>& inds = deps.inds();
   // Bucket consumers by relation once, so edge construction is
   // O(|Σ| · consumers-per-relation) rather than all-pairs.
-  std::vector<std::vector<uint32_t>> inds_by_lhs(num_relations_);
+  std::vector<std::vector<uint32_t>> inds_by_lhs(num_relations);
   for (uint32_t k = 0; k < num_inds_; ++k) {
-    inds_by_lhs[ind_lhs_rel_[k]].push_back(k);
+    inds_by_lhs[inds[k].lhs_relation].push_back(k);
   }
-  std::vector<std::vector<uint32_t>> fds_by_rel(num_relations_);
+  std::vector<std::vector<uint32_t>> fds_by_rel(num_relations);
   for (uint32_t i = 0; i < num_fds_; ++i) {
     fds_by_rel[deps.fds()[i].relation].push_back(
         static_cast<uint32_t>(num_inds_) + i);
   }
 
   for (uint32_t a = 0; a < num_inds_; ++a) {
-    const RelationId produced = ind_rhs_rel_[a];
+    const RelationId produced = inds[a].rhs_relation;
     // IND a -> IND b: a mints facts of b's input relation.
     for (uint32_t b : inds_by_lhs[produced]) {
       edges_.push_back(RelianceEdge{a, b, RelianceKind::kPositive});
@@ -73,7 +66,7 @@ void SigmaGraph::BuildEdges(const DependencySet& deps) {
     // b's inputs (lhs) or its witness pool (rhs). One edge per IND even
     // when both sides match.
     for (uint32_t b = 0; b < num_inds_; ++b) {
-      if (ind_lhs_rel_[b] == rel || ind_rhs_rel_[b] == rel) {
+      if (inds[b].lhs_relation == rel || inds[b].rhs_relation == rel) {
         edges_.push_back(RelianceEdge{f, b, RelianceKind::kInterference});
       }
     }
@@ -125,126 +118,6 @@ void SigmaGraph::ComputeIndCriticalPath() {
   } else {
     ind_depth_ = best;  // 0 when Σ has no INDs
   }
-}
-
-void SigmaGraph::Condense() {
-  // Iterative Tarjan over all nodes and all edge kinds. Emits SCCs in
-  // reverse topological order; we reverse at the end so components_ is
-  // topologically sorted (every cross edge goes low -> high).
-  const uint32_t n = static_cast<uint32_t>(num_nodes());
-  constexpr uint32_t kUnvisited = ~uint32_t{0};
-  std::vector<uint32_t> index(n, kUnvisited);
-  std::vector<uint32_t> lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<uint32_t> stack;
-  component_of_.assign(n, 0);
-  std::vector<std::vector<uint32_t>> sccs;
-
-  struct Frame {
-    uint32_t node;
-    size_t next_succ;
-  };
-  uint32_t next_index = 0;
-  std::vector<Frame> frames;
-  for (uint32_t root = 0; root < n; ++root) {
-    if (index[root] != kUnvisited) continue;
-    frames.push_back(Frame{root, 0});
-    index[root] = lowlink[root] = next_index++;
-    stack.push_back(root);
-    on_stack[root] = true;
-    while (!frames.empty()) {
-      Frame& frame = frames.back();
-      const uint32_t v = frame.node;
-      if (frame.next_succ < adj_[v].size()) {
-        const uint32_t w = adj_[v][frame.next_succ++];
-        if (index[w] == kUnvisited) {
-          index[w] = lowlink[w] = next_index++;
-          stack.push_back(w);
-          on_stack[w] = true;
-          frames.push_back(Frame{w, 0});
-        } else if (on_stack[w]) {
-          lowlink[v] = std::min(lowlink[v], index[w]);
-        }
-        continue;
-      }
-      if (lowlink[v] == index[v]) {
-        std::vector<uint32_t> members;
-        while (true) {
-          const uint32_t w = stack.back();
-          stack.pop_back();
-          on_stack[w] = false;
-          members.push_back(w);
-          if (w == v) break;
-        }
-        sccs.push_back(std::move(members));
-      }
-      frames.pop_back();
-      if (!frames.empty()) {
-        lowlink[frames.back().node] =
-            std::min(lowlink[frames.back().node], lowlink[v]);
-      }
-    }
-  }
-
-  std::reverse(sccs.begin(), sccs.end());
-  components_.resize(sccs.size());
-  for (uint32_t c = 0; c < sccs.size(); ++c) {
-    std::sort(sccs[c].begin(), sccs[c].end());
-    for (uint32_t node : sccs[c]) component_of_[node] = c;
-    components_[c].members = std::move(sccs[c]);
-  }
-  for (const RelianceEdge& e : edges_) {
-    const uint32_t cf = component_of_[e.from];
-    const uint32_t ct = component_of_[e.to];
-    if (cf == ct) {
-      // Any intra-component edge (self-loop included) marks it cyclic.
-      components_[cf].cyclic = true;
-    } else {
-      components_[cf].successors.push_back(ct);
-    }
-  }
-  for (Component& c : components_) {
-    c.cyclic = c.cyclic || c.members.size() > 1;
-    std::sort(c.successors.begin(), c.successors.end());
-    c.successors.erase(std::unique(c.successors.begin(), c.successors.end()),
-                       c.successors.end());
-  }
-  // Longest path from sources, in topological order; layering by depth
-  // gives the independent frontier sets (all predecessors strictly below).
-  uint32_t max_depth = 0;
-  for (uint32_t c = 0; c < components_.size(); ++c) {
-    for (uint32_t succ : components_[c].successors) {
-      components_[succ].depth =
-          std::max(components_[succ].depth, components_[c].depth + 1);
-    }
-    max_depth = std::max(max_depth, components_[c].depth);
-  }
-  frontiers_.assign(components_.empty() ? 0 : max_depth + 1, {});
-  for (uint32_t c = 0; c < components_.size(); ++c) {
-    frontiers_[components_[c].depth].push_back(c);
-  }
-}
-
-std::vector<bool> SigmaGraph::ReachableInds(
-    const std::vector<bool>& relations_present) const {
-  std::vector<bool> present(num_relations_, false);
-  for (size_t r = 0; r < relations_present.size() && r < num_relations_; ++r) {
-    present[r] = relations_present[r];
-  }
-  std::vector<bool> reachable(num_inds_, false);
-  // Fixpoint of lhs-present => fires => rhs-present. Each pass either
-  // marks a new IND or stops; <= num_inds_ + 1 passes.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (uint32_t k = 0; k < num_inds_; ++k) {
-      if (reachable[k] || !present[ind_lhs_rel_[k]]) continue;
-      reachable[k] = true;
-      changed = true;
-      present[ind_rhs_rel_[k]] = true;
-    }
-  }
-  return reachable;
 }
 
 uint64_t SigmaGraph::ComputeFingerprint() const {

@@ -21,13 +21,13 @@
 //    which is why FD phases iterate to fixpoint).
 //
 // The FD interference edges are relation-level, like VLog's predicate
-// overlap. They are *advisory* (scheduler consumers must still serialize
-// merges globally, because a merge substitutes a term everywhere it occurs,
-// and level-0 query conjuncts may share variables across relations — see
-// ROADMAP's parallelism item). The correctness-bearing consumers below read
-// only the IND->IND positive subgraph, which is exact.
+// overlap. They are *advisory*: a merge substitutes a term everywhere it
+// occurs, and level-0 query conjuncts may share variables across relations,
+// so no consumer may treat their absence as independence. The
+// correctness-bearing consumer below reads only the IND->IND positive
+// subgraph, which is exact.
 //
-// Derived artifacts:
+// Derived artifact:
 //
 //  * IndCriticalPath(): when the IND positive subgraph is acyclic, the
 //    maximum number of INDs on any reliance path. This bounds the chase:
@@ -39,26 +39,18 @@
 //    FDs present (FD merges rewrite facts in place and only ever *lower*
 //    ids/levels via dedupe — they never extend an ancestry chain). This is
 //    the depth SigmaClass::kAcyclicInd dispatches on.
-//  * SCC condensation with per-component longest-path depth and the frontier
-//    layering frontiers(): layer d holds every component at depth d, i.e.
-//    all of whose predecessors sit in layers < d. Components within one
-//    layer share no reliance in either direction — the independent work
-//    sets a future intra-chase scheduler executes concurrently.
-//  * ReachableInds(): the closure of "which INDs can ever fire" from the
-//    relations present in an initial query. The bulk chase core computes
-//    the same fixpoint per chase over its ChasePlan's relation -> INDs
-//    index (chase/plan.h, chase/bulk.cc), touching reachable INDs only, to
-//    prune dead masks and witness groups. An IND fires only on a fact
-//    of its lhs relation; facts exist only at level 0 or as IND rhs output;
-//    FD merges never introduce a new relation. So the closure over
-//    lhs-present => rhs-present is exact, not heuristic: a pruned IND
-//    cannot fire in *any* core, which is why pruning preserves the
-//    bit-identical scalar/bulk parity contract.
+//
+// The same IND->IND positive relation (lhs-present => fires =>
+// rhs-present) drives the bulk chase core's per-chase pruning, walked over
+// its ChasePlan's relation -> INDs index (chase/plan.h, chase/bulk.cc)
+// rather than over this graph: an IND fires only on a fact of its lhs
+// relation, facts exist only at level 0 or as IND rhs output, and FD merges
+// never introduce a new relation, so the closure from the initial relations
+// is exact and a pruned IND cannot fire in *any* core.
 //
 // The analysis is pure and computed once per Σ: SigmaAnalysis carries the
 // graph by shared_ptr through the engine's sigma LRU
-// (engine/sigma_class.h), and the Σ record's ChasePlan (chase/plan.h)
-// reuses that same graph, so no chase of a cached Σ rebuilds it.
+// (engine/sigma_class.h).
 #ifndef CQCHASE_ANALYSIS_RELIANCE_H_
 #define CQCHASE_ANALYSIS_RELIANCE_H_
 
@@ -118,40 +110,6 @@ class SigmaGraph {
   std::optional<uint32_t> IndCriticalPath() const { return ind_depth_; }
   bool IndSubgraphAcyclic() const { return ind_depth_.has_value(); }
 
-  // --- SCC condensation (the scheduler artifact) ---------------------------
-  struct Component {
-    std::vector<uint32_t> members;     // node ids, ascending
-    std::vector<uint32_t> successors;  // component ids, ascending, deduped
-    uint32_t depth = 0;  // longest path from any source component to this
-    bool cyclic = false;  // size > 1, or a self-edge on the single member
-  };
-  // Topological order: every edge goes from a lower component index to a
-  // higher one.
-  const std::vector<Component>& components() const { return components_; }
-  uint32_t ComponentOf(uint32_t node) const { return component_of_[node]; }
-  // frontiers()[d] lists the component ids at depth d. Components in one
-  // layer are pairwise reliance-independent; executing the layers in order
-  // respects every edge. This is the dependency-application DAG the parallel
-  // chase core schedules: ChaseCoreMode::kParallel maps each pending
-  // (level, IND) batch to its IND's component depth (ChasePlan::depth)
-  // and launches one layer of witness-class tasks per depth, barrier
-  // between layers. Note the mapping is *scheduling* structure only —
-  // same-depth INDs may still share an rhs relation and thus a witness
-  // index, so the correctness unit inside a layer is the rhs-relation
-  // witness class, not the component (see chase/parallel.cc).
-  const std::vector<std::vector<uint32_t>>& frontiers() const {
-    return frontiers_;
-  }
-
-  // --- Pruning --------------------------------------------------------------
-  // `relations_present[r]` marks relations with at least one initial fact.
-  // Returns, per IND, whether it can ever become applicable: the fixpoint of
-  // present-lhs => present-rhs over the INDs. Exact (see file comment). The
-  // bulk core walks the same fixpoint per chase over its plan's index
-  // (Chase::PrepareBulk) rather than calling this O(|Σ|)-per-pass form.
-  std::vector<bool> ReachableInds(
-      const std::vector<bool>& relations_present) const;
-
   // Order-insensitive-free fingerprint of the whole graph (nodes, edges,
   // critical path): stable across runs for a fixed Σ, reported by benches so
   // a drifting analysis shows up as a diff in the JSON record.
@@ -162,22 +120,15 @@ class SigmaGraph {
   std::string ToString() const;
 
  private:
-  void BuildEdges(const DependencySet& deps);
+  void BuildEdges(const DependencySet& deps, size_t num_relations);
   void ComputeIndCriticalPath();
-  void Condense();
   uint64_t ComputeFingerprint() const;
 
   size_t num_inds_ = 0;
   size_t num_fds_ = 0;
-  std::vector<RelationId> ind_lhs_rel_;
-  std::vector<RelationId> ind_rhs_rel_;
-  size_t num_relations_ = 0;
   std::vector<RelianceEdge> edges_;
   std::vector<std::vector<uint32_t>> adj_;
   std::optional<uint32_t> ind_depth_;
-  std::vector<Component> components_;
-  std::vector<uint32_t> component_of_;
-  std::vector<std::vector<uint32_t>> frontiers_;
   uint64_t fingerprint_ = 0;
 };
 

@@ -45,12 +45,12 @@ void Chase::PrepareBulk() {
   // IND's rhs (FD merges never introduce a relation). So the reliance
   // closure from the relations present now — PrepareBulk runs before the
   // first IND application, when only level-0 conjuncts exist — is exactly
-  // the set of INDs that can ever fire, in either core (the fixpoint
-  // SigmaGraph::ReachableInds computes, walked here over the plan's
-  // relation -> INDs index so it touches reachable INDs only). Pruned INDs
-  // get no mask bit and no witness group: the scalar oracle never steps
-  // them either, so the bit-identical parity contract is preserved
-  // (differential proof in tests/reliance_test.cc).
+  // the set of INDs that can ever fire, in either core (the fixpoint of
+  // lhs-present => rhs-present, walked over the plan's relation -> INDs
+  // index so it touches reachable INDs only). Pruned INDs get no mask bit
+  // and no witness group: the scalar oracle never steps them either, so the
+  // bit-identical parity contract is preserved (differential proof in
+  // tests/chase_core_parity_test.cc and tests/reliance_test.cc).
   std::vector<RelationId> queue;
   auto touch = [&](RelationId relation) {
     if (b.relation_slot[relation] != BulkState::kNone) return;

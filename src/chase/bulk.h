@@ -18,28 +18,16 @@
 //    minted conjunct updates a handful of groups instead of |Σ| per-IND
 //    witness maps.
 //
-// Everything Σ-only behind them (the reliance graph, the IND -> projection
-// layout, fresh-column flags, component depths, the relation -> INDs index)
-// is compiled once per Σ into a shared, immutable ChasePlan
-// (chase/plan.h); BulkState holds only what one chase reaches from its own
-// level-0 relations.
+// Everything Σ-only behind them (the IND -> projection layout, fresh-column
+// flags, the relation -> INDs index) is compiled once per Σ into a shared,
+// immutable ChasePlan (chase/plan.h); BulkState holds only what one chase
+// reaches from its own level-0 relations.
 //
 // The sweep itself visits the frontier in (fact, id) order applying pending
 // INDs ascending — exactly the scalar core's (level, fact, id, ind) order —
 // and flushes one columnar ColumnSegment per (level, IND) into the chase's
 // SegmentStore. See Chase::RunLevelBatch in bulk.cc for the equivalence
 // argument, and tests/chase_core_parity_test.cc for the differential proof.
-//
-// The parallel core (ChaseCoreMode::kParallel, chase/parallel.cc) shares
-// this state. Its id-reservation protocol: conjunct ids and NDV names are an
-// observable contract (certificates, resumability, ToString parity), and the
-// scalar id sequence interleaves INDs row-major across the frontier — so
-// contiguous per-(level, IND) ranges cannot reproduce it. Instead the
-// parallel sweep computes witness *decisions* concurrently (reads only),
-// then a sequential planning pass assigns every pair the exact id the
-// scalar core would, and only then does a sequential commit pass mint NDVs
-// and append state. Reservation here means "the full planned id sequence is
-// fixed before any observable mutation", not "a range per batch".
 #ifndef CQCHASE_CHASE_BULK_H_
 #define CQCHASE_CHASE_BULK_H_
 
@@ -61,10 +49,7 @@ namespace cqchase {
 // reachable INDs only. Building it costs O(reachable INDs) plus two dense
 // uint32 index arrays (per relation, per IND) — the plan already did the
 // O(|Σ|) compilation once for every chase of its Σ. The witness indexes
-// inside are rebuilt whenever witness_dirty is set. Not thread-safe: the
-// parallel core reads `groups` concurrently from witness-class tasks but
-// guarantees writes happen only between barriers on the coordinating
-// thread (chase/parallel.cc).
+// inside are rebuilt whenever witness_dirty is set. Not thread-safe.
 struct BulkState {
   // Slot value for a pruned IND, an untouched relation, or an IND with no
   // segment open in the current sweep.

@@ -413,9 +413,6 @@ Result<ChaseOutcome> Chase::ExpandToLevel(uint32_t level) {
   if (limits_.core == ChaseCoreMode::kBulk) {
     return BulkExpandToLevel(effective);
   }
-  if (limits_.core == ChaseCoreMode::kParallel) {
-    return ParallelExpandToLevel(effective);
-  }
   while (true) {
     CQCHASE_RETURN_IF_ERROR(PollControl());
     CQCHASE_RETURN_IF_ERROR(RunFdPhase());

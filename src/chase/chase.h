@@ -54,20 +54,15 @@ enum class ChaseVariant {
   kRequired,   // R-chase
 };
 
-// Which executor drives the IND phase. All cores produce bit-identical
+// Which executor drives the IND phase. Both cores produce bit-identical
 // chase prefixes (same conjunct ids, levels, facts, arcs, outcome, and step
 // counts) — the scalar core is the paper-literal oracle, the bulk core the
-// set-at-a-time columnar engine (see chase/bulk.h), and the parallel core
-// plans each level sweep like the bulk core but executes its independent
-// witness classes concurrently (see chase/parallel.cc). Equivalence is
-// enforced differentially by tests/chase_core_parity_test.cc.
+// set-at-a-time columnar engine (see chase/bulk.h). Equivalence is enforced
+// differentially by tests/chase_core_parity_test.cc.
 enum class ChaseCoreMode {
-  kScalar,    // one PendingStep at a time (reference/oracle)
-  kBulk,      // level-frontier batches over columnar segments (default)
-  kParallel,  // bulk planning + concurrent witness-class sweeps
+  kScalar,  // one PendingStep at a time (reference/oracle)
+  kBulk,    // level-frontier batches over columnar segments (default)
 };
-
-class ChaseTaskRunner;  // chase/parallel.h
 
 // Resource budgets for one chase. Limits make truncation explicit: hitting
 // one never yields a wrong chase, only an incomplete prefix.
@@ -76,15 +71,6 @@ struct ChaseLimits {
   size_t max_conjuncts = 200000;
   size_t max_steps = 2000000;
   ChaseCoreMode core = ChaseCoreMode::kBulk;
-  // kParallel only: executes the sweep's independent witness-class tasks
-  // (chase/parallel.h). Not owned; must outlive every Expand call. Null
-  // degrades to inline execution — still byte-identical, no concurrency.
-  ChaseTaskRunner* runner = nullptr;
-  // kParallel only: frontiers with fewer pending (conjunct, IND) pairs than
-  // this run through the serial bulk path — the plan/commit bookkeeping
-  // cannot pay for itself on a handful of pairs. Counted in
-  // ChaseStats::parallel_small_levels; both paths produce identical bytes.
-  uint32_t parallel_min_pairs = 16;
 };
 
 enum class ChaseOutcome {
@@ -214,7 +200,7 @@ class Chase {
   // anywhere in this prefix so far. Monotone and cumulative — a shared
   // prefix accumulates bits across askers, which over-approximates any one
   // asker's derivation (sound: lineage only ever *widens* the touched set).
-  // Indexed like deps.inds() / deps.fds(); identical across the three cores
+  // Indexed like deps.inds() / deps.fds(); identical across the two cores
   // because the marks sit on the shared FD-merge site and on each core's
   // arc-recording sites, which the parity contract keeps byte-identical.
   const std::vector<bool>& used_inds() const { return used_inds_; }
@@ -328,19 +314,6 @@ class Chase {
                               uint32_t level);
   // Moves a finished sweep's segments into segments_, ascending by IND.
   void FlushSweepSegments(std::vector<ColumnSegment>* acc);
-
-  // --- Parallel core; implemented in chase/parallel.cc --------------------
-  // Level-frontier loop under ChaseCoreMode::kParallel: same shape as
-  // BulkExpandToLevel but sweeps via RunLevelFrontier. Byte-identical
-  // prefix to the scalar/bulk cores.
-  Result<ChaseOutcome> ParallelExpandToLevel(uint32_t effective);
-  // One parallel sweep: partitions the pending frontier into rhs-relation
-  // witness classes, computes witness decisions concurrently (read-only),
-  // plans the exact scalar id sequence sequentially, commits sequentially,
-  // then merges witness-group appends class-parallel. Falls back to
-  // RunLevelBatch for small frontiers and FD-merge levels. Returns true if
-  // any (conjunct, IND) pair was processed.
-  Result<bool> RunLevelFrontier(uint32_t effective);
 
   std::shared_ptr<const ChasePlan> plan_;
   const Catalog* catalog_;     // &plan_->catalog()

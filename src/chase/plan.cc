@@ -6,12 +6,8 @@
 namespace cqchase {
 
 ChasePlan::ChasePlan(const Catalog* catalog,
-                     std::shared_ptr<const DependencySet> deps,
-                     std::shared_ptr<const SigmaGraph> graph)
-    : catalog_(catalog), deps_(std::move(deps)), graph_(std::move(graph)) {
-  if (graph_ == nullptr) {
-    graph_ = std::make_shared<const SigmaGraph>(*deps_, *catalog_);
-  }
+                     std::shared_ptr<const DependencySet> deps)
+    : catalog_(catalog), deps_(std::move(deps)) {
   const std::vector<InclusionDependency>& inds = deps_->inds();
   inds_.resize(inds.size());
   inds_from_.assign(catalog_->num_relations(), {});
@@ -26,7 +22,6 @@ ChasePlan::ChasePlan(const Catalog* catalog,
     }
     inds_[k].projection = it->second;
     inds_[k].fresh = ind.width() < catalog_->arity(ind.rhs_relation);
-    inds_[k].depth = graph_->components()[graph_->ComponentOf(k)].depth;
     inds_from_[ind.lhs_relation].push_back(k);
   }
 }

@@ -1,4 +1,4 @@
-// The Σ-only half of the set-at-a-time chase cores, compiled once per Σ.
+// The Σ-only half of the set-at-a-time (bulk) chase core, compiled once per Σ.
 //
 // In the paper's chase (Section 3) Σ is fixed for every query it is applied
 // to. Which INDs can fire from a relation, which witness projections exist,
@@ -22,7 +22,6 @@
 #include <memory>
 #include <vector>
 
-#include "analysis/reliance.h"
 #include "deps/dependency_set.h"
 #include "schema/catalog.h"
 
@@ -31,17 +30,12 @@ namespace cqchase {
 class ChasePlan {
  public:
   // Compiles the plan of Σ = *deps over `catalog`, which must outlive the
-  // plan. `graph`, when given, must be the reliance graph of *deps itself
-  // (same dependency order — AnalyzeSigma's graph of the same object
-  // qualifies); otherwise the plan builds its own. `deps` may be a
-  // non-owning shared_ptr when the caller guarantees the lifetime (Chase's
-  // catalog/Σ-pointer constructor does this).
-  ChasePlan(const Catalog* catalog, std::shared_ptr<const DependencySet> deps,
-            std::shared_ptr<const SigmaGraph> graph = nullptr);
+  // plan. `deps` may be a non-owning shared_ptr when the caller guarantees
+  // the lifetime (Chase's catalog/Σ-pointer constructor does this).
+  ChasePlan(const Catalog* catalog, std::shared_ptr<const DependencySet> deps);
 
   const Catalog& catalog() const { return *catalog_; }
   const DependencySet& deps() const { return *deps_; }
-  const SigmaGraph& graph() const { return *graph_; }
 
   // One distinct (rhs_relation, rhs_columns) pair of Σ: the projection a
   // witness group indexes. Wide Σ typically has far fewer distinct
@@ -56,11 +50,8 @@ class ChasePlan {
   // Per IND k of deps().inds():
   // the index of its rhs projection in projections();
   uint32_t projection_of(uint32_t k) const { return inds_[k].projection; }
-  // whether the rhs has columns outside rhs_columns (fresh NDVs on mint);
+  // whether the rhs has columns outside rhs_columns (fresh NDVs on mint).
   bool has_fresh_columns(uint32_t k) const { return inds_[k].fresh; }
-  // its reliance-component depth (SigmaGraph::components()), the layer the
-  // parallel core schedules it in — scheduling structure only.
-  uint32_t depth(uint32_t k) const { return inds_[k].depth; }
 
   // The INDs whose lhs is `relation`, ascending: what can fire on a fact of
   // that relation. The reachable-IND closure walks this index.
@@ -71,13 +62,11 @@ class ChasePlan {
  private:
   struct IndPlan {
     uint32_t projection = 0;
-    uint32_t depth = 0;
     bool fresh = false;
   };
 
   const Catalog* catalog_;
   std::shared_ptr<const DependencySet> deps_;
-  std::shared_ptr<const SigmaGraph> graph_;
   std::vector<Projection> projections_;
   std::vector<IndPlan> inds_;
   std::vector<std::vector<uint32_t>> inds_from_;  // per relation

@@ -49,31 +49,12 @@ struct ChaseStats {
   uint64_t witness_groups_pruned = 0;  // bulk: distinct rhs projections whose
                                        // witness index was never built because
                                        // every IND sharing it was pruned
-  // kParallel only (zero under the scalar/bulk cores). A *sweep* is one
-  // parallel level frontier committed via the plan/commit protocol
-  // (chase/parallel.cc); levels that fall back to the serial bulk path are
-  // counted in the two fallback counters instead and show up under the
-  // bulk_* fields like any other bulk sweep.
-  uint64_t parallel_sweeps = 0;   // level frontiers committed parallel
-  uint64_t parallel_batches = 0;  // distinct (level, IND) batches across
-                                  // committed parallel sweeps
-  uint64_t parallel_serialized_levels = 0;  // sweeps aborted to the serial
-                                            // path because the FD simulation
-                                            // predicted a merge in the level
-  uint64_t parallel_small_levels = 0;  // frontiers under parallel_min_pairs
-                                       // routed serial without planning
-  uint64_t parallel_depth_layers = 0;  // reliance-depth barrier layers
-                                       // executed across committed sweeps
-  uint64_t parallel_max_depth_width = 0;  // most witness-class tasks launched
-                                          // inside one depth layer
   double prepare_ms = 0.0;  // bulk: instantiating the chase's reachable
                             // slice of its ChasePlan (PrepareBulk)
   double join_ms = 0.0;    // bulk: witness probes + NDV minting sweeps
   double retain_ms = 0.0;  // bulk: frontier collection/sort + witness-group
                            // (re)builds
   double fd_ms = 0.0;      // full FD saturation phases (both cores)
-  double plan_ms = 0.0;    // parallel: witness-class decision tasks + the
-                           // sequential id/FD simulation (phases 1–2a)
 };
 
 // All conjuncts minted by one (level, IND) application. `columns[c][r]` is

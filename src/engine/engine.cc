@@ -182,9 +182,6 @@ ContainmentEngine::ContainmentEngine(const Catalog* catalog,
       sigma_cache_(config_.sigma_cache_capacity),
       chase_cache_(config_.chase_cache_capacity),
       executor_(ExecutorWidth(config_)) {
-  // Bind the parallel-chase runner now that executor_ exists (it is
-  // declared after chase_runner_ on purpose — see engine.h).
-  chase_runner_.set_executor(&executor_);
   const bool wants_tiers =
       !config_.store_path.empty() || !config_.tiers.empty();
   if (!config_.enable_cache) {
@@ -256,11 +253,8 @@ ContainmentEngine::SigmaRecordFor(const DependencySet& deps,
   auto record = std::make_shared<SigmaRecord>();
   record->analysis = AnalyzeSigma(deps, *catalog_);
   record->fingerprint = SigmaFingerprint(deps);
-  // The plan's Σ copy lists the dependencies in `deps`'s order, which the
-  // analysis graph's nodes index, so the plan reuses that graph.
   record->plan = std::make_shared<const ChasePlan>(
-      catalog_, std::make_shared<const DependencySet>(deps),
-      record->analysis.graph);
+      catalog_, std::make_shared<const DependencySet>(deps));
   SigmaCache::Entries evicted;  // destroyed after unlocking
   std::lock_guard<std::mutex> lock(mu_);
   // A racing asker of the same Σ may have inserted first: keep its record,
@@ -691,15 +685,7 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
     const ConjunctiveQuery& q, const ConjunctiveQuery& q_prime,
     const DependencySet& deps, const SigmaAnalysis& analysis,
     const ExecContext& ctx) {
-  ContainmentOptions options = config_.containment;
-  // A kParallel chase with no runner configured gets the engine's own
-  // executor-backed one: witness-class sweeps fork into executor_ via a
-  // helping-join TaskGroup, so running the chase from an engine worker
-  // cannot deadlock the pool.
-  if (options.limits.core == ChaseCoreMode::kParallel &&
-      options.limits.runner == nullptr) {
-    options.limits.runner = &chase_runner_;
-  }
+  const ContainmentOptions& options = config_.containment;
 
   // Symbol-table identity is enforced at the Execute entry point, and
   // Execute hands over a Σ record only for caching, same-catalog requests.
@@ -929,11 +915,6 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
          cs.bulk_ind_applications - chase_stats_before.bulk_ind_applications);
   BumpBy(stats_.inds_pruned,
          cs.inds_pruned - chase_stats_before.inds_pruned);
-  BumpBy(stats_.parallel_batches,
-         cs.parallel_batches - chase_stats_before.parallel_batches);
-  BumpBy(stats_.parallel_serialized_levels,
-         cs.parallel_serialized_levels -
-             chase_stats_before.parallel_serialized_levels);
 
   // Lineage harvest: the chase's used-dependency bitmaps, as structural
   // fingerprints. Taken while the chase is still ours (shared entries are
@@ -1180,10 +1161,6 @@ EngineStats ContainmentEngine::stats() const {
   out.bulk_ind_applications =
       stats_.bulk_ind_applications.load(std::memory_order_relaxed);
   out.inds_pruned = stats_.inds_pruned.load(std::memory_order_relaxed);
-  out.parallel_batches =
-      stats_.parallel_batches.load(std::memory_order_relaxed);
-  out.parallel_serialized_levels =
-      stats_.parallel_serialized_levels.load(std::memory_order_relaxed);
   const Executor::StatsSnapshot exec = executor_.stats();
   out.executor_tasks = exec.executed;
   out.executor_steals = exec.steals;

@@ -202,12 +202,6 @@ struct EngineStats {
   // INDs the bulk core pruned as statically unreachable (Σ reliance
   // analysis); zero under kScalar and when every IND is reachable.
   uint64_t inds_pruned = 0;
-  // Parallel-core rollups (ChaseStats; zero unless kParallel ran):
-  // (level, IND) batches committed by parallel sweeps, and level sweeps the
-  // shadow FD simulation aborted to the serial path because a merge was
-  // predicted.
-  uint64_t parallel_batches = 0;
-  uint64_t parallel_serialized_levels = 0;
   // Executor health (Executor::stats passthrough): tasks/steals are
   // monotone, queue_depth (queued, not yet started) and workers are gauges.
   uint64_t executor_tasks = 0;
@@ -392,10 +386,9 @@ class ContainmentEngine {
   // afterwards, so it is shared across threads without a lock: the
   // classification, the whole-Σ fingerprint every published verdict is
   // tagged with, and the compiled chase plan (chase/plan.h) — which owns
-  // one stable copy of Σ and reuses analysis.graph — that every chase of
-  // this Σ runs on. Σs that differ only in insertion order share one
-  // record; the plan's Σ keeps the order of whichever of them built it
-  // (see SharedChase).
+  // one stable copy of Σ — that every chase of this Σ runs on. Σs that
+  // differ only in insertion order share one record; the plan's Σ keeps the
+  // order of whichever of them built it (see SharedChase).
   struct SigmaRecord {
     SigmaAnalysis analysis;
     uint64_t fingerprint = 0;  // SigmaFingerprint (analysis/delta.h)
@@ -540,8 +533,6 @@ class ContainmentEngine {
     std::atomic<uint64_t> segments_built{0};
     std::atomic<uint64_t> bulk_ind_applications{0};
     std::atomic<uint64_t> inds_pruned{0};
-    std::atomic<uint64_t> parallel_batches{0};
-    std::atomic<uint64_t> parallel_serialized_levels{0};
     std::array<std::atomic<uint64_t>, kNumStrategies> by_strategy{};
   };
   AtomicStats stats_;
@@ -568,14 +559,6 @@ class ContainmentEngine {
   std::unique_ptr<TierStack> tiers_;
   Status store_status_;  // why the stack (or its store tier) is degraded
   std::atomic<bool> tier_flush_scheduled_{false};
-
-  // Runner handed to kParallel chases (ChaseLimits::runner): forks a
-  // chase's witness-class sweeps back into executor_ as a helping-join
-  // TaskGroup. Constructed unbound (executor_ is deliberately the last
-  // member); the constructor body rebinds it — storing the pointer is safe
-  // before executor_ is constructed, using it is not, and no chase runs
-  // until construction completes.
-  ExecutorTaskRunner chase_runner_{nullptr};
 
   // Last member: destroyed first, so queued tasks drain while the caches,
   // stats, store and symbol table above are still alive.

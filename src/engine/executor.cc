@@ -128,72 +128,6 @@ void Executor::WorkerLoop(size_t self) {
   }
 }
 
-Executor::TaskGroup::TaskGroup(Executor* executor)
-    : executor_(executor), state_(std::make_shared<State>()) {}
-
-Executor::TaskGroup::~TaskGroup() { Join(); }
-
-void Executor::TaskGroup::Spawn(std::function<void()> fn,
-                                TaskOptions options) {
-  {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    state_->unstarted.push_back(std::move(fn));
-  }
-  // The pool runner claims *a* group task, not necessarily the one spawned
-  // with it — only the count matters. If Join already drained the deque
-  // (helping), the runner is a cheap no-op; if the runner was shed past a
-  // deadline, the body simply stays queued for Join to run inline.
-  executor_->Submit(
-      [state = state_] {
-        std::function<void()> task;
-        {
-          std::lock_guard<std::mutex> lock(state->mu);
-          if (state->unstarted.empty()) return;
-          task = std::move(state->unstarted.front());
-          state->unstarted.pop_front();
-          ++state->active;
-        }
-        task();
-        {
-          std::lock_guard<std::mutex> lock(state->mu);
-          --state->active;
-        }
-        state->cv.notify_all();
-      },
-      std::move(options));
-}
-
-void Executor::TaskGroup::Join() {
-  std::unique_lock<std::mutex> lock(state_->mu);
-  while (true) {
-    if (!state_->unstarted.empty()) {
-      // Helping join: run unstarted group work on this thread instead of
-      // sleeping — the deadlock-freedom argument for nested fork/join.
-      std::function<void()> task = std::move(state_->unstarted.front());
-      state_->unstarted.pop_front();
-      ++state_->active;
-      lock.unlock();
-      task();
-      lock.lock();
-      --state_->active;
-      continue;
-    }
-    if (state_->active == 0) return;
-    state_->cv.wait(lock);
-  }
-}
-
-void ExecutorTaskRunner::RunAll(std::vector<std::function<void()>> tasks) {
-  if (tasks.empty()) return;
-  if (executor_ == nullptr || tasks.size() == 1) {
-    for (std::function<void()>& task : tasks) task();
-    return;
-  }
-  Executor::TaskGroup group(executor_);
-  for (std::function<void()>& task : tasks) group.Spawn(std::move(task));
-  group.Join();
-}
-
 Executor::StatsSnapshot Executor::stats() const {
   StatsSnapshot s;
   s.submitted = submitted_.load(std::memory_order_relaxed);

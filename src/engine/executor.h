@@ -29,11 +29,7 @@
 //
 // Tasks must not block waiting for other tasks of the same Executor (the
 // classic pool deadlock); the engine's blocking shims (CheckMany, Certify)
-// are documented as caller-side APIs for exactly this reason. The one
-// sanctioned exception is TaskGroup::Join, whose helping join runs the
-// group's unstarted tasks on the joining thread instead of sleeping — a
-// worker can fork a group into its own pool and join it deadlock-free even
-// on a single-worker pool.
+// are documented as caller-side APIs for exactly this reason.
 //
 // Locking: each deque has its own mutex (submit and steal touch one deque
 // at a time); a global mutex+condvar only handles sleep/wakeup of idle
@@ -54,8 +50,6 @@
 #include <thread>
 #include <utility>
 #include <vector>
-
-#include "chase/parallel.h"
 
 namespace cqchase {
 
@@ -94,50 +88,6 @@ class Executor {
 
   // Enqueues `task` with scheduling options (see TaskOptions).
   void Submit(std::function<void()> task, TaskOptions options);
-
-  // A scoped fork/join over this executor: Spawn hands tasks to the pool,
-  // Join blocks until every spawned task completed. The join *helps*: while
-  // tasks of this group are still unstarted, the joining thread pops and
-  // runs them itself rather than sleeping, so a group spawned from inside a
-  // worker task cannot deadlock the pool (the parallel chase core forks
-  // witness-class sweeps from whatever thread runs the chase — see
-  // chase/parallel.h). Each spawned body runs exactly once — on a worker or
-  // inline in Join — including when its pool slot was shed past a deadline
-  // (the shed runs on_expired; Join then runs the body inline).
-  //
-  // Thread-safety: Spawn and Join may be called from any single thread (the
-  // owner); the destructor joins. Not reusable after Join returns with no
-  // Spawns outstanding — create a fresh group per fork/join region.
-  class TaskGroup {
-   public:
-    explicit TaskGroup(Executor* executor);
-    TaskGroup(const TaskGroup&) = delete;
-    TaskGroup& operator=(const TaskGroup&) = delete;
-    ~TaskGroup();  // Join()
-
-    // Enqueues one task of the group (high-priority by default: a fork/join
-    // region is latency-bound on its slowest member).
-    void Spawn(std::function<void()> fn, TaskOptions options = SpawnDefaults());
-
-    // Runs remaining unstarted group tasks inline, then blocks until the
-    // in-flight ones finish. Safe to call from a pool worker.
-    void Join();
-
-   private:
-    static TaskOptions SpawnDefaults() {
-      TaskOptions options;
-      options.high_priority = true;
-      return options;
-    }
-    struct State {
-      std::mutex mu;
-      std::condition_variable cv;
-      std::deque<std::function<void()>> unstarted;
-      size_t active = 0;  // popped, still running
-    };
-    Executor* executor_;
-    std::shared_ptr<State> state_;
-  };
 
   size_t num_workers() const { return queues_.size(); }
 
@@ -191,27 +141,6 @@ class Executor {
   std::atomic<uint64_t> executed_{0};
   std::atomic<uint64_t> steals_{0};
   std::atomic<uint64_t> shed_{0};
-};
-
-// ChaseTaskRunner over an Executor: the engine-side implementation the
-// parallel chase core's barrier contract (chase/parallel.h) is handed.
-// RunAll forks the batch as a TaskGroup and helping-joins it, so calling it
-// from an engine worker (the normal case — chases run inside Submit tasks)
-// is deadlock-free. A null executor degrades to inline execution. The
-// runner itself is stateless per call and safe to share across concurrent
-// chases.
-class ExecutorTaskRunner : public ChaseTaskRunner {
- public:
-  explicit ExecutorTaskRunner(Executor* executor) : executor_(executor) {}
-
-  // For members that must be constructed before the executor they use:
-  // rebind once the executor exists (not thread-safe; wire-up time only).
-  void set_executor(Executor* executor) { executor_ = executor; }
-
-  void RunAll(std::vector<std::function<void()>> tasks) override;
-
- private:
-  Executor* executor_;
 };
 
 }  // namespace cqchase

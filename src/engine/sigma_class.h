@@ -83,10 +83,9 @@ struct SigmaAnalysis {
   // nullopt where the theorem does not apply.
   std::optional<uint32_t> k_sigma;
   // The Σ reliance graph (analysis/reliance.h): dependency-level positive
-  // reliances + FD interference, SCC-condensed with frontier layers. Always
-  // populated by AnalyzeSigma; shared because SigmaAnalysis is cached by
-  // value in the engine's sigma LRU and the graph is immutable (the Σ
-  // record's ChasePlan holds the same graph).
+  // reliances + FD interference. Always populated by AnalyzeSigma; shared
+  // because SigmaAnalysis is cached by value in the engine's sigma LRU and
+  // the graph is immutable.
   std::shared_ptr<const SigmaGraph> graph;
   // When the IND reliance subgraph is acyclic: the critical-path chase-depth
   // bound (no conjunct can sit deeper than the longest IND reliance chain).

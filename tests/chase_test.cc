@@ -300,8 +300,8 @@ TEST(ChaseEngineTest, InitTwiceFails) {
 TEST(ChaseEngineTest, ChaseOfAChaseMintsAboveTheNdvsItCarries) {
   // A query built from a chase's facts carries that chase's NDVs. A chase
   // of it must mint above them, even with a lower NDV block free for reuse:
-  // the FD rule's representative choice and the parallel core's
-  // provisional-fact order both rely on fresh NDVs following every term.
+  // the FD rule's representative choice relies on fresh NDVs following
+  // every term.
   Catalog catalog;
   ASSERT_TRUE(catalog.AddRelation("R", {"a", "b"}).ok());
   ASSERT_TRUE(catalog.AddRelation("S", {"x", "y"}).ok());

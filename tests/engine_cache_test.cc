@@ -360,6 +360,62 @@ TEST(CacheParityTest, IdenticalVerdictsWithCacheOnAndOffAcrossScenarios) {
       }
     }
   }
+  // Generated tasks asked as renamed isomorphic copies: every copy after a
+  // class's first is served from the cache, with the cache-off verdict.
+  // Odd classes plant Q' inside a chase prefix of Q, so both answers occur.
+  constexpr size_t kClasses = 4;
+  constexpr size_t kCopies = 3;
+  Rng rng(7);
+  RandomCatalogParams cp;
+  cp.num_relations = 4;
+  cp.min_arity = 2;
+  cp.max_arity = 3;
+  const Catalog catalog = RandomCatalog(rng, cp);
+  RandomIndParams ip;
+  ip.count = 4;
+  ip.width = 1;
+  const DependencySet deps = RandomIndOnlyDeps(rng, catalog, ip);
+  SymbolTable symbols;
+  EngineConfig off_config;
+  off_config.enable_cache = false;
+  ContainmentEngine on(&catalog, &symbols);
+  ContainmentEngine off(&catalog, &symbols, off_config);
+  size_t contained = 0;
+  for (size_t c = 0; c < kClasses; ++c) {
+    for (size_t k = 0; k < kCopies; ++k) {
+      // Re-seeding per copy reproduces class c's structure; the name prefix
+      // makes the copy's variables fresh.
+      Rng copy_rng(1000 + c);
+      RandomQueryParams qp;
+      qp.num_conjuncts = 6;
+      qp.num_vars = 7;
+      qp.name_prefix = StrCat("L", c, "v", k, "_");
+      const ConjunctiveQuery q = RandomQuery(copy_rng, catalog, symbols, qp);
+      std::optional<ConjunctiveQuery> q_prime;
+      if (c % 2 == 1) {
+        Result<ConjunctiveQuery> planted =
+            PlantedSuperQuery(copy_rng, q, deps, symbols,
+                              /*extra_conjuncts=*/2, /*chase_depth=*/2);
+        if (planted.ok()) q_prime = *std::move(planted);
+      }
+      if (!q_prime.has_value()) {
+        qp.num_conjuncts = 2;
+        qp.num_vars = 4;
+        qp.name_prefix = StrCat("R", c, "v", k, "_");
+        q_prime = RandomQuery(copy_rng, catalog, symbols, qp);
+      }
+      const std::string where = StrCat("class ", c, " copy ", k);
+      Result<EngineVerdict> a = on.Check(q, *q_prime, deps);
+      Result<EngineVerdict> b = off.Check(q, *q_prime, deps);
+      ASSERT_TRUE(a.ok() && b.ok()) << where;
+      EXPECT_EQ(a->report.contained, b->report.contained) << where;
+      EXPECT_EQ(a->cache_hit, k > 0) << where;
+      if (k == 0 && a->report.contained) ++contained;
+    }
+  }
+  EXPECT_GT(contained, 0u);
+  EXPECT_LT(contained, kClasses);
+  EXPECT_GE(on.stats().cache_hits, kClasses * (kCopies - 1));
 }
 
 // The differential contract over generated Σs of every decidable class,

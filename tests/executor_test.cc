@@ -1,9 +1,8 @@
 // Executor: the engine's persistent work-stealing pool. Covers lazy start,
 // completion of everything submitted, stealing under a skewed load,
-// high-priority queue jumping, destructor drain, and the TaskGroup
-// fork/join primitive the parallel chase core runs on (nested fork from a
-// worker thread, barrier under steal, deadline shed mid-group). Runs under
-// TSan in CI (ci.sh) — the pool is concurrency-bearing by definition.
+// high-priority queue jumping, deadline shedding and destructor drain.
+// Runs under TSan in CI (ci.sh) — the pool is concurrency-bearing by
+// definition.
 #include "engine/executor.h"
 
 #include <gtest/gtest.h>
@@ -214,145 +213,6 @@ TEST(ExecutorTest, ExpiredDeadlineWithoutHandlerStillRuns) {
   executor.Submit([&] { ran.fetch_add(1); }, std::move(options));
   EXPECT_TRUE(WaitUntil([&] { return ran.load() == 1; }));
   EXPECT_EQ(executor.stats().shed, 0u);
-}
-
-// --- TaskGroup: the fork/join primitive of the parallel chase core ---------
-
-TEST(ExecutorTest, TaskGroupRunsEveryTaskExactlyOnceAndJoins) {
-  Executor executor(3);
-  constexpr int kTasks = 24;
-  std::vector<std::atomic<int>> runs(kTasks);
-  for (auto& r : runs) r.store(0);
-  {
-    Executor::TaskGroup group(&executor);
-    for (int i = 0; i < kTasks; ++i) {
-      group.Spawn([&, i] { runs[i].fetch_add(1); });
-    }
-    group.Join();
-    // Join is a barrier: every body completed before it returned.
-    for (int i = 0; i < kTasks; ++i) EXPECT_EQ(runs[i].load(), 1) << i;
-  }
-}
-
-TEST(ExecutorTest, TaskGroupNestedForkFromWorkerThread) {
-  // The chase path: the group is forked from INSIDE a pool task, on a
-  // single-worker pool. Without the helping join this deadlocks — the only
-  // worker would sleep in Join waiting for tasks only it could run.
-  Executor executor(1);
-  std::atomic<int> inner_ran{0};
-  std::atomic<bool> done{false};
-  executor.Submit([&] {
-    Executor::TaskGroup group(&executor);
-    for (int i = 0; i < 8; ++i) {
-      group.Spawn([&] { inner_ran.fetch_add(1); });
-    }
-    group.Join();
-    EXPECT_EQ(inner_ran.load(), 8);  // barrier held inside the worker
-    done.store(true);
-  });
-  EXPECT_TRUE(WaitUntil([&] { return done.load(); }));
-  EXPECT_EQ(inner_ran.load(), 8);
-}
-
-TEST(ExecutorTest, TaskGroupBarrierHoldsUnderSteal) {
-  // Uneven task durations force cross-deque steals while the owner joins;
-  // the barrier must still only release after the slowest member.
-  Executor executor(4);
-  constexpr int kTasks = 32;
-  std::atomic<int> started{0};
-  std::atomic<int> finished{0};
-  Executor::TaskGroup group(&executor);
-  for (int i = 0; i < kTasks; ++i) {
-    group.Spawn([&, i] {
-      started.fetch_add(1);
-      if (i % 4 == 0) std::this_thread::sleep_for(milliseconds(3));
-      finished.fetch_add(1);
-    });
-  }
-  group.Join();
-  EXPECT_EQ(started.load(), kTasks);
-  EXPECT_EQ(finished.load(), kTasks);
-}
-
-TEST(ExecutorTest, TaskGroupDeadlineShedStillRunsEveryBody) {
-  // Group tasks spawned with an already-expired deadline behind a gate: the
-  // pool slots are shed at dequeue (on_expired runs, not the group runner),
-  // yet Join still runs every body inline — a group body is promised work,
-  // a deadline only frees its worker slot.
-  Executor executor(1);
-  std::atomic<bool> gate_open{false};
-  executor.Submit([&] {
-    while (!gate_open.load()) std::this_thread::yield();
-  });
-
-  constexpr int kTasks = 3;
-  std::atomic<int> bodies{0};
-  std::atomic<int> expired{0};
-  {
-    Executor::TaskGroup group(&executor);
-    for (int i = 0; i < kTasks; ++i) {
-      Executor::TaskOptions options;
-      options.high_priority = true;
-      options.deadline = std::chrono::steady_clock::now() - milliseconds(1);
-      options.on_expired = [&] { expired.fetch_add(1); };
-      group.Spawn([&] { bodies.fetch_add(1); }, std::move(options));
-    }
-    group.Join();  // worker is gated: Join drains all bodies inline
-    EXPECT_EQ(bodies.load(), kTasks);
-  }
-  gate_open.store(true);
-  // The queued group runners surface eventually and are shed (deadline
-  // passed); the bodies must not run a second time.
-  EXPECT_TRUE(WaitUntil([&] {
-    return executor.stats().shed == static_cast<uint64_t>(kTasks);
-  }));
-  EXPECT_EQ(expired.load(), kTasks);
-  EXPECT_EQ(bodies.load(), kTasks);
-}
-
-TEST(ExecutorTest, TaskGroupDestructorJoins) {
-  Executor executor(2);
-  std::atomic<int> ran{0};
-  {
-    Executor::TaskGroup group(&executor);
-    for (int i = 0; i < 16; ++i) {
-      group.Spawn([&] {
-        std::this_thread::sleep_for(milliseconds(1));
-        ran.fetch_add(1);
-      });
-    }
-    // No explicit Join: the destructor is the barrier.
-  }
-  EXPECT_EQ(ran.load(), 16);
-}
-
-TEST(ExecutorTest, ExecutorTaskRunnerRunAllInlineAndPooled) {
-  // Null executor: inline degradation, still runs everything.
-  {
-    ExecutorTaskRunner runner(nullptr);
-    std::atomic<int> ran{0};
-    std::vector<std::function<void()>> tasks;
-    for (int i = 0; i < 4; ++i) tasks.push_back([&] { ran.fetch_add(1); });
-    runner.RunAll(std::move(tasks));
-    EXPECT_EQ(ran.load(), 4);
-  }
-  // Pooled, called from inside a worker task — exactly how the parallel
-  // chase core reaches it (chases run inside engine Submit tasks).
-  {
-    Executor executor(2);
-    ExecutorTaskRunner runner(&executor);
-    std::atomic<int> ran{0};
-    std::atomic<bool> done{false};
-    executor.Submit([&] {
-      std::vector<std::function<void()>> tasks;
-      for (int i = 0; i < 12; ++i) tasks.push_back([&] { ran.fetch_add(1); });
-      runner.RunAll(std::move(tasks));
-      EXPECT_EQ(ran.load(), 12);  // RunAll is a barrier
-      done.store(true);
-    });
-    EXPECT_TRUE(WaitUntil([&] { return done.load(); }));
-    EXPECT_EQ(ran.load(), 12);
-  }
 }
 
 }  // namespace

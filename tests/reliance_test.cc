@@ -1,6 +1,5 @@
 // Σ reliance analysis (analysis/reliance.h): hand-built graphs with known
-// edges, condensation/frontier structure, agreement with the relation-level
-// IND-graph analysis, the kAcyclicInd decision procedure checked
+// edges and cycles, agreement with the relation-level IND-graph analysis, the kAcyclicInd decision procedure checked
 // differentially against the semi-decision oracle on randomized acyclic
 // families, and the bulk core's reliance pruning proved byte-identical to
 // the unpruned scalar oracle.
@@ -63,24 +62,10 @@ TEST_F(ChainWithFdTest, KnownRelianceEdges) {
   EXPECT_EQ(g.edges().size(), 4u);
 }
 
-TEST_F(ChainWithFdTest, CondensationAndFrontiers) {
+TEST_F(ChainWithFdTest, FdCycleLeavesIndSubgraphAcyclic) {
   SigmaGraph g(deps_, catalog_);
-  // ind1 <-> fd0 form one cyclic component (positive ind1->fd0, interference
-  // fd0->ind1); ind0 sits alone above it.
-  ASSERT_EQ(g.components().size(), 2u);
-  const uint32_t c0 = g.ComponentOf(0);
-  const uint32_t c1 = g.ComponentOf(1);
-  EXPECT_EQ(g.ComponentOf(2), c1);
-  EXPECT_NE(c0, c1);
-  EXPECT_LT(c0, c1);  // topological order: producer first
-  EXPECT_FALSE(g.components()[c0].cyclic);
-  EXPECT_TRUE(g.components()[c1].cyclic);
-  EXPECT_EQ(g.components()[c0].depth, 0u);
-  EXPECT_EQ(g.components()[c1].depth, 1u);
-  ASSERT_EQ(g.frontiers().size(), 2u);
-  EXPECT_EQ(g.frontiers()[0], std::vector<uint32_t>{c0});
-  EXPECT_EQ(g.frontiers()[1], std::vector<uint32_t>{c1});
-  // The FD entanglement does not disturb the IND-only subgraph: still
+  // ind1 <-> fd0 form a cycle (positive ind1->fd0, interference fd0->ind1),
+  // but the FD entanglement does not disturb the IND-only subgraph: still
   // acyclic, critical path = the two-IND chain.
   ASSERT_TRUE(g.IndSubgraphAcyclic());
   EXPECT_EQ(*g.IndCriticalPath(), 2u);
@@ -124,8 +109,6 @@ TEST(RelianceGraphTest, SelfLoopIndIsCyclic) {
   SigmaGraph g(deps, catalog);
   EXPECT_TRUE(g.HasEdge(0, 0, RelianceKind::kPositive));
   EXPECT_FALSE(g.IndSubgraphAcyclic());
-  ASSERT_EQ(g.components().size(), 1u);
-  EXPECT_TRUE(g.components()[0].cyclic);
 }
 
 TEST(RelianceGraphTest, TwoIndCycleIsCyclic) {
@@ -148,8 +131,6 @@ TEST(RelianceGraphTest, FdOnlyAndEmptySigma) {
   EXPECT_TRUE(empty.IndSubgraphAcyclic());
   EXPECT_EQ(*empty.IndCriticalPath(), 0u);
   EXPECT_TRUE(empty.edges().empty());
-  EXPECT_TRUE(empty.components().empty());
-  EXPECT_TRUE(empty.frontiers().empty());
 
   DependencySet fd = *ParseDependencies(catalog, "R: 1 -> 2");
   SigmaGraph g(fd, catalog);
@@ -157,7 +138,6 @@ TEST(RelianceGraphTest, FdOnlyAndEmptySigma) {
   // The FD self-loop (merges can re-enable the same FD) is the only edge.
   ASSERT_EQ(g.edges().size(), 1u);
   EXPECT_TRUE(g.HasEdge(0, 0, RelianceKind::kInterference));
-  EXPECT_TRUE(g.components()[0].cyclic);
 }
 
 // --- Agreement with the relation-level IND graph -----------------------------
@@ -275,26 +255,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AcyclicFamilyDifferential,
                          ::testing::Range<uint64_t>(1, 31));
 
 // --- Pruning: unreachable INDs, byte-identical chases ------------------------
-
-TEST(ReliancePruningTest, ReachableIndsClosure) {
-  Catalog catalog;
-  ASSERT_TRUE(catalog.AddRelation("A", {"x"}).ok());
-  ASSERT_TRUE(catalog.AddRelation("B", {"x"}).ok());
-  ASSERT_TRUE(catalog.AddRelation("C", {"x"}).ok());
-  ASSERT_TRUE(catalog.AddRelation("D", {"x"}).ok());
-  // ind0: A -> B, ind1: B -> C (reachable transitively), ind2: D -> C
-  // (dead: D never acquires a fact).
-  DependencySet deps = *ParseDependencies(
-      catalog, "A[1] <= B[1]\nB[1] <= C[1]\nD[1] <= C[1]");
-  SigmaGraph g(deps, catalog);
-  std::vector<bool> present(catalog.num_relations(), false);
-  present[0] = true;  // only A present initially
-  std::vector<bool> reachable = g.ReachableInds(present);
-  ASSERT_EQ(reachable.size(), 3u);
-  EXPECT_TRUE(reachable[0]);
-  EXPECT_TRUE(reachable[1]);  // via the closure: ind0 makes B present
-  EXPECT_FALSE(reachable[2]);
-}
 
 TEST(ReliancePruningTest, PrunedBulkChaseIsByteIdenticalToScalar) {
   Catalog catalog;
