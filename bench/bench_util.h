@@ -69,7 +69,9 @@ inline void PrintHeader(const std::string& experiment,
 //       parallel_batches/parallel_serialized_levels, chase_core is
 //       0 scalar / 1 bulk, and bench_reliance drops its components/
 //       frontiers counters
-inline constexpr int kBenchRecordSchema = 9;
+//  10 — semi-naive witness search: witness_searches/witness_searches_skipped
+//       in AppendEngineCounters
+inline constexpr int kBenchRecordSchema = 10;
 
 // One-line machine-readable record, emitted by every bench so the perf
 // trajectory can be scraped (`grep '^{"bench"'` over the run log). Integral
@@ -136,6 +138,10 @@ inline void AppendEngineCounters(
                         static_cast<double>(stats.bulk_ind_applications));
   counters.emplace_back("inds_pruned",
                         static_cast<double>(stats.inds_pruned));
+  counters.emplace_back("witness_searches",
+                        static_cast<double>(stats.witness_searches));
+  counters.emplace_back("witness_searches_skipped",
+                        static_cast<double>(stats.witness_searches_skipped));
   counters.emplace_back("entries_retagged",
                         static_cast<double>(stats.entries_retagged));
   counters.emplace_back("entries_dropped",

@@ -215,13 +215,17 @@ tcp_gate() {
 # asserts guarding the arena — the exact checks these stages exist to keep
 # hot. SymbolTable::Name() returns a temporary (chase-NDV names are rendered
 # on demand), so the suites that print names (pspace, chase, parser) run
-# under ASan to catch any string_view or pointer kept past it.
+# under ASan to catch any string_view or pointer kept past it. The
+# homomorphism solver searches through references into a FactIndex it does
+# not own (the chase loop keeps one per decision), so the suites that drive
+# it directly and through the engine's loop run here too.
 ASAN_TESTS=(serialize_test store_test tier_test net_test engine_test
             engine_cache_test engine_dispatch_test chase_core_parity_test
             reliance_test executor_test lineage_test delta_migration_test
             string_util_test symbol_table_test pspace_test chase_test
             cq_parser_test certificate_test containment_test
-            engine_concurrency_test engine_submit_test)
+            engine_concurrency_test engine_submit_test homomorphism_test
+            engine_witness_search_test)
 asan_ubsan() {
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -O1 -g" \

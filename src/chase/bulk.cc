@@ -306,6 +306,7 @@ Result<bool> Chase::RunLevelBatch(uint32_t effective) {
       SweepSegment(&acc, k, new_level).AppendRow(created, new_id, source_id);
       conjuncts_.push_back(ChaseConjunct{new_id, std::move(created), new_level,
                                          /*alive=*/true, source_id, k});
+      ++alive_count_;
       MarkIndUsed(k);
       arcs_.push_back(ChaseArc{source_id, new_id, k, /*cross=*/false});
       AddToWitnessGroups(conjuncts_.back());

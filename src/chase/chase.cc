@@ -57,6 +57,7 @@ Status Chase::Init(const ConjunctiveQuery& query) {
     conjuncts_.push_back(
         ChaseConjunct{next_id_++, f, /*level=*/0, /*alive=*/true,
                       std::nullopt, std::nullopt});
+    ++alive_count_;
     for (Term t : f.terms) ndv_shard_.MintAbove(t);
   }
   summary_ = query.summary();
@@ -109,6 +110,7 @@ void Chase::DedupeConjuncts() {
     ChaseConjunct& survivor = conjuncts_[IndexOfId(it->second)];
     survivor.level = std::min(survivor.level, c.level);
     c.alive = false;
+    --alive_count_;
     redirect[c.id] = survivor.id;
     // The survivor inherits the dead conjunct's considered INDs: an IND
     // applied to either copy has been applied to the merged conjunct.
@@ -141,6 +143,7 @@ bool Chase::ApplyFd(const FunctionalDependency& fd, size_t a, size_t b) {
   if (u.is_constant() && v.is_constant()) {
     // FD CHASE RULE, constant clash: delete all conjuncts and halt.
     for (ChaseConjunct& c : conjuncts_) c.alive = false;
+    alive_count_ = 0;
     outcome_ = ChaseOutcome::kEmptyQuery;
     return false;
   }
@@ -397,6 +400,7 @@ Result<bool> Chase::OneIndStep(uint32_t level) {
   // Note: push_back may invalidate `source`; use source_id afterwards.
   conjuncts_.push_back(ChaseConjunct{new_id, std::move(created), new_level,
                                      /*alive=*/true, source_id, chosen_ind});
+  ++alive_count_;
   MarkIndUsed(chosen_ind);
   arcs_.push_back(ChaseArc{source_id, new_id, chosen_ind, /*cross=*/false});
   if (!index_dirty_) IndexNewConjunct(conjuncts_.back());

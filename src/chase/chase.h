@@ -170,6 +170,8 @@ class Chase {
 
   // Alive conjuncts (id, fact, level), sorted by (level, id).
   std::vector<const ChaseConjunct*> AliveConjuncts() const;
+  // AliveConjuncts().size(), kept as a count.
+  size_t alive_count() const { return alive_count_; }
 
   // Number of alive conjuncts at the given level.
   size_t CountAtLevel(uint32_t level) const;
@@ -332,6 +334,7 @@ class Chase {
   void MarkIndUsed(uint32_t ind_index) { used_inds_[ind_index] = true; }
 
   std::vector<ChaseConjunct> conjuncts_;
+  size_t alive_count_ = 0;  // conjuncts_ entries with alive set
   std::vector<ChaseArc> arcs_;
   std::vector<Term> summary_;
   // Used-dependency bitmaps (see used_inds()/used_fds()); sized at

@@ -7,32 +7,94 @@
 namespace cqchase {
 
 namespace {
+const std::vector<size_t> kEmptyList;
+}  // namespace
+
+void FactIndex::Add(size_t index, const Fact& fact) {
+  if (fact.relation >= by_relation_.size()) {
+    by_relation_.resize(fact.relation + 1);
+  }
+  by_relation_[fact.relation].push_back(index);
+  // Positional posting lists: (relation, column, term) -> facts. These turn
+  // candidate enumeration for a pattern with any constant or already-bound
+  // variable from a relation scan into a lookup — the difference between
+  // minutes and milliseconds on 10^5-conjunct chase prefixes.
+  for (uint32_t col = 0; col < fact.terms.size(); ++col) {
+    positions_[PosKey{fact.relation, col, fact.terms[col]}].push_back(index);
+  }
+}
+
+void FactIndex::Clear() {
+  by_relation_.clear();
+  positions_.clear();
+}
+
+const std::vector<size_t>& FactIndex::FactsOf(RelationId relation) const {
+  return relation < by_relation_.size() ? by_relation_[relation] : kEmptyList;
+}
+
+const std::vector<size_t>* FactIndex::Postings(RelationId relation,
+                                               uint32_t column,
+                                               Term term) const {
+  auto it = positions_.find(PosKey{relation, column, term});
+  return it == positions_.end() ? nullptr : &it->second;
+}
+
+namespace {
 
 class Solver {
  public:
   Solver(const ConjunctiveQuery& source, const std::vector<Fact>& target_facts,
-         const std::vector<Term>& target_summary,
+         const FactIndex& index, const std::vector<Term>& target_summary,
          const HomomorphismOptions& options)
       : source_(source),
         target_facts_(target_facts),
+        index_(index),
         target_summary_(target_summary),
-        options_(options) {
-    by_relation_.resize(NumRelations());
-    for (size_t i = 0; i < target_facts_.size(); ++i) {
-      by_relation_[target_facts_[i].relation].push_back(i);
-      // Positional posting lists: (relation, column, term) -> facts. These
-      // turn candidate enumeration for a pattern with any constant or
-      // already-bound variable from a relation scan into a lookup — the
-      // difference between minutes and milliseconds on 10^5-conjunct chase
-      // prefixes.
-      const Fact& f = target_facts_[i];
-      for (uint32_t col = 0; col < f.terms.size(); ++col) {
-        positions_[PosKey{f.relation, col, f.terms[col]}].push_back(i);
-      }
-    }
-  }
+        options_(options) {}
 
   std::optional<Homomorphism> Run() {
+    if (!Start()) return std::nullopt;
+    if (!Search(0)) return std::nullopt;
+    Homomorphism h;
+    h.mapping = binding_;
+    h.conjunct_images = images_;
+    return h;
+  }
+
+  // HasHomomorphismTouching's search: one run per pivot conjunct p, with
+  // conjuncts before p held to the old facts and p to the new ones.
+  bool RunTouching(size_t first_new) {
+    const size_t n = target_facts_.size();
+    if (first_new >= n || !Start()) return false;
+    const size_t conjuncts = source_.conjuncts().size();
+    windows_.assign(conjuncts, Window{0, n});
+    for (size_t p = 0; p < conjuncts; ++p) {
+      windows_[p] = Window{first_new, n};
+      if (Search(0)) return true;
+      windows_[p] = Window{0, first_new};
+    }
+    return false;
+  }
+
+ private:
+  // Half-open range of target fact indices a source conjunct may land on.
+  struct Window {
+    size_t begin;
+    size_t end;
+  };
+  // A run of ascending fact indices: a whole index list, or its part inside
+  // a conjunct's window.
+  struct Span {
+    const size_t* first;
+    const size_t* last;
+    const size_t* begin() const { return first; }
+    const size_t* end() const { return last; }
+  };
+
+  // Injectivity bookkeeping and the pinned summary row; false when the
+  // summary rows cannot be matched at all.
+  bool Start() {
     if (options_.injective) {
       // Source constants map to themselves; a variable mapping onto such a
       // constant would break injectivity on the source's term set.
@@ -48,23 +110,13 @@ class Solver {
     // Pin the summary row: source summary maps pointwise onto the target
     // summary. Constants must match themselves.
     const auto& src_summary = source_.summary();
-    if (src_summary.size() != target_summary_.size()) return std::nullopt;
+    if (src_summary.size() != target_summary_.size()) return false;
     for (size_t i = 0; i < src_summary.size(); ++i) {
-      if (!Bind(src_summary[i], target_summary_[i])) return std::nullopt;
+      if (!Bind(src_summary[i], target_summary_[i])) return false;
     }
     images_.assign(source_.conjuncts().size(), SIZE_MAX);
     assigned_.assign(source_.conjuncts().size(), false);
-    if (!Search(0)) return std::nullopt;
-    Homomorphism h;
-    h.mapping = binding_;
-    h.conjunct_images = images_;
-    return h;
-  }
-
- private:
-  size_t NumRelations() const {
-    size_t n = source_.catalog().num_relations();
-    return n;
+    return true;
   }
 
   // Attempts to record t -> image; false on conflict (or non-injectivity in
@@ -98,8 +150,8 @@ class Solver {
       return false;
     }
     // Check constants and bound variables; also repeated variables within
-    // the pattern must match equal target positions.
-    std::unordered_map<Term, Term> local;
+    // the pattern must match equal target positions, which a scan back to
+    // the variable's first earlier position checks without allocating.
     for (size_t i = 0; i < pattern.terms.size(); ++i) {
       Term p = pattern.terms[i];
       Term f = fact.terms[i];
@@ -112,18 +164,23 @@ class Solver {
         if (bound->second != f) return false;
         continue;
       }
-      auto [it, inserted] = local.emplace(p, f);
-      if (!inserted && it->second != f) return false;
+      for (size_t j = 0; j < i; ++j) {
+        if (pattern.terms[j] == p) {
+          if (fact.terms[j] != f) return false;
+          break;
+        }
+      }
     }
     return true;
   }
 
-  // The tightest available pre-filtered candidate list for a pattern: the
+  // The tightest available pre-filtered candidate list for a conjunct: the
   // smallest posting list over its constant / bound-variable positions, or
-  // the whole relation when every position is a free variable. Entries
-  // still need a Compatible() check.
-  const std::vector<size_t>& Candidates(const Fact& pattern) const {
-    const std::vector<size_t>* best = &by_relation_[pattern.relation];
+  // the whole relation when every position is a free variable, cut to the
+  // conjunct's window. Entries still need a Compatible() check.
+  Span Candidates(size_t conjunct_index) const {
+    const Fact& pattern = source_.conjuncts()[conjunct_index];
+    const std::vector<size_t>* best = &index_.FactsOf(pattern.relation);
     for (uint32_t col = 0; col < pattern.terms.size(); ++col) {
       Term p = pattern.terms[col];
       Term pinned = Term::Invalid();
@@ -134,11 +191,20 @@ class Solver {
         if (it != binding_.end()) pinned = it->second;
       }
       if (!pinned.is_valid()) continue;
-      auto lists = positions_.find(PosKey{pattern.relation, col, pinned});
-      if (lists == positions_.end()) return kEmptyList;
-      if (lists->second.size() < best->size()) best = &lists->second;
+      const std::vector<size_t>* list =
+          index_.Postings(pattern.relation, col, pinned);
+      if (list == nullptr) {
+        best = &kEmptyList;
+        break;
+      }
+      if (list->size() < best->size()) best = list;
     }
-    return *best;
+    Span span{best->data(), best->data() + best->size()};
+    if (windows_.empty()) return span;
+    const Window& w = windows_[conjunct_index];
+    span.first = std::lower_bound(span.first, span.last, w.begin);
+    span.last = std::lower_bound(span.first, span.last, w.end);
+    return span;
   }
 
   // Number of candidate target facts for the source conjunct, capped at
@@ -146,7 +212,7 @@ class Solver {
   size_t CountCandidates(size_t conjunct_index, size_t cap) const {
     const Fact& pattern = source_.conjuncts()[conjunct_index];
     size_t count = 0;
-    for (size_t fi : Candidates(pattern)) {
+    for (size_t fi : Candidates(conjunct_index)) {
       if (Compatible(pattern, target_facts_[fi])) {
         if (++count >= cap) return count;
       }
@@ -179,7 +245,7 @@ class Solver {
     assert(best != SIZE_MAX);
     const Fact& pattern = source_.conjuncts()[best];
     assigned_[best] = true;
-    for (size_t fi : Candidates(pattern)) {
+    for (size_t fi : Candidates(best)) {
       const Fact& fact = target_facts_[fi];
       if (!Compatible(pattern, fact)) continue;
       size_t mark = trail_.size();
@@ -197,34 +263,14 @@ class Solver {
     return false;
   }
 
-  struct PosKey {
-    RelationId relation;
-    uint32_t column;
-    Term term;
-
-    friend bool operator==(const PosKey& a, const PosKey& b) {
-      return a.relation == b.relation && a.column == b.column &&
-             a.term == b.term;
-    }
-  };
-  struct PosKeyHash {
-    size_t operator()(const PosKey& k) const {
-      return HashCombine(
-          HashCombine(static_cast<size_t>(k.relation) + 0x9e3779b9,
-                      static_cast<size_t>(k.column)),
-          k.term.hash());
-    }
-  };
-
   const ConjunctiveQuery& source_;
   const std::vector<Fact>& target_facts_;
+  const FactIndex& index_;
   const std::vector<Term>& target_summary_;
   const HomomorphismOptions& options_;
 
-  static const std::vector<size_t> kEmptyList;
-
-  std::vector<std::vector<size_t>> by_relation_;
-  std::unordered_map<PosKey, std::vector<size_t>, PosKeyHash> positions_;
+  // Per source conjunct (RunTouching only; empty means unrestricted).
+  std::vector<Window> windows_;
   std::unordered_map<Term, Term> binding_;
   std::unordered_set<Term> used_images_;
   std::vector<Term> trail_;
@@ -234,8 +280,6 @@ class Solver {
   bool exhausted_ = false;
 };
 
-const std::vector<size_t> Solver::kEmptyList;
-
 }  // namespace
 
 std::optional<Homomorphism> FindHomomorphism(
@@ -243,7 +287,32 @@ std::optional<Homomorphism> FindHomomorphism(
     const std::vector<Term>& target_summary,
     const HomomorphismOptions& options) {
   if (source.is_empty_query()) return std::nullopt;
-  return Solver(source, target_facts, target_summary, options).Run();
+  FactIndex index;
+  for (size_t i = 0; i < target_facts.size(); ++i) {
+    index.Add(i, target_facts[i]);
+  }
+  return Solver(source, target_facts, index, target_summary, options).Run();
+}
+
+std::optional<Homomorphism> FindHomomorphism(
+    const ConjunctiveQuery& source, const HomomorphismTarget& target,
+    const std::vector<Term>& target_summary) {
+  if (source.is_empty_query()) return std::nullopt;
+  const HomomorphismOptions options;
+  return Solver(source, target.facts(), target.index(), target_summary,
+                options)
+      .Run();
+}
+
+bool HasHomomorphismTouching(const ConjunctiveQuery& source,
+                             const HomomorphismTarget& target,
+                             const std::vector<Term>& target_summary,
+                             size_t first_new) {
+  if (source.is_empty_query()) return false;
+  const HomomorphismOptions options;
+  return Solver(source, target.facts(), target.index(), target_summary,
+                options)
+      .RunTouching(first_new);
 }
 
 std::optional<Homomorphism> FindQueryHomomorphism(

@@ -39,16 +39,6 @@ size_t ExecutorWidth(const EngineConfig& config) {
 
 namespace {
 
-// Levels of the chase facts actually used by a homomorphism's image.
-uint32_t WitnessMaxLevel(const Homomorphism& hom,
-                         const std::vector<const ChaseConjunct*>& alive) {
-  uint32_t max_level = 0;
-  for (size_t fi : hom.conjunct_images) {
-    if (fi < alive.size()) max_level = std::max(max_level, alive[fi]->level);
-  }
-  return max_level;
-}
-
 // Exact (term-identity) key of a query, for the chase-prefix cache: a chase
 // holds the query's actual terms, so only a byte-identical re-ask may resume
 // it. Contrast CanonicalQueryKey, which is renaming-invariant.
@@ -805,22 +795,100 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
       report.level_bound = bound;
     }
 
+    // The witness index persists across levels. Without an FD merge the
+    // chase only appends conjuncts, each at a level no lower than any
+    // already indexed (ExpandToLevel completes one level before the next),
+    // so appending the conjuncts created since the last sync keeps the
+    // index in AliveConjuncts()'s (level, id) order: every search sees the
+    // fact vector a from-scratch copy would, and returns the same witness.
+    // A merge may rewrite old facts and the summary row, kill conjuncts and
+    // lower levels, so it forces a rebuild, as does anything else that
+    // breaks the order or the alive count.
+    HomomorphismTarget target;
+    std::vector<uint64_t> target_ids;  // chase conjunct id of each fact
+    std::vector<const ChaseConjunct*> fresh;
+    size_t synced_conjuncts = 0;  // chase.conjuncts().size() at the last sync
+    uint64_t synced_merges = 0;
+    // Target facts [0, witness_free) are known to admit no homomorphism
+    // (a search over exactly them failed); 0 when nothing is known.
+    size_t witness_free = 0;
+    auto sync_target = [&]() {
+      const std::vector<ChaseConjunct>& all = chase.conjuncts();
+      auto reset = [&]() {
+        target.Clear();
+        target_ids.clear();
+        synced_conjuncts = 0;
+        witness_free = 0;
+      };
+      // The alive conjuncts created since the last sync, in (level, id)
+      // order; from an empty target, exactly AliveConjuncts().
+      auto collect = [&]() {
+        fresh.clear();
+        for (size_t i = synced_conjuncts; i < all.size(); ++i) {
+          if (all[i].alive) fresh.push_back(&all[i]);
+        }
+        std::sort(fresh.begin(), fresh.end(),
+                  [](const ChaseConjunct* a, const ChaseConjunct* b) {
+                    if (a->level != b->level) return a->level < b->level;
+                    return a->id < b->id;
+                  });
+      };
+      const uint64_t merges = chase.chase_stats().fd_merges;
+      if (merges != synced_merges) reset();
+      collect();
+      if (target.size() + fresh.size() != chase.alive_count() ||
+          (!fresh.empty() && !target_ids.empty() &&
+           fresh.front()->level < all[target_ids.back()].level)) {
+        reset();
+        collect();
+      }
+      for (const ChaseConjunct* c : fresh) {
+        target.Append(c->fact);
+        target_ids.push_back(c->id);
+      }
+      synced_conjuncts = all.size();
+      synced_merges = merges;
+    };
+
+    // The prefix's size, for the report on every path that returns one.
+    auto fill_prefix_size = [&]() {
+      report.chase_conjuncts = chase.alive_count();
+      report.chase_levels = chase.MaxAliveLevel();
+    };
+
     // Searches the current alive prefix for a witness; on success fills the
     // report's witness fields and returns true. Shared by the per-level
-    // searches and the budget-exhaustion last chance below.
+    // searches and the budget-exhaustion last chance below. Semi-naive: when
+    // the facts indexed before this sync are known witness-free, any
+    // witness must use a fact added since, and HasHomomorphismTouching
+    // looks only for those; the full search runs only when it finds one, so
+    // the witness is still the full search's.
     auto search_witness = [&]() {
       if (q_prime.is_empty_query()) return false;
-      std::vector<const ChaseConjunct*> alive = chase.AliveConjuncts();
-      std::vector<Fact> facts;
-      facts.reserve(alive.size());
-      for (const ChaseConjunct* c : alive) facts.push_back(c->fact);
+      sync_target();
+      Bump(stats_.witness_searches);
+      if (witness_free > 0 &&
+          !HasHomomorphismTouching(q_prime, target, chase.summary(),
+                                   witness_free)) {
+        Bump(stats_.witness_searches_skipped);
+        witness_free = target.size();
+        return false;
+      }
       std::optional<Homomorphism> hom =
-          FindHomomorphism(q_prime, facts, chase.summary());
-      if (!hom.has_value()) return false;
-      report.chase_conjuncts = alive.size();
-      report.chase_levels = chase.MaxAliveLevel();
+          FindHomomorphism(q_prime, target, chase.summary());
+      if (!hom.has_value()) {
+        witness_free = target.size();
+        return false;
+      }
+      fill_prefix_size();
       report.contained = true;
-      report.witness_max_level = WitnessMaxLevel(*hom, alive);
+      // The levels of the chase facts the witness actually uses.
+      report.witness_max_level = 0;
+      for (size_t fi : hom->conjunct_images) {
+        report.witness_max_level =
+            std::max(report.witness_max_level,
+                     chase.ConjunctById(target_ids[fi])->level);
+      }
       report.witness = std::move(hom);
       return true;
     };
@@ -850,12 +918,11 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
       }
       ChaseOutcome outcome = *expanded;
       report.chase_outcome = outcome;
-      report.chase_conjuncts = chase.AliveConjuncts().size();
-      report.chase_levels = chase.MaxAliveLevel();
 
       if (outcome == ChaseOutcome::kEmptyQuery) {
         // Q is unsatisfiable under Σ: Q(D) = ∅ for every Σ-database, so Q
         // is contained in any Q' of matching arity.
+        fill_prefix_size();
         report.contained = true;
         return report;
       }
@@ -863,12 +930,14 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
       if (search_witness()) return report;
 
       if (outcome == ChaseOutcome::kSaturated) {
+        fill_prefix_size();
         report.contained = false;
         return report;
       }
       if (bound_is_complete && level >= bound) {
         // Lemma 5: any homomorphism could have been remapped into the
         // prefix of level <= bound; none exists there, so none at all.
+        fill_prefix_size();
         report.contained = false;
         return report;
       }
@@ -1161,6 +1230,10 @@ EngineStats ContainmentEngine::stats() const {
   out.bulk_ind_applications =
       stats_.bulk_ind_applications.load(std::memory_order_relaxed);
   out.inds_pruned = stats_.inds_pruned.load(std::memory_order_relaxed);
+  out.witness_searches =
+      stats_.witness_searches.load(std::memory_order_relaxed);
+  out.witness_searches_skipped =
+      stats_.witness_searches_skipped.load(std::memory_order_relaxed);
   const Executor::StatsSnapshot exec = executor_.stats();
   out.executor_tasks = exec.executed;
   out.executor_steals = exec.steals;

@@ -202,6 +202,12 @@ struct EngineStats {
   // INDs the bulk core pruned as statically unreachable (Σ reliance
   // analysis); zero under kScalar and when every IND is reachable.
   uint64_t inds_pruned = 0;
+  // Per-level witness searches of the chase decision loop, and how many of
+  // them its semi-naive pre-check answered "no witness" without a full
+  // search (every witness would have to use a fact the level added, and the
+  // pre-check found none).
+  uint64_t witness_searches = 0;
+  uint64_t witness_searches_skipped = 0;
   // Executor health (Executor::stats passthrough): tasks/steals are
   // monotone, queue_depth (queued, not yet started) and workers are gauges.
   uint64_t executor_tasks = 0;
@@ -533,6 +539,8 @@ class ContainmentEngine {
     std::atomic<uint64_t> segments_built{0};
     std::atomic<uint64_t> bulk_ind_applications{0};
     std::atomic<uint64_t> inds_pruned{0};
+    std::atomic<uint64_t> witness_searches{0};
+    std::atomic<uint64_t> witness_searches_skipped{0};
     std::array<std::atomic<uint64_t>, kNumStrategies> by_strategy{};
   };
   AtomicStats stats_;
