@@ -1,6 +1,6 @@
 // E-REMOTE-TCP — the verdict authority over real sockets: the tier-stack
 // contract of bench_tier_stack re-proven with the production TCP transport
-// (net/tcp_transport.h) instead of the in-process loopback, plus the v2
+// (net/tcp_transport.h) instead of the in-process loopback, plus the
 // batched-fetch discipline. Engine A decides a deterministic workload cold
 // and publishes every verdict over TCP; engine B — cold LRU, its own TCP
 // connection — answers the whole workload over the wire.
@@ -14,10 +14,9 @@
 //
 // By default the bench starts its own VerdictAuthorityServer on an
 // ephemeral 127.0.0.1 port — self-contained, no daemon required. With
-//   --connect HOST:PORT[,HOST:PORT...]
-// it targets running verdict_authorityd processes instead (a comma list
-// shards the key space across them via net::ShardedTransport), which is how
-// the CI gate exercises the standalone daemon end to end.
+//   --connect HOST:PORT
+// it targets a running verdict_authorityd instead, which is how the CI gate
+// exercises the standalone daemon end to end.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -29,36 +28,19 @@
 #include "engine/engine.h"
 #include "engine/remote_tier.h"
 #include "net/authority_server.h"
-#include "net/sharded_transport.h"
 #include "net/socket.h"
 #include "net/tcp_transport.h"
 
 namespace cqchase {
 namespace {
 
-// Builds the client transport for `endpoints` (one TcpTransport, or a
-// ShardedTransport over several). Each call makes fresh connections — engine
-// A and engine B must not share a socket, or "engine B went over the wire"
-// would be untestable.
-std::shared_ptr<VerdictTransport> MakeTransport(
-    const std::vector<std::pair<std::string, uint16_t>>& endpoints) {
-  if (endpoints.size() == 1) {
-    return std::make_shared<net::TcpTransport>(endpoints[0].first,
-                                               endpoints[0].second);
-  }
-  std::vector<std::shared_ptr<VerdictTransport>> shards;
-  shards.reserve(endpoints.size());
-  for (const auto& [host, port] : endpoints) {
-    shards.push_back(std::make_shared<net::TcpTransport>(host, port));
-  }
-  return std::make_shared<net::ShardedTransport>(std::move(shards));
-}
-
-EngineConfig TcpConfig(
-    const std::vector<std::pair<std::string, uint16_t>>& endpoints) {
+// A fresh TCP connection per engine — engine A and engine B must not share
+// a socket, or "engine B went over the wire" would be untestable.
+EngineConfig TcpConfig(const std::string& host, uint16_t port) {
   EngineConfig config;
   config.tiers = {TierSpec::Lru(1 << 16),
-                  TierSpec::Remote(MakeTransport(endpoints))};
+                  TierSpec::Remote(
+                      std::make_shared<net::TcpTransport>(host, port))};
   return config;
 }
 
@@ -77,31 +59,23 @@ const VerdictTierStats* FindRemoteTier(
 int main(int argc, char** argv) {
   using namespace cqchase;
 
-  std::vector<std::pair<std::string, uint16_t>> endpoints;
+  std::string host;
+  uint16_t port = 0;
+  bool external = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--connect" && i + 1 < argc) {
-      std::string list = argv[++i];
-      size_t pos = 0;
-      while (pos <= list.size()) {
-        const size_t comma = list.find(',', pos);
-        const std::string one = list.substr(
-            pos, comma == std::string::npos ? std::string::npos : comma - pos);
-        std::string host;
-        uint16_t port = 0;
-        Status split = net::SplitHostPort(one, &host, &port);
-        if (!split.ok()) {
-          std::fprintf(stderr, "bad --connect endpoint '%s': %s\n",
-                       one.c_str(), std::string(split.message()).c_str());
-          return 2;
-        }
-        endpoints.emplace_back(host, port);
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
+    // One authority only: a comma list (several endpoints) is a usage error.
+    if (arg == "--connect" && i + 1 < argc && !external &&
+        std::string(argv[i + 1]).find(',') == std::string::npos) {
+      Status split = net::SplitHostPort(argv[++i], &host, &port);
+      if (!split.ok()) {
+        std::fprintf(stderr, "bad --connect endpoint '%s': %s\n", argv[i],
+                     std::string(split.message()).c_str());
+        return 2;
       }
+      external = true;
     } else {
-      std::fprintf(stderr, "usage: %s [--connect HOST:PORT[,HOST:PORT...]]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--connect HOST:PORT]\n", argv[0]);
       return 2;
     }
   }
@@ -117,7 +91,7 @@ int main(int argc, char** argv) {
   // gate runs anywhere `ctest` does.
   std::shared_ptr<VerdictAuthority> local_authority;
   std::unique_ptr<net::VerdictAuthorityServer> local_server;
-  if (endpoints.empty()) {
+  if (!external) {
     local_authority = std::make_shared<VerdictAuthority>();
     local_server =
         std::make_unique<net::VerdictAuthorityServer>(local_authority);
@@ -127,12 +101,12 @@ int main(int argc, char** argv) {
                    started.ToString().c_str());
       return 1;
     }
-    endpoints.emplace_back("127.0.0.1", local_server->port());
-    std::printf("in-process authority on 127.0.0.1:%u\n",
-                unsigned{local_server->port()});
+    host = "127.0.0.1";
+    port = local_server->port();
+    std::printf("in-process authority on 127.0.0.1:%u\n", unsigned{port});
   } else {
-    std::printf("connecting to %zu external authorit%s\n", endpoints.size(),
-                endpoints.size() == 1 ? "y" : "ies");
+    std::printf("connecting to external authority %s:%u\n", host.c_str(),
+                unsigned{port});
   }
 
   const size_t kClasses = 16;
@@ -140,15 +114,12 @@ int main(int argc, char** argv) {
   bench::ContainmentWorkload w =
       bench::BuildContainmentWorkload(kClasses, kCopies, /*catalog_seed=*/23,
                                       /*class_seed_base=*/9100);
-  std::vector<ContainmentTask> tasks;
-  tasks.reserve(w.lhs.size());
-  for (size_t i = 0; i < w.lhs.size(); ++i) {
-    tasks.push_back(ContainmentTask{&w.lhs[i], &w.rhs[i], &w.deps});
-  }
+  const size_t tasks = w.lhs.size();
 
   // Oracle: no tiers beyond its own LRU — ground truth for this process.
   ContainmentEngine oracle(w.catalog.get(), w.symbols.get(), EngineConfig{});
-  std::vector<Result<EngineVerdict>> oracle_results = oracle.CheckMany(tasks);
+  std::vector<Result<EngineVerdict>> oracle_results =
+      bench::DecideAll(oracle, w.lhs, w.rhs, w.deps);
 
   // Engine A: decides cold, publishes over TCP. Scope exit drains the
   // write-behind flush through the socket — a real process shutdown.
@@ -156,18 +127,20 @@ int main(int argc, char** argv) {
   double a_ms = 0;
   std::vector<Result<EngineVerdict>> a_results;
   {
-    ContainmentEngine a(w.catalog.get(), w.symbols.get(), TcpConfig(endpoints));
+    ContainmentEngine a(w.catalog.get(), w.symbols.get(),
+                        TcpConfig(host, port));
     bench::WallTimer timer;
-    a_results = a.CheckMany(tasks);
+    a_results = bench::DecideAll(a, w.lhs, w.rhs, w.deps);
     a_ms = timer.ElapsedMs();
     a_stats = a.stats();
   }
 
-  // Engine B: cold caches, its own TCP connection(s) — the other machine.
-  EngineConfig b_config = TcpConfig(endpoints);
+  // Engine B: cold caches, its own TCP connection — the other machine.
+  EngineConfig b_config = TcpConfig(host, port);
   ContainmentEngine b(w.catalog.get(), w.symbols.get(), b_config);
   bench::WallTimer timer;
-  std::vector<Result<EngineVerdict>> b_results = b.CheckMany(tasks);
+  std::vector<Result<EngineVerdict>> b_results =
+      bench::DecideAll(b, w.lhs, w.rhs, w.deps);
   const double b_ms = timer.ElapsedMs();
   const EngineStats b_stats = b.stats();
   const std::vector<VerdictTierStats> b_tiers = b.tier_stats();
@@ -176,7 +149,7 @@ int main(int argc, char** argv) {
   size_t contained = 0;
   size_t mismatches = 0;
   size_t errors = 0;
-  for (size_t i = 0; i < tasks.size(); ++i) {
+  for (size_t i = 0; i < tasks; ++i) {
     if (!oracle_results[i].ok() || !a_results[i].ok() || !b_results[i].ok()) {
       ++errors;
       continue;
@@ -188,7 +161,7 @@ int main(int argc, char** argv) {
     if (b_results[i]->report.contained) ++contained;
   }
 
-  std::printf("%zu tasks (%zu classes x %zu copies)\n", tasks.size(), kClasses,
+  std::printf("%zu tasks (%zu classes x %zu copies)\n", tasks, kClasses,
               kCopies);
   std::printf("  engine A (cold, publisher): %8.3f ms, %llu chases\n", a_ms,
               static_cast<unsigned long long>(a_stats.chases_built));
@@ -209,8 +182,7 @@ int main(int argc, char** argv) {
               contained, mismatches, errors);
 
   std::vector<std::pair<std::string, double>> counters = {
-      {"tasks", static_cast<double>(tasks.size())},
-      {"endpoints", static_cast<double>(endpoints.size())},
+      {"tasks", static_cast<double>(tasks)},
       {"a_chases_built", static_cast<double>(a_stats.chases_built)},
       {"chases_built", static_cast<double>(b_stats.chases_built)},
       {"cache_hits", static_cast<double>(b_stats.cache_hits)},
@@ -245,12 +217,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: no remote tier in engine B's stack\n");
     return 1;
   }
-  if (remote->fetches >= tasks.size()) {
+  if (remote->fetches >= tasks) {
     std::fprintf(stderr,
                  "FAIL: %llu remote round trips for %zu tasks (want strictly "
                  "fewer: the burst should ride kTierOpFetchMany)\n",
-                 static_cast<unsigned long long>(remote->fetches),
-                 tasks.size());
+                 static_cast<unsigned long long>(remote->fetches), tasks);
     return 1;
   }
   if (remote->batched_fetches == 0) {

@@ -89,26 +89,16 @@ Workload Build() {
   return w;
 }
 
-std::vector<ContainmentTask> TasksFor(const Workload& w,
-                                      const DependencySet& deps) {
-  std::vector<ContainmentTask> tasks;
-  tasks.reserve(w.lhs.size());
-  for (size_t i = 0; i < w.lhs.size(); ++i) {
-    tasks.push_back(ContainmentTask{&w.lhs[i], &w.rhs[i], &deps});
-  }
-  return tasks;
-}
-
 // Re-decides every task on a fresh store-less engine and counts divergence
 // from `got` — the oracle that makes "survived" mean "still correct".
 size_t OracleMismatches(Workload& w, const DependencySet& deps,
                         const std::vector<Result<EngineVerdict>>& got,
                         size_t* errors) {
   ContainmentEngine oracle(&w.catalog, &w.symbols, EngineConfig{});
-  std::vector<ContainmentTask> tasks = TasksFor(w, deps);
-  std::vector<Result<EngineVerdict>> truth = oracle.CheckMany(tasks);
+  std::vector<Result<EngineVerdict>> truth =
+      bench::DecideAll(oracle, w.lhs, w.rhs, deps);
   size_t mismatches = 0;
-  for (size_t i = 0; i < tasks.size(); ++i) {
+  for (size_t i = 0; i < truth.size(); ++i) {
     if (!truth[i].ok() || !got[i].ok()) {
       ++*errors;
       continue;
@@ -136,7 +126,8 @@ int main(int argc, char** argv) {
               kChains, w.lhs.size());
 
   EngineConfig config;
-  config.store_path = store_dir;
+  config.tiers = {TierSpec::Lru(config.verdict_cache_capacity),
+                  TierSpec::LocalStore(store_dir)};
   // Chase-free strategies leave lineage unknown (sound but drop-only); the
   // bench measures the chase's used-dependency capture, so route everything
   // through the chase.
@@ -152,8 +143,8 @@ int main(int argc, char** argv) {
   bench::WallTimer total_timer;
 
   // Phase 1: warm the engine (LRU + store) under the full Σ.
-  std::vector<ContainmentTask> warm_tasks = TasksFor(w, w.full);
-  std::vector<Result<EngineVerdict>> warm = engine.CheckMany(warm_tasks);
+  std::vector<Result<EngineVerdict>> warm =
+      bench::DecideAll(engine, w.lhs, w.rhs, w.full);
   const uint64_t chases_warm = engine.stats().chases_built;
   const size_t warm_bad = OracleMismatches(w, w.full, warm, &errors);
   std::printf("phase 1 (warm):   %llu chases, %zu mismatches\n",
@@ -162,8 +153,8 @@ int main(int argc, char** argv) {
   // Phase 2: remove chain 0's B->C IND. Only chain 0's contained task fired
   // it; everything else must survive exactly and re-answer without a chase.
   const DeltaReceipt removal = engine.EvolveSigma(w.full, w.edited);
-  std::vector<ContainmentTask> rm_tasks = TasksFor(w, w.edited);
-  std::vector<Result<EngineVerdict>> after_rm = engine.CheckMany(rm_tasks);
+  std::vector<Result<EngineVerdict>> after_rm =
+      bench::DecideAll(engine, w.lhs, w.rhs, w.edited);
   const uint64_t chases_rm = engine.stats().chases_built - chases_warm;
   const size_t rm_bad = OracleMismatches(w, w.edited, after_rm, &errors);
   std::printf(
@@ -180,8 +171,8 @@ int main(int argc, char** argv) {
   // genuinely touched by an addition and re-decide.
   const uint64_t monotone_before = engine.stats().monotone_hits;
   const DeltaReceipt addback = engine.EvolveSigma(w.edited, w.full);
-  std::vector<ContainmentTask> add_tasks = TasksFor(w, w.full);
-  std::vector<Result<EngineVerdict>> after_add = engine.CheckMany(add_tasks);
+  std::vector<Result<EngineVerdict>> after_add =
+      bench::DecideAll(engine, w.lhs, w.rhs, w.full);
   const uint64_t monotone_hits =
       engine.stats().monotone_hits - monotone_before;
   const size_t add_bad = OracleMismatches(w, w.full, after_add, &errors);

@@ -50,20 +50,18 @@ int main(int argc, char** argv) {
   bench::ContainmentWorkload w =
       bench::BuildContainmentWorkload(kClasses, kCopies, /*catalog_seed=*/11,
                                       /*class_seed_base=*/4000);
-  std::vector<ContainmentTask> tasks;
-  tasks.reserve(w.lhs.size());
-  for (size_t i = 0; i < w.lhs.size(); ++i) {
-    tasks.push_back(ContainmentTask{&w.lhs[i], &w.rhs[i], &w.deps});
-  }
+  const size_t tasks = w.lhs.size();
 
   // Oracle: no store, fresh caches — ground truth for this process.
   EngineConfig oracle_config;
   ContainmentEngine oracle(w.catalog.get(), w.symbols.get(), oracle_config);
-  std::vector<Result<EngineVerdict>> oracle_results = oracle.CheckMany(tasks);
+  std::vector<Result<EngineVerdict>> oracle_results =
+      bench::DecideAll(oracle, w.lhs, w.rhs, w.deps);
 
   // The engine under test, backed by the (possibly pre-populated) store.
   EngineConfig store_config;
-  store_config.store_path = store_dir;
+  store_config.tiers = {TierSpec::Lru(store_config.verdict_cache_capacity),
+                        TierSpec::LocalStore(store_dir)};
   EngineStats stats;
   VerdictStoreStats store_stats;
   std::vector<Result<EngineVerdict>> store_results;
@@ -78,7 +76,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     bench::WallTimer timer;
-    store_results = engine.CheckMany(tasks);
+    store_results = bench::DecideAll(engine, w.lhs, w.rhs, w.deps);
     store_ms = timer.ElapsedMs();
     stats = engine.stats();
     store_stats = engine.store()->stats();
@@ -89,7 +87,7 @@ int main(int argc, char** argv) {
   size_t contained = 0;
   size_t mismatches = 0;
   size_t errors = 0;
-  for (size_t i = 0; i < tasks.size(); ++i) {
+  for (size_t i = 0; i < tasks; ++i) {
     if (!oracle_results[i].ok() || !store_results[i].ok()) {
       ++errors;
       continue;
@@ -102,7 +100,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("%zu tasks (%zu classes x %zu copies), store: %s (%s)\n",
-              tasks.size(), kClasses, kCopies, store_dir.c_str(),
+              tasks, kClasses, kCopies, store_dir.c_str(),
               expect_warm ? "warm run" : "cold run");
   std::printf("  store-backed: %8.3f ms\n", store_ms);
   std::printf(
@@ -119,7 +117,7 @@ int main(int argc, char** argv) {
               contained, mismatches, errors);
 
   std::vector<std::pair<std::string, double>> counters = {
-      {"tasks", static_cast<double>(tasks.size())},
+      {"tasks", static_cast<double>(tasks)},
       {"warm", expect_warm ? 1.0 : 0.0},
       {"chases_built", static_cast<double>(stats.chases_built)},
       {"cache_hits", static_cast<double>(stats.cache_hits)},

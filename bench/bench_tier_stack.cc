@@ -57,15 +57,12 @@ int main() {
   bench::ContainmentWorkload w =
       bench::BuildContainmentWorkload(kClasses, kCopies, /*catalog_seed=*/17,
                                       /*class_seed_base=*/7000);
-  std::vector<ContainmentTask> tasks;
-  tasks.reserve(w.lhs.size());
-  for (size_t i = 0; i < w.lhs.size(); ++i) {
-    tasks.push_back(ContainmentTask{&w.lhs[i], &w.rhs[i], &w.deps});
-  }
+  const size_t tasks = w.lhs.size();
 
   // Oracle: no tiers beyond its own LRU — ground truth for this process.
   ContainmentEngine oracle(w.catalog.get(), w.symbols.get(), EngineConfig{});
-  std::vector<Result<EngineVerdict>> oracle_results = oracle.CheckMany(tasks);
+  std::vector<Result<EngineVerdict>> oracle_results =
+      bench::DecideAll(oracle, w.lhs, w.rhs, w.deps);
 
   auto authority = std::make_shared<VerdictAuthority>();
 
@@ -78,7 +75,7 @@ int main() {
     ContainmentEngine a(w.catalog.get(), w.symbols.get(),
                         LoopbackConfig(authority));
     bench::WallTimer timer;
-    a_results = a.CheckMany(tasks);
+    a_results = bench::DecideAll(a, w.lhs, w.rhs, w.deps);
     a_ms = timer.ElapsedMs();
     a_stats = a.stats();
   }
@@ -87,7 +84,8 @@ int main() {
   EngineConfig b_config = LoopbackConfig(authority);
   ContainmentEngine b(w.catalog.get(), w.symbols.get(), b_config);
   bench::WallTimer timer;
-  std::vector<Result<EngineVerdict>> b_results = b.CheckMany(tasks);
+  std::vector<Result<EngineVerdict>> b_results =
+      bench::DecideAll(b, w.lhs, w.rhs, w.deps);
   const double b_ms = timer.ElapsedMs();
   const EngineStats b_stats = b.stats();
   const std::vector<VerdictTierStats> b_tiers = b.tier_stats();
@@ -96,7 +94,7 @@ int main() {
   size_t contained = 0;
   size_t mismatches = 0;
   size_t errors = 0;
-  for (size_t i = 0; i < tasks.size(); ++i) {
+  for (size_t i = 0; i < tasks; ++i) {
     if (!oracle_results[i].ok() || !a_results[i].ok() || !b_results[i].ok()) {
       ++errors;
       continue;
@@ -109,7 +107,7 @@ int main() {
   }
 
   std::printf("%zu tasks (%zu classes x %zu copies), authority: %zu verdicts\n",
-              tasks.size(), kClasses, kCopies, authority->size());
+              tasks, kClasses, kCopies, authority->size());
   std::printf("  engine A (cold, publisher): %8.3f ms, %llu chases\n", a_ms,
               static_cast<unsigned long long>(a_stats.chases_built));
   std::printf("  engine B (remote-served)  : %8.3f ms, %llu chases\n", b_ms,
@@ -126,7 +124,7 @@ int main() {
               contained, mismatches, errors);
 
   std::vector<std::pair<std::string, double>> counters = {
-      {"tasks", static_cast<double>(tasks.size())},
+      {"tasks", static_cast<double>(tasks)},
       {"authority_entries", static_cast<double>(authority->size())},
       {"authority_fetches", static_cast<double>(authority_stats.fetches)},
       {"a_chases_built", static_cast<double>(a_stats.chases_built)},

@@ -212,7 +212,7 @@ inline void AppendEngineConfig(
   counters.emplace_back(
       "chase_cache_capacity",
       static_cast<double>(caches_on ? config.chase_cache_capacity : 0));
-  bool has_store_tier = !config.store_path.empty();
+  bool has_store_tier = false;
   for (const TierSpec& spec : config.tiers) {
     if (spec.kind == TierSpec::Kind::kLocalStore) has_store_tier = true;
   }
@@ -224,6 +224,30 @@ inline void AppendEngineConfig(
   counters.emplace_back(
       "chase_core",
       static_cast<double>(static_cast<int>(config.containment.limits.core)));
+}
+
+// Decides (lhs[i], rhs[i]) under `deps` for every i as one SubmitAll burst
+// and returns the verdicts in order. The requests borrow their inputs: every
+// future is drained before this returns.
+inline std::vector<Result<EngineVerdict>> DecideAll(
+    ContainmentEngine& engine, const std::vector<ConjunctiveQuery>& lhs,
+    const std::vector<ConjunctiveQuery>& rhs, const DependencySet& deps) {
+  std::vector<ContainmentRequest> requests;
+  requests.reserve(lhs.size());
+  for (size_t i = 0; i < lhs.size(); ++i) {
+    requests.push_back(ContainmentRequest::Borrow(lhs[i], rhs[i], deps));
+  }
+  std::vector<Result<EngineVerdict>> verdicts;
+  verdicts.reserve(lhs.size());
+  for (EngineFuture<EngineOutcome>& f : engine.SubmitAll(std::move(requests))) {
+    Result<EngineOutcome> outcome = f.Get();
+    if (outcome.ok()) {
+      verdicts.push_back(std::move(outcome->verdict));
+    } else {
+      verdicts.push_back(outcome.status());
+    }
+  }
+  return verdicts;
 }
 
 // A deterministic keyed IND-only containment workload of `classes` verdict

@@ -16,12 +16,8 @@
 #     served from every tier — LRU, local store, remote over TCP — and the
 #     survivors of EvolveSigma. No timing is gated here. Placed before
 #     perf-gates so a red perf gate cannot hide it.
-#  4. perf-gates: enforced perf smokes. bench_checkmany_scaling exits
-#     non-zero if worker fan-out verdicts diverge or 8-worker throughput
-#     misses the target for the host's core count; bench_submit_throughput if
-#     pooled async submission loses to the legacy per-call thread fan-out or
-#     verdicts diverge between the two modes; bench_chase_bulk if the
-#     set-at-a-time chase core diverges from the scalar oracle (prefix,
+#  4. perf-gates: enforced perf smokes. bench_chase_bulk exits non-zero if
+#     the set-at-a-time chase core diverges from the scalar oracle (prefix,
 #     steps, or terminal status) or misses the >= 2x speedup bound on the
 #     wide-Σ workload; bench_reliance if any acyclic FD+IND task fails to
 #     decide with allow_semidecision=false (the reliance analyzer's
@@ -33,7 +29,9 @@
 #     bench_store_warmstart twice against the same fresh store directory; the
 #     cold run populates the store and checks verdict parity against a
 #     store-less engine, the warm run additionally exits non-zero unless it
-#     answered the whole repeated workload with zero chases built.
+#     answered the whole repeated workload with zero chases built. Then
+#     `verdict_storectl verify` must find the store's files clean (current
+#     format version, fingerprint, checksums, every entry decodable).
 #  6. tier-gate: the distributed-tier contract in-process. bench_tier_stack
 #     runs engine A cold (publishing over the loopback RemoteTier to a shared
 #     verdict authority) and then engine B with cold local caches, which must
@@ -57,7 +55,7 @@
 #     one; -fno-sanitize-recover turns any UB into a non-zero exit.
 #  9. tsan: ThreadSanitizer over the concurrency-bearing binaries (sharded
 #     symbol arena, shared chase prefixes and their cancel/deadline release,
-#     the work-stealing executor, CheckMany fan-out, write-behind store/tier
+#     the work-stealing executor, SubmitAll bursts, write-behind store/tier
 #     flush, thread-per-connection authority server): any data race fails
 #     CI.
 # 10. static-analysis: clang-tidy (profile in .clang-tidy: bugprone-*,
@@ -128,8 +126,6 @@ perfbench_smoke() {
 }
 
 perf_gates() {
-  ./build/bench_checkmany_scaling
-  ./build/bench_submit_throughput
   ./build/bench_chase_bulk
   ./build/bench_reliance
   # Σ-lineage survival: a 1-IND edit on a warm wide-Σ store must invalidate
@@ -143,6 +139,7 @@ warmstart_gate() {
   rm -rf "${dir}"
   ./build/bench_store_warmstart "${dir}"          # cold: populate + parity
   ./build/bench_store_warmstart "${dir}" --warm   # warm: zero chases or fail
+  ./build/verdict_storectl verify --dir "${dir}"  # files clean or fail
 }
 
 tier_gate() {

@@ -40,10 +40,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // The only change from a store-less engine: one config knob. Empty path =
-  // the tier is off and nothing else differs.
+  // The only change from a store-less engine: a local-store tier behind the
+  // in-memory LRU.
   EngineConfig config;
-  config.store_path = store_dir;
+  config.tiers = {TierSpec::Lru(config.verdict_cache_capacity),
+                  TierSpec::LocalStore(store_dir)};
   ContainmentEngine engine(&catalog, &symbols, config);
   if (engine.store() == nullptr) {
     std::printf("store did not open: %s\n",

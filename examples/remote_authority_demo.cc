@@ -11,9 +11,7 @@
 // answers the identical questions without building a single chase. This is
 // tier_stack_demo with the loopback replaced by the production transport;
 // point the same TcpTransport at another machine's verdict_authorityd and
-// nothing else changes. For fleet-scale sharding across several
-// authorities, wrap N TcpTransports in a net::ShardedTransport (README
-// "Networked verdict authority").
+// nothing else changes.
 #include <cstdio>
 #include <memory>
 

@@ -324,7 +324,7 @@ class Chase {
   ChaseVariant variant_;
   ChaseLimits limits_;
   // Per-chase NDV allocation shard: IND steps mint fresh NDVs without
-  // touching the SymbolTable mutex, so concurrent chases (CheckMany fan-out)
+  // touching the SymbolTable mutex, so concurrent chases (executor workers)
   // never contend on the arena. Every leased block returns to the table on
   // destruction: this chase's NDVs live exactly as long as it does.
   SymbolTable::NdvShard ndv_shard_;

@@ -26,12 +26,10 @@ inline void BumpBy(std::atomic<uint64_t>& counter, uint64_t n) {
   if (n != 0) counter.fetch_add(n, std::memory_order_relaxed);
 }
 
-// Width of the shared executor: the explicit knob wins; otherwise a
-// num_threads > 1 legacy config keeps sizing the pool its CheckMany batches
-// now run on; otherwise whatever the hardware offers.
+// Width of the shared executor: the explicit knob wins; otherwise whatever
+// the hardware offers.
 size_t ExecutorWidth(const EngineConfig& config) {
   if (config.executor_threads > 0) return config.executor_threads;
-  if (config.num_threads > 1) return config.num_threads;
   const unsigned hc = std::thread::hardware_concurrency();
   return hc > 0 ? hc : 1;
 }
@@ -129,19 +127,6 @@ EngineVerdict FromStoredVerdict(const StoredVerdict& stored) {
   return verdict;
 }
 
-// The tier specs the engine actually assembles: the explicit stack, with
-// the legacy knobs expanded — an empty `tiers` means the classic in-memory
-// LRU, and a non-empty `store_path` appends one local-store tier (the
-// back-compat shim for the pre-stack config surface).
-std::vector<TierSpec> EffectiveTierSpecs(const EngineConfig& config) {
-  std::vector<TierSpec> specs = config.tiers;
-  if (specs.empty()) specs.push_back(TierSpec::Lru(config.verdict_cache_capacity));
-  if (!config.store_path.empty()) {
-    specs.push_back(TierSpec::LocalStore(config.store_path));
-  }
-  return specs;
-}
-
 // A summary DV must keep occurring in the body; removing the only conjunct
 // containing it would make the query unsafe.
 bool RemovalKeepsSafety(const ConjunctiveQuery& q, size_t skip) {
@@ -172,22 +157,23 @@ ContainmentEngine::ContainmentEngine(const Catalog* catalog,
       sigma_cache_(config_.sigma_cache_capacity),
       chase_cache_(config_.chase_cache_capacity),
       executor_(ExecutorWidth(config_)) {
-  const bool wants_tiers =
-      !config_.store_path.empty() || !config_.tiers.empty();
   if (!config_.enable_cache) {
-    if (wants_tiers) {
+    if (!config_.tiers.empty()) {
       // The tier stack rides the memoization layer; with enable_cache off
       // no canonical keys are ever computed, so an assembled stack would
       // sit dead (never probed, never written) while silently looking
       // healthy. Refuse loudly instead.
       store_status_ = Status::FailedPrecondition(
-          "tiers/store_path require enable_cache: the verdict tiers serve "
+          "tiers require enable_cache: the verdict tiers serve "
           "the canonical-key lookups that enable_cache = false turns off");
     }
     return;
   }
-  Result<std::unique_ptr<TierStack>> assembled =
-      TierStack::Assemble(EffectiveTierSpecs(config_));
+  std::vector<TierSpec> specs = config_.tiers;
+  if (specs.empty()) {  // the classic single in-memory LRU
+    specs.push_back(TierSpec::Lru(config_.verdict_cache_capacity));
+  }
+  Result<std::unique_ptr<TierStack>> assembled = TierStack::Assemble(specs);
   if (!assembled.ok()) {
     // A kRefuse spec tripped: the caller asked for loud failure, and gets
     // it — but a broken cache hierarchy must not take the engine down, so
@@ -197,9 +183,8 @@ ContainmentEngine::ContainmentEngine(const Catalog* catalog,
     return;
   }
   tiers_ = *std::move(assembled);
-  // Back-compat surface: a local-store tier that was quarantined (open
-  // failure, fingerprint drift) reports its reason through store_status(),
-  // exactly as the pre-stack engine did.
+  // A local-store tier that was quarantined (open failure, fingerprint
+  // drift) reports its reason through store_status().
   for (const TierStack::TierDescriptor& desc : tiers_->descriptors()) {
     if (desc.kind == TierSpec::Kind::kLocalStore && !desc.active) {
       store_status_ = desc.status;
@@ -339,7 +324,7 @@ std::vector<EngineFuture<EngineOutcome>> ContainmentEngine::SubmitAll(
   // Warm the tier stack for the whole burst before fanning out: one batched
   // round trip per network tier instead of one RTT per worker-side Lookup.
   // Certificate requests skip tier reads entirely, so their keys stay out.
-  if (requests.size() > 1) {
+  if (requests.size() > 1 && tiers_ != nullptr) {
     std::vector<std::string> keys;
     keys.reserve(requests.size());
     SigmaKeysByAddress sigma_keys;
@@ -350,7 +335,9 @@ std::vector<EngineFuture<EngineOutcome>> ContainmentEngine::SubmitAll(
           TierKeyForPrefetch(*r.q, *r.q_prime, *r.deps, &sigma_keys));
       if (keys.back().empty()) keys.pop_back();
     }
-    PrefetchTierKeys(keys);
+    if (!keys.empty() && tiers_->Prefetch(keys).buffered_writes) {
+      ScheduleTierFlush();
+    }
   }
   std::vector<EngineFuture<EngineOutcome>> futures;
   futures.reserve(requests.size());
@@ -530,12 +517,6 @@ std::string ContainmentEngine::TierKeyForPrefetch(
   auto [it, fresh] = sigma_keys->try_emplace(&deps);
   if (fresh) it->second = CanonicalSigmaKey(deps);
   return CanonicalTaskKey(q, q_prime, it->second, config_.containment.variant);
-}
-
-void ContainmentEngine::PrefetchTierKeys(const std::vector<std::string>& keys) {
-  if (keys.empty() || tiers_ == nullptr || !config_.enable_cache) return;
-  TierStack::PrefetchReceipt receipt = tiers_->Prefetch(keys);
-  if (receipt.buffered_writes) ScheduleTierFlush();
 }
 
 void ContainmentEngine::ScheduleTierFlush() {
@@ -1005,28 +986,6 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
   return result;
 }
 
-Result<std::optional<ContainmentCertificate>> ContainmentEngine::Certify(
-    const ConjunctiveQuery& q, const ConjunctiveQuery& q_prime,
-    const DependencySet& deps) {
-  RequestOptions options;
-  options.want_certificate = true;
-  // Inline, like Check: a blocking shim gains nothing from the executor
-  // hop, and a purely synchronous caller should not spin up the pool.
-  CQCHASE_ASSIGN_OR_RETURN(
-      EngineOutcome outcome,
-      Execute(q, q_prime, deps, options, /*control=*/nullptr,
-              /*cache_chase_prefix=*/true));
-  if (!outcome.verdict.report.contained) {
-    return std::optional<ContainmentCertificate>();
-  }
-  if (!outcome.certificate.has_value()) {
-    return Status::Internal(
-        "contained verdict resolved without the requested certificate");
-  }
-  return std::optional<ContainmentCertificate>(
-      std::move(*outcome.certificate));
-}
-
 Result<bool> ContainmentEngine::CheckEquivalence(
     const ConjunctiveQuery& q, const ConjunctiveQuery& q_prime,
     const DependencySet& deps) {
@@ -1034,70 +993,6 @@ Result<bool> ContainmentEngine::CheckEquivalence(
   if (!forward.report.contained) return false;
   CQCHASE_ASSIGN_OR_RETURN(EngineVerdict backward, Check(q_prime, q, deps));
   return backward.report.contained;
-}
-
-std::vector<Result<EngineVerdict>> ContainmentEngine::CheckMany(
-    const std::vector<ContainmentTask>& tasks) {
-  std::vector<Result<EngineVerdict>> out;
-  out.reserve(tasks.size());
-  auto null_error = [](size_t i) {
-    return Status::InvalidArgument(
-        StrCat("CheckMany task ", i, " has a null pointer"));
-  };
-
-  // Warm the tier stack for the whole batch first (both paths — the
-  // sequential shim pays per-key RTTs to a network tier just as surely as
-  // the fan-out does). Misses enter the remote tier's negative cache here,
-  // so the per-task Lookups below cost zero further round trips either way.
-  if (tasks.size() > 1) {
-    std::vector<std::string> keys;
-    keys.reserve(tasks.size());
-    SigmaKeysByAddress sigma_keys;
-    for (const ContainmentTask& t : tasks) {
-      if (t.q == nullptr || t.q_prime == nullptr || t.deps == nullptr) continue;
-      keys.push_back(
-          TierKeyForPrefetch(*t.q, *t.q_prime, *t.deps, &sigma_keys));
-      if (keys.back().empty()) keys.pop_back();
-    }
-    PrefetchTierKeys(keys);
-  }
-
-  if (config_.num_threads <= 1 || tasks.size() <= 1) {
-    // Sequential fast path: exact historical behavior, no executor hop.
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      const ContainmentTask& t = tasks[i];
-      if (t.q == nullptr || t.q_prime == nullptr || t.deps == nullptr) {
-        out.push_back(null_error(i));
-        continue;
-      }
-      out.push_back(Check(*t.q, *t.q_prime, *t.deps));
-    }
-    return out;
-  }
-
-  // Batch shim over the async API: Borrow is safe because this frame blocks
-  // until every future resolves. The executor (width >= num_threads when
-  // sized by it) replaces the per-call thread spawn/join of old.
-  std::vector<EngineFuture<EngineOutcome>> futures(tasks.size());
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    const ContainmentTask& t = tasks[i];
-    if (t.q == nullptr || t.q_prime == nullptr || t.deps == nullptr) continue;
-    futures[i] = Submit(ContainmentRequest::Borrow(*t.q, *t.q_prime, *t.deps));
-  }
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    if (!futures[i].valid()) {
-      out.push_back(null_error(i));
-      continue;
-    }
-    Result<EngineOutcome> r = futures[i].Get();
-    if (!r.ok()) {
-      out.push_back(r.status());
-    } else {
-      EngineOutcome outcome = *std::move(r);
-      out.push_back(std::move(outcome.verdict));
-    }
-  }
-  return out;
 }
 
 Result<bool> ContainmentEngine::IsNonMinimal(const ConjunctiveQuery& q,

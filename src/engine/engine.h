@@ -34,8 +34,7 @@
 //     into every cheaper tier; a hit at any non-LRU tier bypasses the chase
 //     entirely; new verdicts fan out to every write-through tier and reach
 //     disk/network through write-behind flushes on the executor — the hot
-//     path never waits on I/O. EngineConfig::store_path survives as a shim
-//     that expands to one local-store tier.
+//     path never waits on I/O.
 //  3. Async request execution (engine/request.h + engine/executor.h):
 //     Submit(ContainmentRequest) -> EngineFuture<EngineOutcome> runs every
 //     request on a persistent work-stealing thread pool shared across calls.
@@ -43,8 +42,9 @@
 //     priority, want_certificate, semi-decision override), support
 //     cooperative cancellation threaded through the chase deepening loop,
 //     and can return a Theorem 2 certificate extracted from the *same*
-//     chase the decision ran. CheckMany and Certify survive as thin
-//     blocking shims over Submit + wait.
+//     chase the decision ran. SubmitAll fans a burst out, warming the tier
+//     stack with one batched probe first; Check is the inline synchronous
+//     form.
 //
 // Adding a new decision strategy is a three-step recipe (see README):
 // extend DecisionStrategy + ChooseStrategy in engine/sigma_class.h, add the
@@ -108,11 +108,9 @@ struct EngineConfig {
   // write-through tier and are flushed write-behind on the executor.
   //
   // Empty (the default) assembles the classic single in-memory LRU of
-  // verdict_cache_capacity entries — zero behavior change — plus, when
-  // store_path below is set, one local-store tier behind it. A non-empty
-  // vector is taken verbatim (store_path, if also set, appends one
-  // local-store tier at the end; order the stack yourself with
-  // TierSpec::LocalStore to put it elsewhere):
+  // verdict_cache_capacity entries. A non-empty vector is taken verbatim;
+  // verdicts survive restarts behind a local-store tier (a store directory
+  // has exactly one owner at a time — flock):
   //
   //   config.tiers = {TierSpec::Lru(1 << 16),
   //                   TierSpec::LocalStore("/var/cq/verdicts"),
@@ -125,39 +123,15 @@ struct EngineConfig {
   // kFailedPrecondition otherwise).
   std::vector<TierSpec> tiers;
 
-  // Back-compat shim for the pre-stack config surface: a non-empty path
-  // expands to one TierSpec::LocalStore(store_path) tier — verdicts survive
-  // process restarts, a store hit bypasses the chase, quarantine-and-
-  // rebuild on any format guard failure (see store_status()); a store
-  // directory has exactly one owner at a time (flock).
-  std::string store_path;
-
   // Layer 1: route IND-only single-conjunct tasks to the PSPACE streaming
   // path. Streaming verdicts carry no witness homomorphism; callers that
   // need the witness (or byte-identical legacy reports) disable this.
   bool route_streaming_single_conjunct = true;
 
-  // Layer 3: width of the shared work-stealing executor Submit runs on.
-  // 0 means "derive": num_threads when that is > 1 (so the legacy CheckMany
-  // fan-out knob keeps sizing the pool it now runs on), else the hardware
-  // concurrency. Workers start lazily on the first Submit.
+  // Layer 3: width of the shared work-stealing executor Submit runs on;
+  // 0 means the hardware concurrency. Workers start lazily on the first
+  // Submit.
   size_t executor_threads = 0;
-
-  // Legacy CheckMany fan-out width. <= 1 means the shim evaluates the batch
-  // sequentially inline (exact historical behavior); > 1 means it submits
-  // the batch to the executor and waits.
-  size_t num_threads = 1;
-};
-
-// One containment question for the legacy batch API. Pointers must stay
-// valid for the duration of the CheckMany call; all queries must share the
-// engine's catalog and symbol table. New code should build a
-// ContainmentRequest (engine/request.h), which owns its inputs and cannot
-// dangle.
-struct ContainmentTask {
-  const ConjunctiveQuery* q = nullptr;
-  const ConjunctiveQuery* q_prime = nullptr;
-  const DependencySet* deps = nullptr;
 };
 
 // Monotone counters (plus two executor gauges); read via stats(). Counters
@@ -254,7 +228,9 @@ class ContainmentEngine {
   // classic pool deadlock); Submit more work instead.
   EngineFuture<EngineOutcome> Submit(ContainmentRequest request);
 
-  // Convenience fan-out: one future per request, in order.
+  // Burst fan-out: one future per request, in order. The burst's tier keys
+  // are prefetched first, so a network tier pays one batched round trip
+  // instead of one per request.
   std::vector<EngineFuture<EngineOutcome>> SubmitAll(
       std::vector<ContainmentRequest> requests);
 
@@ -270,23 +246,6 @@ class ContainmentEngine {
   Result<bool> CheckEquivalence(const ConjunctiveQuery& q,
                                 const ConjunctiveQuery& q_prime,
                                 const DependencySet& deps);
-
-  // Legacy batch shim: with num_threads > 1, submits every task to the
-  // executor and waits (identical verdicts to sequential evaluation); with
-  // num_threads <= 1, evaluates inline sequentially. One Result per task,
-  // in task order.
-  std::vector<Result<EngineVerdict>> CheckMany(
-      const std::vector<ContainmentTask>& tasks);
-
-  // Legacy certificate shim: the synchronous counterpart of Submit with
-  // want_certificate, running inline on the calling thread (like Check —
-  // no pool spin-up for a blocking call). Decides containment and, when it
-  // holds, returns the Theorem 2 proof object extracted from the
-  // decision's own chase (a single chase serves both — and a cached chase
-  // prefix may mean no new chase at all).
-  Result<std::optional<ContainmentCertificate>> Certify(
-      const ConjunctiveQuery& q, const ConjunctiveQuery& q_prime,
-      const DependencySet& deps);
 
   // --- Optimization API (core/minimize.h semantics) ------------------------
 
@@ -358,12 +317,11 @@ class ContainmentEngine {
   std::vector<VerdictTierStats> tier_stats() const;
   std::vector<TierStack::TierDescriptor> tier_descriptors() const;
 
-  // Back-compat accessors for the store_path era: the first local-store
-  // tier's VerdictStore, or nullptr when the stack has none — because none
-  // was configured, or because its open failed / it was quarantined
-  // (store_status() then says why; the engine still serves — a broken
-  // cache tier degrades to a cold one, it never takes the service down
-  // with it).
+  // The first local-store tier's VerdictStore, or nullptr when the stack
+  // has none — because none was configured, or because its open failed /
+  // it was quarantined (store_status() then says why; the engine still
+  // serves — a broken cache tier degrades to a cold one, it never takes the
+  // service down with it).
   const VerdictStore* store() const;
   const Status& store_status() const { return store_status_; }
 
@@ -378,7 +336,7 @@ class ContainmentEngine {
   // caches (their entries embed the old Σ), and drives the delta through
   // the tier stack — surviving entries are re-keyed in place (exact or
   // monotone per engine/lineage.h), touched entries are dropped, the local
-  // store compacts, and a v3 remote peer migrates its authority map too.
+  // store compacts, and a remote peer migrates its authority map too.
   // O(entries touched) work instead of the O(everything) cold start that
   // re-keying the whole cache used to mean. Call between decision bursts:
   // concurrent in-flight checks under the *old* Σ may race the migration
@@ -506,12 +464,6 @@ class ContainmentEngine {
                                  const ConjunctiveQuery& q_prime,
                                  const DependencySet& deps,
                                  SigmaKeysByAddress* sigma_keys) const;
-
-  // Batched tier warm-up for a CheckMany/SubmitAll burst: one
-  // TierStack::Prefetch over the burst's keys, so a network tier pays one
-  // kTierOpFetchMany round trip instead of one RTT per key. Schedules the
-  // write-behind flush when promotions buffered durable bytes.
-  void PrefetchTierKeys(const std::vector<std::string>& keys);
 
   const Catalog* catalog_;
   SymbolTable* symbols_;

@@ -1,10 +1,9 @@
 // A persistent work-stealing thread pool: the execution substrate of the
 // engine's async Submit API.
 //
-// Before this existed, every CheckMany call spawned num_threads fresh
-// std::threads and joined them — fine for one big batch, pure churn for a
-// service answering a stream of small ones. The Executor keeps its workers
-// alive across calls:
+// Spawning fresh std::threads per batch and joining them is fine for one
+// big batch and pure churn for a service answering a stream of small ones.
+// The Executor keeps its workers alive across calls:
 //
 //   * one deque per worker. Submissions are dealt round-robin to the worker
 //     deques; a worker pops its own deque from the front (FIFO for fairness
@@ -28,8 +27,8 @@
 //     ChaseControl, which is how a drain stays prompt).
 //
 // Tasks must not block waiting for other tasks of the same Executor (the
-// classic pool deadlock); the engine's blocking shims (CheckMany, Certify)
-// are documented as caller-side APIs for exactly this reason.
+// classic pool deadlock); the engine documents EngineFuture::Get as a
+// caller-side API for exactly this reason.
 //
 // Locking: each deque has its own mutex (submit and steal touch one deque
 // at a time); a global mutex+condvar only handles sleep/wakeup of idle

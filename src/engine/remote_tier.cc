@@ -32,23 +32,24 @@ std::string BuildTierHello() {
 }
 
 Status ParseTierHelloResponse(const std::string& framed_response,
-                              std::string_view peer, uint32_t* peer_version,
+                              std::string_view peer,
                               uint64_t* peer_fingerprint) {
   std::string payload;
   CQCHASE_RETURN_IF_ERROR(UnframeTierMessage(framed_response, &payload));
   wire::ByteReader reader(payload);
   uint8_t op = 0;
+  uint32_t peer_version = 0;
   if (!reader.ReadU8(&op) || op != kTierOpHello ||
-      !reader.ReadU32(peer_version) || !reader.ReadU64(peer_fingerprint) ||
+      !reader.ReadU32(&peer_version) || !reader.ReadU64(peer_fingerprint) ||
       reader.remaining() != 0) {
     return Status::InvalidArgument(
         StrCat("peer ", std::string(peer), " sent a malformed hello response"));
   }
-  if (*peer_version < kTierMinProtocolVersion) {
+  if (peer_version != kTierProtocolVersion) {
     return Status::FailedPrecondition(
         StrCat("peer ", std::string(peer), " speaks tier protocol v",
-               *peer_version, ", below this build's minimum v",
-               kTierMinProtocolVersion));
+               peer_version, "; this build speaks only v",
+               kTierProtocolVersion));
   }
   return Status::OK();
 }
@@ -89,10 +90,10 @@ Status VerdictAuthority::Handle(const std::string& request,
         return Status::InvalidArgument("malformed hello");
       }
       // Always answer with our identity, even to a version we do not speak:
-      // the client needs the numbers to report a useful mismatch. The client
-      // picks min(its version, ours) — the authority just states its own.
+      // the client needs the numbers to report a useful mismatch, and it is
+      // the client that refuses.
       wire::PutU8(reply, kTierOpHello);
-      wire::PutU32(reply, options_.protocol_version);
+      wire::PutU32(reply, kTierProtocolVersion);
       wire::PutU64(reply, options_.fingerprint);
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.hellos;
@@ -117,12 +118,6 @@ Status VerdictAuthority::Handle(const std::string& request,
       break;
     }
     case kTierOpFetchMany: {
-      if (options_.protocol_version < 2) {
-        // A v1 authority predates this opcode; answering it would claim a
-        // capability the negotiated session does not have.
-        return Status::InvalidArgument(
-            StrCat("unknown protocol opcode ", int{op}));
-      }
       uint32_t count = 0;
       if (!reader.ReadU32(&count)) {
         return Status::InvalidArgument("malformed fetch-many");
@@ -219,12 +214,6 @@ Status VerdictAuthority::Handle(const std::string& request,
       break;
     }
     case kTierOpApplyDelta: {
-      if (options_.protocol_version < 3) {
-        // A v2 authority predates this opcode; clients negotiate down and
-        // degrade to drop-only rather than send it.
-        return Status::InvalidArgument(
-            StrCat("unknown protocol opcode ", int{op}));
-      }
       LineageDelta ld;
       CQCHASE_RETURN_IF_ERROR(DecodeLineageDelta(reader, &ld));
       if (reader.remaining() != 0) {
@@ -315,12 +304,10 @@ VerdictAuthority::Stats VerdictAuthority::stats() const {
 // --- RemoteTier --------------------------------------------------------------
 
 RemoteTier::RemoteTier(std::shared_ptr<VerdictTransport> transport,
-                       RemoteTierOptions options, uint64_t peer_fingerprint,
-                       uint32_t negotiated_version)
+                       RemoteTierOptions options, uint64_t peer_fingerprint)
     : transport_(std::move(transport)),
       options_(options),
       peer_fingerprint_(peer_fingerprint),
-      negotiated_version_(negotiated_version),
       name_(StrCat("remote:", std::string(transport_->Peer()))) {
   stats_.name = name_;
 }
@@ -332,18 +319,14 @@ Result<std::unique_ptr<RemoteTier>> RemoteTier::Connect(
   }
   std::string response;
   CQCHASE_RETURN_IF_ERROR(transport->RoundTrip(BuildTierHello(), &response));
-  uint32_t peer_version = 0;
   uint64_t peer_fingerprint = 0;
-  CQCHASE_RETURN_IF_ERROR(ParseTierHelloResponse(
-      response, transport->Peer(), &peer_version, &peer_fingerprint));
-  // The session runs at min(peer, ours): against a v1 peer this tier falls
-  // back to per-key fetches and never sends kTierOpFetchMany. Fingerprint
-  // mismatch is NOT an error here: the tier reports the peer's value and
-  // TierStack assembly applies the spec's refuse/quarantine policy — one
-  // place owns that decision.
-  const uint32_t negotiated = std::min(peer_version, kTierProtocolVersion);
-  return std::unique_ptr<RemoteTier>(new RemoteTier(
-      std::move(transport), options, peer_fingerprint, negotiated));
+  CQCHASE_RETURN_IF_ERROR(
+      ParseTierHelloResponse(response, transport->Peer(), &peer_fingerprint));
+  // Fingerprint mismatch is NOT an error here: the tier reports the peer's
+  // value and TierStack assembly applies the spec's refuse/quarantine
+  // policy — one place owns that decision.
+  return std::unique_ptr<RemoteTier>(
+      new RemoteTier(std::move(transport), options, peer_fingerprint));
 }
 
 RemoteTier::~RemoteTier() {
@@ -396,10 +379,6 @@ std::optional<StoredVerdict> RemoteTier::Lookup(const std::string& key) {
       ++stats_.negatives_expired;
     }
   }
-  return FetchSingle(key);
-}
-
-std::optional<StoredVerdict> RemoteTier::FetchSingle(const std::string& key) {
   // The round trip runs outside mu_: a slow peer must not serialize every
   // other lookup (or the flush) behind this one.
   std::string request_payload;
@@ -489,13 +468,6 @@ std::vector<std::optional<StoredVerdict>> RemoteTier::LookupMany(
     }
   }
   if (need.empty()) return out;
-
-  if (negotiated_version_ < 2) {
-    // v1 peer: the batched opcode does not exist there; per-key fetches
-    // keep correctness at the old one-RTT-per-key cost.
-    for (size_t i : need) out[i] = FetchSingle(keys[i]);
-    return out;
-  }
 
   const size_t cap =
       options_.max_batch_keys > 0 ? options_.max_batch_keys : need.size();
@@ -712,12 +684,6 @@ DeltaReceipt RemoteTier::ApplyDelta(const LineageDelta& ld) {
     }
     pending_ = std::move(keep);
   }
-  if (negotiated_version_ < 3) {
-    // The peer predates kTierOpApplyDelta: degrade to drop-only. Its old-Σ
-    // entries become unreachable under new-Σ keys — stale bytes on the
-    // authority, never wrong answers here.
-    return receipt;
-  }
 
   std::string payload;
   wire::PutU8(payload, kTierOpApplyDelta);
@@ -743,9 +709,9 @@ DeltaReceipt RemoteTier::ApplyDelta(const LineageDelta& ld) {
   }
   std::lock_guard<std::mutex> lock(mu_);
   if (!sent.ok() || malformed) {
-    // Unreachable or confused peer: same degradation as the version
-    // fallback — the authority keeps (unreachable) old-Σ entries, and a
-    // future session's delta can still migrate them.
+    // Unreachable or confused peer: the authority keeps (unreachable) old-Σ
+    // entries — stale bytes, never wrong answers here — and a future
+    // session's delta can still migrate them.
     ++stats_.transport_errors;
     return receipt;
   }

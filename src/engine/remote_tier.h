@@ -15,9 +15,8 @@
 //                        verdict authority with zero sockets.
 //   VerdictAuthority   — the server half: an in-memory canonical-key →
 //                        verdict map answering hello/fetch/publish. Its
-//                        fingerprint is configurable so tests (and future
-//                        proxies for older peers) can exercise the mismatch
-//                        path.
+//                        fingerprint is configurable so tests can exercise
+//                        the mismatch path.
 //   RemoteTier         — the client half, implementing VerdictTier:
 //                        Lookup fetches over the transport, Publish buffers
 //                        and Flush ships the batch (write-behind, like the
@@ -30,11 +29,9 @@
 // tier on mismatch (engine/tier.h) — verdicts never flow between parties
 // that disagree on the key scheme.
 //
-// Version negotiation: the client states its version in the hello, the peer
-// answers with its own, and the session runs at min(client, peer) — so a v2
-// client pipelines kTierOpFetchMany against a v2 authority but falls back to
-// per-key kTierOpFetch against a v1 peer, and the in-process loopback keeps
-// working across the bump. Versions below kTierMinProtocolVersion refuse.
+// One version: the client states kTierProtocolVersion in the hello, the peer
+// answers with its own, and any other number than ours is refused at
+// Connect. Every opcode below is spoken by every peer that gets past hello.
 //
 // Negative entries: a fetch miss ("authority does not know this key") is
 // remembered locally for RemoteTierOptions::negative_ttl, so a hot unknown
@@ -65,20 +62,19 @@
 namespace cqchase {
 
 // Version of the fetch/publish message layer. Bump on any change to the
-// opcodes or their bodies; a session runs at min(client, peer) and versions
-// below kTierMinProtocolVersion refuse at hello. History:
+// opcodes or their bodies; a peer stating any other version is refused at
+// hello. History (only the current version is spoken):
 //   1 — hello / fetch / publish
 //   2 — kTierOpFetchMany batched fetch
 //   3 — kTierOpApplyDelta schema-delta migration
 inline constexpr uint32_t kTierProtocolVersion = 3;
-inline constexpr uint32_t kTierMinProtocolVersion = 1;
 
 // Opcodes (first payload byte; responses echo their request's opcode).
 inline constexpr uint8_t kTierOpHello = 1;
 inline constexpr uint8_t kTierOpFetch = 2;
 inline constexpr uint8_t kTierOpPublish = 3;
-inline constexpr uint8_t kTierOpFetchMany = 4;   // protocol v2+
-inline constexpr uint8_t kTierOpApplyDelta = 5;  // protocol v3+
+inline constexpr uint8_t kTierOpFetchMany = 4;
+inline constexpr uint8_t kTierOpApplyDelta = 5;
 
 // Upper bound on one protocol message (framed). Shared by every transport
 // and the authority server: a length prefix past this is a confused or
@@ -118,8 +114,8 @@ class VerdictTransport {
   virtual VerdictTransportStats TransportStats() const { return {}; }
 };
 
-// --- protocol helpers (shared by the tier, the TCP transport, the sharded
-// --- router and the authority server) ----------------------------------------
+// --- protocol helpers (shared by the tier, the TCP transport and the
+// --- authority server) -------------------------------------------------------
 
 // Frames one payload as a complete protocol message.
 std::string FrameTierMessage(const std::string& payload);
@@ -132,10 +128,11 @@ Status UnframeTierMessage(const std::string& message, std::string* payload);
 std::string BuildTierHello();
 
 // Parses a framed hello response; `peer` labels the error message. Refuses
-// malformed payloads and versions below kTierMinProtocolVersion; fingerprint
-// judgment is the caller's (TierStack assembly owns that policy).
+// malformed payloads and any version other than kTierProtocolVersion (the
+// error names both numbers); fingerprint judgment is the caller's (TierStack
+// assembly owns that policy).
 Status ParseTierHelloResponse(const std::string& framed_response,
-                              std::string_view peer, uint32_t* peer_version,
+                              std::string_view peer,
                               uint64_t* peer_fingerprint);
 
 // The authority half of the protocol: holds the shared verdict map and
@@ -151,11 +148,6 @@ class VerdictAuthority {
     // Map bound; publishes past it are refused (accepted count in the
     // response says how many landed). 0 = unbounded.
     uint64_t max_entries = 0;
-    // Reported at hello; requests for opcodes newer than this are rejected
-    // as unknown. Overridable so tests can stand in for an old peer (a v1
-    // authority never serves kTierOpFetchMany); production keeps the
-    // default (this build's version).
-    uint32_t protocol_version = kTierProtocolVersion;
     // Called once per *accepted* publish entry, outside the authority's
     // lock — the hook a daemon uses to back the map with a VerdictStore.
     // Must be thread-safe; must outlive every Handle call.
@@ -246,9 +238,10 @@ struct RemoteTierOptions {
 class RemoteTier final : public VerdictTier {
  public:
   // Runs the hello handshake on `transport`. Fails on transport errors and
-  // protocol-version mismatches; a *fingerprint* mismatch succeeds here and
-  // is judged at TierStack assembly (Fingerprint() reports what the peer
-  // said), so the stack's refuse/quarantine policy owns that decision.
+  // on a peer that states any protocol version but kTierProtocolVersion; a
+  // *fingerprint* mismatch succeeds here and is judged at TierStack
+  // assembly (Fingerprint() reports what the peer said), so the stack's
+  // refuse/quarantine policy owns that decision.
   static Result<std::unique_ptr<RemoteTier>> Connect(
       std::shared_ptr<VerdictTransport> transport,
       RemoteTierOptions options = {});
@@ -260,7 +253,7 @@ class RemoteTier final : public VerdictTier {
   std::optional<StoredVerdict> Lookup(const std::string& key) override;
   // Batched lookup: pending/negative-cached keys are answered locally, the
   // rest go over the wire in kTierOpFetchMany chunks of at most
-  // options_.max_batch_keys (per-key kTierOpFetch against a v1 peer).
+  // options_.max_batch_keys.
   // Missed keys — including whole chunks lost to transport errors — enter
   // the negative cache, so a burst can't stampede the authority.
   std::vector<std::optional<StoredVerdict>> LookupMany(
@@ -271,36 +264,25 @@ class RemoteTier final : public VerdictTier {
   uint64_t Fingerprint() const override { return peer_fingerprint_; }
   // Always clears the negative cache (a remembered "authority does not know
   // this key" predates the edit and must not outlive it) and migrates the
-  // pending publish buffer locally; ships the delta to the peer when the
-  // negotiated session speaks kTierOpApplyDelta (v3+). Against an older
-  // peer it degrades to drop-only: the authority's old-Σ entries simply
-  // become unreachable under new-Σ keys — stale bytes, never wrong answers.
+  // pending publish buffer locally, then ships the delta to the peer
+  // (kTierOpApplyDelta). An unreachable peer keeps its old-Σ entries, which
+  // simply become unreachable under new-Σ keys — stale bytes, never wrong
+  // answers.
   DeltaReceipt ApplyDelta(const LineageDelta& ld) override;
   void Clear() override;  // forgets negative entries; pending publishes stay
   bool HasPendingWrites() const override;
 
-  // min(kTierProtocolVersion, peer's hello version): the level this session
-  // speaks. Batched fetch needs >= 2.
-  uint32_t negotiated_version() const { return negotiated_version_; }
-
  private:
   RemoteTier(std::shared_ptr<VerdictTransport> transport,
-             RemoteTierOptions options, uint64_t peer_fingerprint,
-             uint32_t negotiated_version);
+             RemoteTierOptions options, uint64_t peer_fingerprint);
 
   // Inserts `key` into the negative cache (expiry now + TTL), shedding the
   // oldest entry past the capacity bound. Caller holds mu_.
   void RememberNegativeLocked(const std::string& key);
 
-  // One kTierOpFetch round trip for `key`, with hit/negative-cache
-  // accounting — the shared tail of Lookup and the v1 LookupMany fallback.
-  // Caller must NOT hold mu_.
-  std::optional<StoredVerdict> FetchSingle(const std::string& key);
-
   const std::shared_ptr<VerdictTransport> transport_;
   const RemoteTierOptions options_;
   const uint64_t peer_fingerprint_;
-  const uint32_t negotiated_version_;
   const std::string name_;
 
   mutable std::mutex mu_;

@@ -3,8 +3,7 @@
 //   ContainmentRequest  — one containment question as an owned value: the
 //                         queries and Σ travel inside the request (shared
 //                         ownership), so a submitted request can never
-//                         dangle after the caller's scope exits — the trap
-//                         the raw-pointer ContainmentTask batch API had.
+//                         dangle after the caller's scope exits.
 //   RequestOptions      — per-request policy: deadline, priority,
 //                         want_certificate, semi-decision override.
 //   EngineOutcome       — what a request resolves to: the verdict (the old
@@ -103,9 +102,8 @@ struct ContainmentRequest {
   }
 
   // Non-owning aliases (no-op deleter): the caller guarantees the inputs
-  // outlive the returned future's completion. This is the legacy
-  // ContainmentTask contract; only the blocking shims (CheckMany, Certify),
-  // which hold the caller on the stack until completion, should use it.
+  // outlive the returned future's completion — e.g. a caller that Gets
+  // every future of a SubmitAll burst before its locals go out of scope.
   static ContainmentRequest Borrow(const ConjunctiveQuery& q,
                                    const ConjunctiveQuery& q_prime,
                                    const DependencySet& deps,

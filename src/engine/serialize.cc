@@ -106,43 +106,21 @@ Status ReadFramed(ByteReader& reader, std::string* payload) {
 
 }  // namespace wire
 
-uint64_t StoreSchemaFingerprintFor(uint32_t version) {
-  // One descriptor per readable version, each naming every field of that
-  // version's entry encoding in order. The v1 string is frozen verbatim —
-  // it must keep hashing to what v1 builds wrote into their file headers,
-  // or their files would quarantine instead of migrating. Any layout change
-  // adds a v(N+1) string (and bumps kStoreFormatVersion); any canonical-key
-  // drift changes the scheme version mixed in below, invalidating every
-  // version at once (old keys could collide with new keys of *different*
-  // tasks — no migration can save that).
-  static constexpr char kLayoutV1[] =
-      "v1:key:s|contained:u8|chase_outcome:u8|sigma_class:u8|strategy:u8|"
-      "witness_max_level:u32|chase_levels:u32|level_bound:u64|"
-      "chase_conjuncts:u64|certified:u8|certificate_depth:u32";
-  static constexpr char kLayoutV2[] =
+uint64_t StoreSchemaFingerprint() {
+  // The descriptor names every field of the entry encoding in order. Any
+  // layout change edits it (and bumps kStoreFormatVersion); any
+  // canonical-key drift changes the scheme version mixed in below. Either
+  // way every existing store quarantines: old keys could collide with new
+  // keys of *different* tasks, so no migration is attempted.
+  static constexpr char kLayout[] =
       "v2:key:s|contained:u8|chase_outcome:u8|sigma_class:u8|strategy:u8|"
       "witness_max_level:u32|chase_levels:u32|level_bound:u64|"
       "chase_conjuncts:u64|certified:u8|certificate_depth:u32|"
       "confidence:u8|lineage_known:u8|sigma_fp:u64|used_fps:u32+u64[]";
-  const char* layout = nullptr;
-  switch (version) {
-    case 1:
-      layout = kLayoutV1;
-      break;
-    case 2:
-      layout = kLayoutV2;
-      break;
-    default:
-      return 0;  // unreadable version: never matches a real header
-  }
-  uint64_t h = wire::Fnv1a64(layout);
-  h = h * 0x100000001b3ULL + version;
+  uint64_t h = wire::Fnv1a64(kLayout);
+  h = h * 0x100000001b3ULL + kStoreFormatVersion;
   h = h * 0x100000001b3ULL + kCanonicalKeySchemeVersion;
   return h;
-}
-
-uint64_t StoreSchemaFingerprint() {
-  return StoreSchemaFingerprintFor(kStoreFormatVersion);
 }
 
 void EncodeVerdictEntry(const std::string& key, const StoredVerdict& verdict,
@@ -166,11 +144,7 @@ void EncodeVerdictEntry(const std::string& key, const StoredVerdict& verdict,
 }
 
 Status DecodeVerdictEntry(wire::ByteReader& reader, std::string* key,
-                          StoredVerdict* verdict, uint32_t version) {
-  if (version < 1 || version > kStoreFormatVersion) {
-    return Status::InvalidArgument(
-        StrCat("unreadable verdict entry version ", version));
-  }
+                          StoredVerdict* verdict) {
   StoredVerdict v;
   uint8_t contained = 0;
   uint8_t certified = 0;
@@ -183,33 +157,27 @@ Status DecodeVerdictEntry(wire::ByteReader& reader, std::string* key,
     return Status::InvalidArgument("truncated verdict entry");
   }
   uint8_t lineage_known = 0;
-  if (version >= 2) {
-    uint32_t used_count = 0;
-    if (!reader.ReadU8(&v.confidence) || !reader.ReadU8(&lineage_known) ||
-        !reader.ReadU64(&v.sigma_fp) || !reader.ReadU32(&used_count)) {
-      return Status::InvalidArgument("truncated verdict entry lineage");
-    }
-    // Count sanity before any allocation: a hostile count cannot name more
-    // fingerprints than bytes remain to hold them.
-    if (used_count > reader.remaining() / 8) {
-      return Status::InvalidArgument(StrCat(
-          "verdict entry used-set count ", used_count, " exceeds its bytes"));
-    }
-    v.used_fps.resize(used_count);
-    for (uint32_t i = 0; i < used_count; ++i) {
-      if (!reader.ReadU64(&v.used_fps[i])) {
-        return Status::InvalidArgument("truncated verdict entry used set");
-      }
-    }
-    if (v.confidence >
-        static_cast<uint8_t>(VerdictConfidence::kMonotoneBound)) {
-      return Status::InvalidArgument(
-          StrCat("verdict entry has unknown confidence ", int{v.confidence}));
+  uint32_t used_count = 0;
+  if (!reader.ReadU8(&v.confidence) || !reader.ReadU8(&lineage_known) ||
+      !reader.ReadU64(&v.sigma_fp) || !reader.ReadU32(&used_count)) {
+    return Status::InvalidArgument("truncated verdict entry lineage");
+  }
+  // Count sanity before any allocation: a hostile count cannot name more
+  // fingerprints than bytes remain to hold them.
+  if (used_count > reader.remaining() / 8) {
+    return Status::InvalidArgument(StrCat(
+        "verdict entry used-set count ", used_count, " exceeds its bytes"));
+  }
+  v.used_fps.resize(used_count);
+  for (uint32_t i = 0; i < used_count; ++i) {
+    if (!reader.ReadU64(&v.used_fps[i])) {
+      return Status::InvalidArgument("truncated verdict entry used set");
     }
   }
-  // v1 entries keep the defaults: kExact confidence (the verdict *was* exact
-  // for its Σ) with lineage_known = false — any later delta treats them as
-  // touched, never mis-keeps them.
+  if (v.confidence > static_cast<uint8_t>(VerdictConfidence::kMonotoneBound)) {
+    return Status::InvalidArgument(
+        StrCat("verdict entry has unknown confidence ", int{v.confidence}));
+  }
   if (contained > 1 || certified > 1 || lineage_known > 1) {
     return Status::InvalidArgument("verdict entry has a non-boolean flag");
   }

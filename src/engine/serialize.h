@@ -10,7 +10,8 @@
 //
 // Versioning has two layers:
 //   * kStoreFormatVersion — the byte layout of the files themselves. Bump it
-//     whenever the encoding below changes shape.
+//     whenever the encoding below changes shape; only this version is
+//     decoded, so a file of any other version is quarantined and rebuilt.
 //   * StoreSchemaFingerprint() — a hash over the layout descriptor AND the
 //     canonical-key scheme version (engine/canonical.h). Verdicts are keyed
 //     by canonical task keys; if the canonicalizer's output format ever
@@ -103,11 +104,11 @@ Status ReadFramed(ByteReader& reader, std::string* payload);
 
 // --- verdict entries ---------------------------------------------------------
 
-// Current byte-layout version of the snapshot and log files. History:
+// Byte-layout version of the snapshot and log files, the only one decoded.
+// History:
 //   1 — key + verdict fields + certificate metadata
 //   2 — Σ-lineage: confidence / lineage_known / sigma_fp / used-dependency
-//       fingerprint list, appended after the v1 fields. v1 files stay
-//       readable (entries decode as lineage-unknown, see DecodeVerdictEntry).
+//       fingerprint list, appended after the v1 fields.
 inline constexpr uint32_t kStoreFormatVersion = 2;
 
 // File magics ("CQVS" / "CQVL" little-endian).
@@ -116,11 +117,7 @@ inline constexpr uint32_t kLogMagic = 0x4C565143u;
 
 // Hash of the entry layout descriptor + the canonical-key scheme version;
 // see the header comment for why key-scheme drift must invalidate the store.
-// StoreSchemaFingerprint() is the current build's; the For variant answers
-// for any version this build can still *read* (0 for versions it cannot), so
-// the store accepts its own older files instead of quarantining them.
 uint64_t StoreSchemaFingerprint();
-uint64_t StoreSchemaFingerprintFor(uint32_t version);
 
 // How far a cached verdict's claim extends after schema evolution re-tagged
 // it (engine/lineage.h owns the re-tagging rules).
@@ -162,9 +159,9 @@ struct StoredVerdict {
   // --- Σ-lineage (v2) ---
   uint8_t confidence = 0;  // VerdictConfidence
   // True when used_fps is a sound over-approximation of the dependencies the
-  // deciding chase fired (engine/lineage.h). False for v1 legacy entries,
-  // non-chase strategies, and monotone survivors of a previous delta (their
-  // used-set described the pre-edit Σ) — such entries are "touched" under
+  // deciding chase fired (engine/lineage.h). False for non-chase strategies
+  // and monotone survivors of a previous delta (their used-set described
+  // the pre-edit Σ) — such entries are "touched" under
   // any removal of a dependency and can only survive monotonically.
   bool lineage_known = false;
   // SigmaFingerprint (analysis/delta.h) of the Σ the entry's key names.
@@ -180,16 +177,12 @@ struct StoredVerdict {
 void EncodeVerdictEntry(const std::string& key, const StoredVerdict& verdict,
                         std::string& out);
 
-// Decodes one entry written under `version` (a version Open accepted, i.e.
-// one StoreSchemaFingerprintFor knows). kInvalidArgument on truncation or an
-// out-of-range enum value (the persisted byte must name a ChaseOutcome /
+// Decodes one kStoreFormatVersion entry. kInvalidArgument on truncation or
+// an out-of-range enum value (the persisted byte must name a ChaseOutcome /
 // SigmaClass / DecisionStrategy / VerdictConfidence this build knows, or the
-// entry is untrusted). A v1 entry decodes with the lineage fields at their
-// lineage-unknown defaults — treated as touched by any delta, never
-// mis-kept.
+// entry is untrusted).
 Status DecodeVerdictEntry(wire::ByteReader& reader, std::string* key,
-                          StoredVerdict* verdict,
-                          uint32_t version = kStoreFormatVersion);
+                          StoredVerdict* verdict);
 
 }  // namespace cqchase
 

@@ -161,15 +161,6 @@ Result<std::unique_ptr<VerdictStore>> VerdictStore::Open(
   store->lock_fd_ = lock_fd;
   CQCHASE_RETURN_IF_ERROR(store->LoadSnapshot());
   CQCHASE_RETURN_IF_ERROR(store->ReplayLog());
-  if (store->legacy_format_seen_) {
-    // Rewrite both files at the current format version right away, before
-    // any new entry is appended: a current-format frame behind an old log
-    // header would be shed as a torn tail by the next Open. On failure
-    // (full disk) the restored entries still serve from memory and the old
-    // files stay intact; frames appended after the failure are the only
-    // ones a future Open may shed, and it re-attempts this migration.
-    store->Compact();
-  }
   store->opened_ = true;
   return store;
 }
@@ -217,14 +208,11 @@ Status VerdictStore::LoadSnapshot() {
       reader.ReadU64(&payload_size) && reader.ReadU64(&payload_checksum);
   // Every failure below means the same thing: these bytes cannot be trusted
   // as verdicts. Quarantine the file and start empty — a rebuilt cache is
-  // merely cold, a believed corrupt one is wrong.
-  // Any still-supported older version is readable — a fleet rolls the
-  // format forward without losing its warm stores — but the fingerprint
-  // must be the one *that* version's layout hashes to, else the bytes were
-  // written by something we never were.
+  // merely cold, a believed corrupt one is wrong. Only the current format
+  // version decodes; an older or newer file is rebuilt, never migrated.
   if (!header_ok || magic != kSnapshotMagic ||
-      fingerprint != StoreSchemaFingerprintFor(version) ||
-      StoreSchemaFingerprintFor(version) == 0 ||
+      version != kStoreFormatVersion ||
+      fingerprint != StoreSchemaFingerprint() ||
       payload_size != reader.remaining()) {
     Quarantine(path);
     return Status::OK();
@@ -251,7 +239,7 @@ Status VerdictStore::LoadSnapshot() {
   for (uint64_t i = 0; i < count; ++i) {
     std::string key;
     StoredVerdict verdict;
-    if (!DecodeVerdictEntry(entries, &key, &verdict, version).ok()) {
+    if (!DecodeVerdictEntry(entries, &key, &verdict).ok()) {
       Quarantine(path);
       return Status::OK();
     }
@@ -261,7 +249,6 @@ Status VerdictStore::LoadSnapshot() {
     Quarantine(path);
     return Status::OK();
   }
-  if (version != kStoreFormatVersion) legacy_format_seen_ = true;
   std::lock_guard<std::mutex> lock(mu_);
   counters_.snapshot_entries_loaded += loaded.size();
   map_ = std::move(loaded);
@@ -285,8 +272,8 @@ Status VerdictStore::ReplayLog() {
     wire::ByteReader hr(header);
     header_ok = hr.ReadU32(&magic) && hr.ReadU32(&version) &&
                 hr.ReadU64(&fingerprint) && magic == kLogMagic &&
-                StoreSchemaFingerprintFor(version) != 0 &&
-                fingerprint == StoreSchemaFingerprintFor(version);
+                version == kStoreFormatVersion &&
+                fingerprint == StoreSchemaFingerprint();
   }
   if (!header_ok) {
     // A log whose identity frame is wrong is untrusted wholesale — unlike a
@@ -305,7 +292,7 @@ Status VerdictStore::ReplayLog() {
     // Trailing bytes after the entry are as untrusted as a short one (the
     // snapshot path rejects the same condition): treat the frame as the
     // start of the torn tail.
-    if (!DecodeVerdictEntry(entry, &key, &verdict, version).ok() ||
+    if (!DecodeVerdictEntry(entry, &key, &verdict).ok() ||
         entry.remaining() != 0) {
       break;
     }
@@ -323,7 +310,6 @@ Status VerdictStore::ReplayLog() {
                                      std::strerror(errno)));
     }
   }
-  if (version != kStoreFormatVersion) legacy_format_seen_ = true;
   std::lock_guard<std::mutex> lock(mu_);
   counters_.log_entries_replayed += replayed;
   counters_.torn_tail_bytes_dropped += torn;

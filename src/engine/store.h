@@ -7,11 +7,9 @@
 // answer it memoizes can never change. The only way a store becomes invalid
 // is a *format* change — the byte layout or the canonical-key scheme — and
 // both are guarded by the version + schema fingerprint in every file header
-// (engine/serialize.h). Files written by any still-supported older format
-// version are readable (their entries decode with that version's layout and
-// conservative defaults for fields it lacked — e.g. v1 entries surface as
-// lineage-unknown); a file that fails the guards for its own version, or
-// any checksum, is quarantined (renamed aside) and the store rebuilds from
+// (engine/serialize.h). Only kStoreFormatVersion files are read; a file of
+// any other version, one whose fingerprint disagrees, or one that fails any
+// checksum is quarantined (renamed aside) and the store rebuilds from
 // empty: a cache must recompute rather than trust a byte it cannot verify.
 //
 // On-disk layout, two files in the store directory:
@@ -186,11 +184,6 @@ class VerdictStore {
   // then mu_ briefly to copy state out).
   std::mutex io_mu_;
   bool log_has_header_ = false;
-  // An on-disk file carried an older (still-supported) format version; Open
-  // compacts immediately so both files are rewritten at the current version
-  // before any new entry could be appended behind an old header (a mixed
-  // log would shed its new-format tail as torn on the next open).
-  bool legacy_format_seen_ = false;
   int lock_fd_ = -1;  // exclusive flock on <dir>/LOCK for the store's life
   // Set once Open fully succeeded. The destructor's flush/compact only run
   // then: a store torn down on a failed Open must leave the on-disk state

@@ -261,7 +261,7 @@ std::optional<TierStack::LookupResult> TierStack::Lookup(
 TierStack::PrefetchReceipt TierStack::Prefetch(
     const std::vector<std::string>& keys) {
   PrefetchReceipt receipt;
-  // Deduplicate while preserving first-seen order: a CheckMany burst of
+  // Deduplicate while preserving first-seen order: a SubmitAll burst of
   // isomorphic tasks collapses onto few canonical keys, and the authority
   // should be asked each one once.
   std::vector<std::string> remaining;

@@ -123,9 +123,9 @@ class VerdictTier {
   // rules in engine/lineage.h: survivors are retagged and re-keyed, touched
   // entries are dropped. Entries under any other Σ are untouched. The
   // default is correct for a tier with no retaggable state. Backends that
-  // cannot retag remotely (a peer speaking an older protocol) degrade to
-  // dropping their view of the old Σ — stale entries merely become
-  // unreachable under new-Σ keys, never wrong.
+  // cannot retag remotely (an unreachable peer) degrade to dropping their
+  // view of the old Σ — stale entries merely become unreachable under new-Σ
+  // keys, never wrong.
   virtual DeltaReceipt ApplyDelta(const LineageDelta& ld) {
     (void)ld;
     return {};
@@ -324,10 +324,10 @@ class TierStack {
   // Drives one schema edit through every active tier (read-through or not —
   // a write-only tier holds entries too) and sums the per-tier receipts.
   // Cheap tiers migrate in place; the store compacts; a remote tier ships
-  // the delta when its peer speaks kTierOpApplyDelta and degrades to
-  // dropping otherwise. Not atomic across tiers: a later tier may briefly
-  // still hold old-Σ entries while a cheaper one is migrated, which is
-  // harmless because old-Σ keys are unreachable from new-Σ lookups.
+  // the delta to its peer (kTierOpApplyDelta). Not atomic across tiers: a
+  // later tier may briefly still hold old-Σ entries while a cheaper one is
+  // migrated, which is harmless because old-Σ keys are unreachable from
+  // new-Σ lookups.
   DeltaReceipt ApplyDelta(const LineageDelta& ld);
 
   // Flushes every active tier; returns the first failure (all tiers are
@@ -342,9 +342,9 @@ class TierStack {
     return descriptors_;
   }
 
-  // Back-compat accessors for the store_path era: the first local-store
-  // tier's VerdictStore (nullptr when the stack has none) and the first
-  // LRU tier's entry count (the old cache_sizes().verdict_entries gauge).
+  // The first local-store tier's VerdictStore (nullptr when the stack has
+  // none) and the first LRU tier's entry count (the
+  // cache_sizes().verdict_entries gauge).
   VerdictStore* local_store() const;
   size_t lru_entries() const;
 

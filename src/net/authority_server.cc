@@ -252,9 +252,9 @@ std::vector<AuthorityConnectionStats> VerdictAuthorityServer::connections()
 }
 
 Result<StoreBackedAuthority> MakeStoreBackedAuthority(
-    const std::string& store_path, VerdictAuthority::Options options) {
+    const std::string& store_dir, VerdictAuthority::Options options) {
   CQCHASE_ASSIGN_OR_RETURN(std::unique_ptr<VerdictStore> store,
-                           VerdictStore::Open(store_path));
+                           VerdictStore::Open(store_dir));
   // The sink holds a raw pointer; StoreBackedAuthority's member order (and
   // its contract that servers stop first) keeps the store alive longer than
   // any Handle call that could fire it.

@@ -152,7 +152,7 @@ struct StoreBackedAuthority {
 };
 
 Result<StoreBackedAuthority> MakeStoreBackedAuthority(
-    const std::string& store_path,
+    const std::string& store_dir,
     VerdictAuthority::Options options = VerdictAuthority::Options());
 
 }  // namespace net

@@ -45,21 +45,17 @@ Status TcpTransport::EnsureConnectedLocked() {
     hello = ReadFrame(fd_.get(), options_.max_frame_bytes, &framed_response,
                       deadline);
   }
-  uint32_t version = 0;
   uint64_t fingerprint = 0;
   if (hello.ok()) {
-    hello = ParseTierHelloResponse(framed_response, peer_, &version,
-                                   &fingerprint);
+    hello = ParseTierHelloResponse(framed_response, peer_, &fingerprint);
   }
-  if (hello.ok() && identity_pinned_ &&
-      (version != pinned_version_ || fingerprint != pinned_fingerprint_)) {
+  if (hello.ok() && identity_pinned_ && fingerprint != pinned_fingerprint_) {
     // The address now answers as somebody else (service churn, upgraded
     // peer with a new key scheme). Serving it would mix verdict spaces;
     // the tier degrades to misses instead.
     hello = Status::FailedPrecondition(
-        StrCat(peer_, " identity changed across reconnect: v", version,
-               "/fingerprint ", fingerprint, " vs pinned v", pinned_version_,
-               "/", pinned_fingerprint_));
+        StrCat(peer_, " identity changed across reconnect: fingerprint ",
+               fingerprint, " vs pinned ", pinned_fingerprint_));
   }
   if (!hello.ok()) {
     DisconnectAndBackoffLocked();
@@ -67,7 +63,6 @@ Status TcpTransport::EnsureConnectedLocked() {
   }
   if (!identity_pinned_) {
     identity_pinned_ = true;
-    pinned_version_ = version;
     pinned_fingerprint_ = fingerprint;
   }
   ++stats_.connects;
@@ -112,11 +107,6 @@ Status TcpTransport::RoundTrip(const std::string& request,
 VerdictTransportStats TcpTransport::TransportStats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-uint32_t TcpTransport::pinned_version() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pinned_version_;
 }
 
 uint64_t TcpTransport::pinned_fingerprint() const {

@@ -8,12 +8,13 @@
 //     any loss), inside the caller's call — RemoteTier::Connect's hello is
 //     simply the first round trip.
 //   * Transport-level hello: every (re)connect runs its own hello exchange
-//     before serving traffic, and pins the peer's (version, fingerprint)
-//     identity at the first successful connect. A reconnect that reaches a
-//     *different* authority (address reused by another service, fingerprint
-//     drift after a peer upgrade) fails the round trip instead of silently
-//     serving a map with a different key scheme — the one failure a cache
-//     may never have. The tier above sees an error and degrades to a miss.
+//     before serving traffic (refusing any protocol version but ours), and
+//     pins the peer's fingerprint at the first successful connect. A
+//     reconnect that reaches a *different* authority (address reused by
+//     another service, fingerprint drift after a peer upgrade) fails the
+//     round trip instead of silently serving a map with a different key
+//     scheme — the one failure a cache may never have. The tier above sees
+//     an error and degrades to a miss.
 //   * Reconnect with capped exponential backoff + deterministic jitter:
 //     after a failure the next dial waits backoff (doubling up to the cap,
 //     jittered so a fleet of clients does not thundering-herd a restarted
@@ -69,10 +70,9 @@ class TcpTransport final : public VerdictTransport {
   std::string_view Peer() const override { return peer_; }
   VerdictTransportStats TransportStats() const override;
 
-  // The identity pinned at the first successful connect (0/0 before it).
-  // Exposed for tests and diagnostics; RemoteTier learns the same values
+  // The fingerprint pinned at the first successful connect (0 before it).
+  // Exposed for tests and diagnostics; RemoteTier learns the same value
   // from its own hello through this transport.
-  uint32_t pinned_version() const;
   uint64_t pinned_fingerprint() const;
 
  private:
@@ -94,7 +94,6 @@ class TcpTransport final : public VerdictTransport {
   std::chrono::milliseconds backoff_;
   std::chrono::steady_clock::time_point next_attempt_{};  // epoch = dial now
   bool identity_pinned_ = false;
-  uint32_t pinned_version_ = 0;
   uint64_t pinned_fingerprint_ = 0;
   VerdictTransportStats stats_;
 };

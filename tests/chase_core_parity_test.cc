@@ -27,6 +27,7 @@
 #include "engine/engine.h"
 #include "gen/generators.h"
 #include "gen/scenarios.h"
+#include "submit_util.h"
 
 namespace cqchase {
 namespace {
@@ -593,25 +594,25 @@ TEST(ChaseCoreParity, EngineVerdictsAndCertificates) {
         EXPECT_EQ(vs->report.level_bound, vb->report.level_bound);
         EXPECT_EQ(vs->strategy, vb->strategy);
 
-        Result<std::optional<ContainmentCertificate>> cs =
-            scalar.engine->Certify(scalar.queries[qi], scalar.queries[pi],
-                                   *scalar.deps);
-        Result<std::optional<ContainmentCertificate>> cb = bulk.engine->Certify(
-            bulk.queries[qi], bulk.queries[pi], *bulk.deps);
+        Result<EngineOutcome> cs =
+            DecideCertified(*scalar.engine, scalar.queries[qi],
+                            scalar.queries[pi], *scalar.deps);
+        Result<EngineOutcome> cb = DecideCertified(
+            *bulk.engine, bulk.queries[qi], bulk.queries[pi], *bulk.deps);
         ASSERT_EQ(cs.ok(), cb.ok());
         if (!cs.ok()) {
           EXPECT_EQ(cs.status().code(), cb.status().code());
           continue;
         }
-        ASSERT_EQ(cs->has_value(), cb->has_value());
-        if (cs->has_value()) {
+        ASSERT_EQ(cs->certificate.has_value(), cb->certificate.has_value());
+        if (cs->certificate.has_value()) {
           // Twin universes name symbols identically, so the rendered proofs
           // must match byte for byte — and each must verify in its own
           // universe.
           EXPECT_EQ(
-              (*cs)->ToString(*scalar.catalog, *scalar.symbols),
-              (*cb)->ToString(*bulk.catalog, *bulk.symbols));
-          EXPECT_TRUE(VerifyCertificate(**cb, bulk.queries[qi],
+              cs->certificate->ToString(*scalar.catalog, *scalar.symbols),
+              cb->certificate->ToString(*bulk.catalog, *bulk.symbols));
+          EXPECT_TRUE(VerifyCertificate(*cb->certificate, bulk.queries[qi],
                                         bulk.queries[pi], *bulk.deps,
                                         *bulk.symbols)
                           .ok());

@@ -1,11 +1,9 @@
-// Schema-delta migration end to end: v1 store files are readable (entries
-// surface lineage-unknown, are treated as touched by any removal, and the
-// files are rewritten at the current format on open), VerdictStore/LruTier/
-// TierStack ApplyDelta re-key survivors per the rules in engine/lineage.h
+// Schema-delta migration end to end: VerdictStore/LruTier/TierStack
+// ApplyDelta re-key survivors per the rules in engine/lineage.h
 // (add-then-remove restores the original keys, incumbents computed directly
 // under the new Σ win rekey collisions, LRU recency survives migration),
-// the remote protocol ships deltas to v3 peers and degrades to drop-only
-// against older ones, a Σ edit clears the remote negative cache, and — the
+// the remote protocol ships deltas to the peer, a Σ edit clears the remote
+// negative cache, and — the
 // differential suite — every verdict a warm engine serves after EvolveSigma
 // equals what a cold engine decides from scratch.
 #include <gtest/gtest.h>
@@ -29,29 +27,10 @@
 #include "engine/serialize.h"
 #include "engine/store.h"
 #include "engine/tier.h"
+#include "submit_util.h"
 
 namespace cqchase {
 namespace {
-
-std::string ReadAll(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
-  std::string out;
-  char buf[4096];
-  size_t n = 0;
-  while (f != nullptr && (n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out.append(buf, n);
-  }
-  if (f != nullptr) std::fclose(f);
-  return out;
-}
-
-void WriteAll(const std::string& path, const std::string& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr) << path;
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
-  std::fclose(f);
-}
 
 std::string NewStoreDir(const std::string& name) {
   const std::string dir = StrCat(::testing::TempDir(), "/cqchase_", name);
@@ -108,129 +87,6 @@ struct TwoSigma {
     return v;
   }
 };
-
-// --- v1 on-disk format migration ---------------------------------------------
-
-// The v1 entry layout, byte for byte (what a v1 build's EncodeVerdictEntry
-// wrote): no confidence / lineage / used-set fields.
-void EncodeV1Entry(const std::string& key, bool contained, std::string& out) {
-  wire::PutString(out, key);
-  wire::PutU8(out, contained ? 1 : 0);
-  wire::PutU8(out, 0);  // chase_outcome
-  wire::PutU8(out, 0);  // sigma_class
-  wire::PutU8(out, 0);  // strategy
-  wire::PutU32(out, 0);  // witness_max_level
-  wire::PutU32(out, 3);  // chase_levels
-  wire::PutU64(out, 7);  // level_bound
-  wire::PutU64(out, 5);  // chase_conjuncts
-  wire::PutU8(out, 0);   // certified
-  wire::PutU32(out, 0);  // certificate_depth
-}
-
-std::string EncodeV1Snapshot(
-    const std::vector<std::pair<std::string, bool>>& entries) {
-  std::string payload;
-  for (const auto& [key, contained] : entries) {
-    EncodeV1Entry(key, contained, payload);
-  }
-  std::string file;
-  wire::PutU32(file, kSnapshotMagic);
-  wire::PutU32(file, 1);  // the legacy format version
-  wire::PutU64(file, StoreSchemaFingerprintFor(1));
-  wire::PutU64(file, entries.size());
-  wire::PutU64(file, payload.size());
-  wire::PutU64(file, wire::Fnv1a64(payload));
-  return file + payload;
-}
-
-TEST(V1MigrationTest, V1SnapshotLoadsAsLineageUnknownAndIsRewrittenAtV2) {
-  TwoSigma w;
-  const std::string dir = NewStoreDir("v1_snapshot");
-  WriteAll(StrCat(dir, "/snapshot.cqvs"),
-           EncodeV1Snapshot({{w.BaseKey(0), true}, {w.BaseKey(1), false}}));
-
-  Result<std::unique_ptr<VerdictStore>> store = VerdictStore::Open(dir);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_EQ((*store)->size(), 2u);
-  EXPECT_EQ((*store)->stats().quarantined_files, 0u);
-
-  // Entries decode with conservative lineage defaults.
-  auto entry = (*store)->Lookup(w.BaseKey(0));
-  ASSERT_TRUE(entry.has_value());
-  EXPECT_TRUE(entry->contained);
-  EXPECT_EQ(entry->confidence, static_cast<uint8_t>(VerdictConfidence::kExact));
-  EXPECT_FALSE(entry->lineage_known);
-  EXPECT_TRUE(entry->used_fps.empty());
-  EXPECT_EQ(entry->level_bound, 7u);  // v1 fields survive verbatim
-
-  // Open already rewrote the file at the current version (a v2 frame
-  // appended behind a v1 header would be shed as a torn tail next open).
-  const std::string bytes = ReadAll((*store)->SnapshotPath());
-  wire::ByteReader reader(bytes);
-  uint32_t magic = 0, version = 0;
-  ASSERT_TRUE(reader.ReadU32(&magic) && reader.ReadU32(&version));
-  EXPECT_EQ(version, kStoreFormatVersion);
-}
-
-TEST(V1MigrationTest, V1LogReplaysAndCompactsToCurrentVersion) {
-  TwoSigma w;
-  const std::string dir = NewStoreDir("v1_log");
-  std::string log;
-  {
-    std::string header;
-    wire::PutU32(header, kLogMagic);
-    wire::PutU32(header, 1);
-    wire::PutU64(header, StoreSchemaFingerprintFor(1));
-    wire::PutFramed(log, header);
-    std::string entry;
-    EncodeV1Entry(w.BaseKey(0), true, entry);
-    wire::PutFramed(log, entry);
-  }
-  WriteAll(StrCat(dir, "/log.cqvl"), log);
-
-  {
-    Result<std::unique_ptr<VerdictStore>> store = VerdictStore::Open(dir);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    EXPECT_EQ((*store)->size(), 1u);
-    EXPECT_EQ((*store)->stats().log_entries_replayed, 1u);
-    // The open-time migration compacted: the entry now lives in a v2
-    // snapshot and the v1-headed log is gone, so nothing this store appends
-    // later can land behind an old header.
-    const std::string bytes = ReadAll((*store)->SnapshotPath());
-    wire::ByteReader reader(bytes);
-    uint32_t magic = 0, version = 0;
-    ASSERT_TRUE(reader.ReadU32(&magic) && reader.ReadU32(&version));
-    EXPECT_EQ(version, kStoreFormatVersion);
-  }
-  // And a clean reopen restores it with no quarantine.
-  Result<std::unique_ptr<VerdictStore>> reopened = VerdictStore::Open(dir);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ((*reopened)->size(), 1u);
-  EXPECT_EQ((*reopened)->stats().quarantined_files, 0u);
-}
-
-TEST(V1MigrationTest, LegacyEntriesAreTouchedByRemovalNeverMisKept) {
-  TwoSigma w;
-  const std::string dir = NewStoreDir("v1_retag");
-  WriteAll(StrCat(dir, "/snapshot.cqvs"),
-           EncodeV1Snapshot({{w.BaseKey(0), true}, {w.BaseKey(1), false}}));
-  Result<std::unique_ptr<VerdictStore>> store = VerdictStore::Open(dir);
-  ASSERT_TRUE(store.ok());
-
-  const DeltaReceipt receipt = (*store)->ApplyDelta(w.removal);
-  EXPECT_EQ(receipt.examined, 2u);
-  // The contained legacy entry may have relied on the removed IND — with no
-  // lineage to prove otherwise it must drop. The not-contained one survives
-  // monotonically (a counterexample satisfies every subset of Σ).
-  EXPECT_EQ(receipt.dropped, 1u);
-  EXPECT_EQ(receipt.kept_monotone, 1u);
-  EXPECT_FALSE((*store)->Lookup(w.EditedKey(0)).has_value());
-  auto survivor = (*store)->Lookup(w.EditedKey(1));
-  ASSERT_TRUE(survivor.has_value());
-  EXPECT_FALSE(survivor->contained);
-  EXPECT_EQ(survivor->confidence,
-            static_cast<uint8_t>(VerdictConfidence::kMonotoneBound));
-}
 
 // --- VerdictStore::ApplyDelta ------------------------------------------------
 
@@ -353,7 +209,7 @@ TEST(TierStackDeltaTest, DrivesEveryTierAndSumsReceipts) {
 
 // --- the remote protocol -----------------------------------------------------
 
-TEST(RemoteDeltaTest, ShipsToV3PeerAndMigratesItsMap) {
+TEST(RemoteDeltaTest, ShipsToPeerAndMigratesItsMap) {
   TwoSigma w;
   auto authority = std::make_shared<VerdictAuthority>();
   authority->Put(w.BaseKey(0), w.Entry(true, true, {FingerprintInd(w.kept)}));
@@ -363,7 +219,6 @@ TEST(RemoteDeltaTest, ShipsToV3PeerAndMigratesItsMap) {
   Result<std::unique_ptr<RemoteTier>> tier =
       RemoteTier::Connect(std::make_shared<InProcessTransport>(authority));
   ASSERT_TRUE(tier.ok());
-  EXPECT_EQ((*tier)->negotiated_version(), kTierProtocolVersion);
 
   const DeltaReceipt receipt = (*tier)->ApplyDelta(w.removal);
   // The receipt folds in the peer's pass over its map.
@@ -375,29 +230,6 @@ TEST(RemoteDeltaTest, ShipsToV3PeerAndMigratesItsMap) {
   EXPECT_EQ(authority->stats().apply_deltas, 1u);
   EXPECT_EQ(authority->stats().delta_retagged, 1u);
   EXPECT_EQ(authority->stats().delta_dropped, 1u);
-}
-
-TEST(RemoteDeltaTest, DegradesToDropOnlyAgainstV2Peer) {
-  TwoSigma w;
-  VerdictAuthority::Options old_peer;
-  old_peer.protocol_version = 2;
-  auto authority = std::make_shared<VerdictAuthority>(old_peer);
-  authority->Put(w.BaseKey(0), w.Entry(true, true, {FingerprintInd(w.kept)}));
-
-  Result<std::unique_ptr<RemoteTier>> tier =
-      RemoteTier::Connect(std::make_shared<InProcessTransport>(authority));
-  ASSERT_TRUE(tier.ok());
-  EXPECT_EQ((*tier)->negotiated_version(), 2u);
-
-  const DeltaReceipt receipt = (*tier)->ApplyDelta(w.removal);
-  // Nothing shipped: the peer's entry stays under its old key — stale but
-  // unreachable from new-Σ lookups, never wrong — and no transport error is
-  // charged for a downgrade the session negotiated.
-  EXPECT_EQ(authority->stats().apply_deltas, 0u);
-  EXPECT_TRUE(authority->Lookup(w.BaseKey(0)).has_value());
-  EXPECT_FALSE(authority->Lookup(w.EditedKey(0)).has_value());
-  EXPECT_EQ((*tier)->Stats().transport_errors, 0u);
-  EXPECT_EQ(receipt.retagged(), 0u);
 }
 
 TEST(RemoteDeltaTest, SigmaEditClearsTheNegativeCache) {
@@ -469,12 +301,10 @@ struct ChainWorld {
     }
   }
 
-  std::vector<ContainmentTask> Tasks(const DependencySet& deps) {
-    std::vector<ContainmentTask> tasks;
-    for (size_t i = 0; i < lhs.size(); ++i) {
-      tasks.push_back(ContainmentTask{&lhs[i], &rhs[i], &deps});
-    }
-    return tasks;
+  // Every task under `deps`, decided as one SubmitAll burst.
+  std::vector<Result<EngineVerdict>> Decide(ContainmentEngine& engine,
+                                            const DependencySet& deps) const {
+    return DecideAll(engine, BorrowAll(lhs, rhs, deps));
   }
 };
 
@@ -487,8 +317,7 @@ TEST(EvolveSigmaDifferentialTest, RetaggedVerdictsMatchColdEngine) {
   config.route_streaming_single_conjunct = false;  // chase → lineage capture
   ContainmentEngine warm(&w.catalog, &w.symbols, config);
 
-  std::vector<ContainmentTask> full_tasks = w.Tasks(w.full);
-  std::vector<Result<EngineVerdict>> warmed = warm.CheckMany(full_tasks);
+  std::vector<Result<EngineVerdict>> warmed = w.Decide(warm, w.full);
   for (const auto& r : warmed) ASSERT_TRUE(r.ok());
   const uint64_t chases_warm = warm.stats().chases_built;
 
@@ -497,12 +326,11 @@ TEST(EvolveSigmaDifferentialTest, RetaggedVerdictsMatchColdEngine) {
   const DeltaReceipt removal = warm.EvolveSigma(w.full, w.edited);
   EXPECT_GT(removal.retagged(), 0u);
   EXPECT_GT(removal.dropped, 0u);
-  std::vector<ContainmentTask> edited_tasks = w.Tasks(w.edited);
-  std::vector<Result<EngineVerdict>> after = warm.CheckMany(edited_tasks);
+  std::vector<Result<EngineVerdict>> after = w.Decide(warm, w.edited);
   {
     ContainmentEngine cold(&w.catalog, &w.symbols, EngineConfig{});
-    std::vector<Result<EngineVerdict>> truth = cold.CheckMany(edited_tasks);
-    for (size_t i = 0; i < edited_tasks.size(); ++i) {
+    std::vector<Result<EngineVerdict>> truth = w.Decide(cold, w.edited);
+    for (size_t i = 0; i < truth.size(); ++i) {
       ASSERT_TRUE(after[i].ok() && truth[i].ok()) << "task " << i;
       EXPECT_EQ(after[i]->report.contained, truth[i]->report.contained)
           << "task " << i << " diverged after the removal";
@@ -518,11 +346,11 @@ TEST(EvolveSigmaDifferentialTest, RetaggedVerdictsMatchColdEngine) {
   // engine on every task.
   const DeltaReceipt addback = warm.EvolveSigma(w.edited, w.full);
   EXPECT_GT(addback.kept_monotone, 0u);
-  std::vector<Result<EngineVerdict>> again = warm.CheckMany(full_tasks);
+  std::vector<Result<EngineVerdict>> again = w.Decide(warm, w.full);
   {
     ContainmentEngine cold(&w.catalog, &w.symbols, EngineConfig{});
-    std::vector<Result<EngineVerdict>> truth = cold.CheckMany(full_tasks);
-    for (size_t i = 0; i < full_tasks.size(); ++i) {
+    std::vector<Result<EngineVerdict>> truth = w.Decide(cold, w.full);
+    for (size_t i = 0; i < truth.size(); ++i) {
       ASSERT_TRUE(again[i].ok() && truth[i].ok()) << "task " << i;
       EXPECT_EQ(again[i]->report.contained, truth[i]->report.contained)
           << "task " << i << " diverged after the add-back";
@@ -682,13 +510,12 @@ TEST(EvolveSigmaDifferentialTest, IdentityEditIsANoOp) {
   EngineConfig config;
   config.route_streaming_single_conjunct = false;
   ContainmentEngine engine(&w.catalog, &w.symbols, config);
-  std::vector<ContainmentTask> tasks = w.Tasks(w.full);
-  (void)engine.CheckMany(tasks);
+  (void)w.Decide(engine, w.full);
   const uint64_t chases = engine.stats().chases_built;
 
   const DeltaReceipt receipt = engine.EvolveSigma(w.full, w.full);
   EXPECT_EQ(receipt.examined, 0u);
-  (void)engine.CheckMany(tasks);
+  (void)w.Decide(engine, w.full);
   EXPECT_EQ(engine.stats().chases_built, chases);  // all still cache hits
 }
 

@@ -2,8 +2,8 @@
 // under variable renaming and conjunct permutation (and only then), verdict
 // caching hits on isomorphic re-asks and misses on Σ changes, chase prefixes
 // are resumed across Q' variations, and — the soundness contract — verdicts
-// with the cache on are identical to verdicts with it off, sequentially and
-// under CheckMany thread fan-out.
+// with the cache on are identical to verdicts with it off, inline and over
+// SubmitAll bursts.
 #include <gtest/gtest.h>
 
 #include <stdlib.h>
@@ -26,6 +26,7 @@
 #include "engine/lru_cache.h"
 #include "gen/generators.h"
 #include "gen/scenarios.h"
+#include "submit_util.h"
 
 namespace cqchase {
 namespace {
@@ -474,10 +475,11 @@ TEST(CacheParityTest, CachingEngineMatchesCachelessAcrossSigmaOrders) {
         if (!truth->report.contained) continue;
         ++contained;
         if (!certifiable) continue;
-        Result<std::optional<ContainmentCertificate>> cert =
-            on.Certify(q, q_prime, *deps);
-        ASSERT_TRUE(cert.ok() && cert->has_value()) << where;
-        EXPECT_TRUE(VerifyCertificate(**cert, q, q_prime, *deps, symbols).ok())
+        Result<EngineOutcome> cert = DecideCertified(on, q, q_prime, *deps);
+        ASSERT_TRUE(cert.ok() && cert->certificate.has_value()) << where;
+        EXPECT_TRUE(
+            VerifyCertificate(*cert->certificate, q, q_prime, *deps, symbols)
+                .ok())
             << where;
         ++certified;
       }
@@ -529,7 +531,7 @@ class ReorderedSigmaTest : public ::testing::Test {
 };
 
 // A Σ_rev asker resuming the prefix Σ_fwd built gets a certificate whose
-// steps cite Σ_rev's IND numbering — through Certify and through Submit.
+// steps cite Σ_rev's IND numbering.
 TEST_F(ReorderedSigmaTest, CertificateFromAResumedPrefixCitesTheAskersInds) {
   ContainmentEngine engine(&catalog_, &symbols_, config_);
   const ConjunctiveQuery q = Parse("ans(x) :- A(x, y)");
@@ -537,23 +539,15 @@ TEST_F(ReorderedSigmaTest, CertificateFromAResumedPrefixCitesTheAskersInds) {
   const ConjunctiveQuery two_b = Parse("ans(x) :- B(x, z), B(x, w)");
   ASSERT_TRUE(engine.Check(q, one_b, fwd_).ok());
 
-  Result<std::optional<ContainmentCertificate>> certified =
-      engine.Certify(q, two_b, rev_);
-  ASSERT_TRUE(certified.ok() && certified->has_value());
-  ASSERT_FALSE((*certified)->steps.empty());
-  EXPECT_EQ((*certified)->steps[0].ind_index, 1u);  // A⊆B in Σ_rev
-  EXPECT_TRUE(VerifyCertificate(**certified, q, two_b, rev_, symbols_).ok());
-
-  RequestOptions want;
-  want.want_certificate = true;
-  Result<EngineOutcome> submitted =
-      engine.Submit(ContainmentRequest::Borrow(q, two_b, rev_, want)).Get();
+  Result<EngineOutcome> submitted = DecideCertified(engine, q, two_b, rev_);
   ASSERT_TRUE(submitted.ok() && submitted->certificate.has_value());
+  ASSERT_FALSE(submitted->certificate->steps.empty());
+  EXPECT_EQ(submitted->certificate->steps[0].ind_index, 1u);  // A⊆B in Σ_rev
   EXPECT_TRUE(
       VerifyCertificate(*submitted->certificate, q, two_b, rev_, symbols_)
           .ok());
   EXPECT_EQ(engine.stats().chases_built, 1u);
-  EXPECT_EQ(engine.stats().chase_prefix_reuses, 2u);
+  EXPECT_EQ(engine.stats().chase_prefix_reuses, 1u);
 }
 
 // A fresh chase runs on the Σ record's copy, which keeps the order of the
@@ -564,10 +558,10 @@ TEST_F(ReorderedSigmaTest, CertificateFromTheRecordsCopyCitesTheAskersInds) {
   engine.Analyze(fwd_);  // the record now holds Σ_fwd's order
   const ConjunctiveQuery q = Parse("ans(x) :- A(x, y)");
   const ConjunctiveQuery qp = Parse("ans(x) :- B(x, z)");
-  Result<std::optional<ContainmentCertificate>> cert =
-      engine.Certify(q, qp, rev_);
-  ASSERT_TRUE(cert.ok() && cert->has_value());
-  EXPECT_TRUE(VerifyCertificate(**cert, q, qp, rev_, symbols_).ok());
+  Result<EngineOutcome> cert = DecideCertified(engine, q, qp, rev_);
+  ASSERT_TRUE(cert.ok() && cert->certificate.has_value());
+  EXPECT_TRUE(
+      VerifyCertificate(*cert->certificate, q, qp, rev_, symbols_).ok());
   EXPECT_EQ(engine.cache_sizes().sigma_entries, 1u);
 }
 
@@ -609,13 +603,13 @@ TEST_F(ReorderedSigmaTest, EveryChasePathRunsOnTheRecordsPlan) {
           Result<EngineVerdict> got = engine.Check(q, qp, *asker);
           ASSERT_TRUE(want.ok() && got.ok());
           EXPECT_EQ(got->report.contained, want->report.contained);
-          Result<std::optional<ContainmentCertificate>> cert =
-              engine.Certify(q, qp, *asker);
+          Result<EngineOutcome> cert = DecideCertified(engine, q, qp, *asker);
           ASSERT_TRUE(cert.ok()) << cert.status();
-          ASSERT_EQ(cert->has_value(), want->report.contained);
-          if (cert->has_value()) {
-            EXPECT_TRUE(
-                VerifyCertificate(**cert, q, qp, *asker, symbols_).ok());
+          ASSERT_EQ(cert->certificate.has_value(), want->report.contained);
+          if (cert->certificate.has_value()) {
+            EXPECT_TRUE(VerifyCertificate(*cert->certificate, q, qp, *asker,
+                                          symbols_)
+                            .ok());
           }
         }
         Result<MinimizeReport> minimized = engine.Minimize(redundant, *asker);
@@ -640,7 +634,8 @@ TEST_F(ReorderedSigmaTest, InsertionOrdersShareOneRecordAndItsFingerprint) {
   std::string dir = StrCat(::testing::TempDir(), "/cqchase_sigma_XXXXXX");
   ASSERT_NE(::mkdtemp(dir.data()), nullptr);
   EngineConfig config = config_;
-  config.store_path = dir;
+  config.tiers = {TierSpec::Lru(config.verdict_cache_capacity),
+                  TierSpec::LocalStore(dir)};
   ContainmentEngine engine(&catalog_, &symbols_, config);
   ASSERT_NE(engine.store(), nullptr) << engine.store_status();
   const ConjunctiveQuery q = Parse("ans(x) :- A(x, y)");
@@ -814,11 +809,10 @@ TEST_F(CacheTest, CertificateOutlivesItsChaseAndItsRecycledBlock) {
   ContainmentEngine engine(&catalog_, &symbols_, config);
   ConjunctiveQuery q = Parse("ans(h) :- R(h, 'v')");
   ConjunctiveQuery qp = Parse("ans(p) :- R(p, p0), S(p0, p1)");
-  Result<std::optional<ContainmentCertificate>> cert =
-      engine.Certify(q, qp, deps_);
+  Result<EngineOutcome> cert = DecideCertified(engine, q, qp, deps_);
   ASSERT_TRUE(cert.ok()) << cert.status();
-  ASSERT_TRUE(cert->has_value());
-  const ContainmentCertificate& c = **cert;
+  ASSERT_TRUE(cert->certificate.has_value());
+  const ContainmentCertificate& c = *cert->certificate;
   ASSERT_EQ(c.steps.size(), 1u);
   const Term cited = c.steps[0].fact.terms[1];  // S('v', n)
   ASSERT_TRUE(SymbolTable::IsChaseRegionNdv(cited));
@@ -955,68 +949,6 @@ TEST(CacheProbeTest, MinimizeLeavesChaseCacheEmpty) {
   EXPECT_GT(report->containment_checks, 0u);
   EXPECT_EQ(engine.cache_sizes().chase_entries, 0u);
   EXPECT_GT(engine.cache_sizes().verdict_entries, 0u);
-}
-
-// --- Batch API ---------------------------------------------------------------
-
-TEST(CheckManyTest, ThreadedFanOutMatchesSequentialVerdicts) {
-  Rng rng(21);
-  RandomCatalogParams cp;
-  cp.num_relations = 3;
-  cp.min_arity = 2;
-  cp.max_arity = 3;
-  Catalog catalog = RandomCatalog(rng, cp);
-  RandomIndParams ip;
-  ip.count = 3;
-  ip.width = 1;
-  DependencySet deps = RandomIndOnlyDeps(rng, catalog, ip);
-  SymbolTable symbols;
-
-  std::vector<ConjunctiveQuery> lhs;
-  std::vector<ConjunctiveQuery> rhs;
-  for (size_t i = 0; i < 12; ++i) {
-    RandomQueryParams qp;
-    qp.num_conjuncts = 4;
-    qp.name_prefix = StrCat("l", i);
-    lhs.push_back(RandomQuery(rng, catalog, symbols, qp));
-    qp.num_conjuncts = 2;
-    qp.name_prefix = StrCat("r", i);
-    rhs.push_back(RandomQuery(rng, catalog, symbols, qp));
-  }
-  std::vector<ContainmentTask> tasks;
-  for (size_t i = 0; i < lhs.size(); ++i) {
-    tasks.push_back(ContainmentTask{&lhs[i], &rhs[i], &deps});
-  }
-
-  EngineConfig sequential_config;
-  sequential_config.enable_cache = false;
-  ContainmentEngine sequential(&catalog, &symbols, sequential_config);
-  std::vector<Result<EngineVerdict>> expected = sequential.CheckMany(tasks);
-
-  EngineConfig threaded_config;
-  threaded_config.num_threads = 4;
-  ContainmentEngine threaded(&catalog, &symbols, threaded_config);
-  std::vector<Result<EngineVerdict>> got = threaded.CheckMany(tasks);
-
-  ASSERT_EQ(expected.size(), got.size());
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    ASSERT_EQ(expected[i].ok(), got[i].ok()) << "task " << i;
-    if (!expected[i].ok()) continue;
-    EXPECT_EQ(expected[i]->report.contained, got[i]->report.contained)
-        << "task " << i;
-  }
-}
-
-TEST(CheckManyTest, NullTaskPointerYieldsInvalidArgument) {
-  Catalog catalog;
-  ASSERT_TRUE(catalog.AddRelation("R", {"a"}).ok());
-  SymbolTable symbols;
-  ContainmentEngine engine(&catalog, &symbols);
-  std::vector<ContainmentTask> tasks(1);  // all pointers null
-  std::vector<Result<EngineVerdict>> out = engine.CheckMany(tasks);
-  ASSERT_EQ(out.size(), 1u);
-  ASSERT_FALSE(out[0].ok());
-  EXPECT_EQ(out[0].status().code(), StatusCode::kInvalidArgument);
 }
 
 // --- The optimizer's minimization through the warm engine --------------------

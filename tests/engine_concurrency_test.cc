@@ -22,6 +22,7 @@
 #include "deps/deps_parser.h"
 #include "engine/engine.h"
 #include "gen/generators.h"
+#include "submit_util.h"
 #include "symbols/symbol_table.h"
 
 namespace cqchase {
@@ -115,7 +116,7 @@ TEST(ShardConcurrencyTest, ShardMintingInterleavedWithLockedInterning) {
   EXPECT_EQ(ids.size(), static_cast<size_t>(kThreads + 1) * kPerThread);
 }
 
-// A CheckMany workload mixing distinct canonical keys, exact repeats (shared
+// A SubmitAll workload mixing distinct canonical keys, exact repeats (shared
 // verdict keys), and one fixed Q probed against many Q' (shared chase key).
 // unique_ptrs keep the catalog / symbol-table addresses stable across moves
 // of the workload itself — the queries hold pointers into them.
@@ -123,8 +124,8 @@ struct StressWorkload {
   std::unique_ptr<Catalog> catalog;
   std::unique_ptr<SymbolTable> symbols;
   DependencySet deps;
-  std::vector<ConjunctiveQuery> queries;  // stable storage for task pointers
-  std::vector<ContainmentTask> tasks;
+  std::vector<ConjunctiveQuery> queries;  // stable storage the requests borrow
+  std::vector<ContainmentRequest> requests;
 };
 
 StressWorkload BuildStressWorkload() {
@@ -166,29 +167,35 @@ StressWorkload BuildStressWorkload() {
   }
 
   for (int i = 0; i < 10; ++i) {
-    w.tasks.push_back(
-        ContainmentTask{&w.queries[2 * i], &w.queries[2 * i + 1], &w.deps});
+    w.requests.push_back(ContainmentRequest::Borrow(
+        w.queries[2 * i], w.queries[2 * i + 1], w.deps));
   }
   for (int i = 0; i < 6; ++i) {
-    w.tasks.push_back(ContainmentTask{&w.queries[fixed_idx],
-                                      &w.queries[fixed_idx + 1 + i], &w.deps});
+    w.requests.push_back(ContainmentRequest::Borrow(
+        w.queries[fixed_idx], w.queries[fixed_idx + 1 + i], w.deps));
   }
-  // Exact repeats of everything so far: same pointers, same canonical keys.
-  const size_t unique_tasks = w.tasks.size();
-  for (size_t i = 0; i < unique_tasks; ++i) w.tasks.push_back(w.tasks[i]);
+  // Exact repeats of everything so far: same inputs, same canonical keys.
+  const size_t unique_tasks = w.requests.size();
+  for (size_t i = 0; i < unique_tasks; ++i) {
+    w.requests.push_back(w.requests[i]);
+  }
   return w;
 }
 
-TEST(CheckManyConcurrencyTest, EightWorkerFanOutMatchesSequentialOracle) {
+TEST(SubmitAllConcurrencyTest, EightWorkerFanOutMatchesSequentialOracle) {
   StressWorkload w = BuildStressWorkload();
 
+  // The oracle decides inline, one request at a time, with no caches.
   EngineConfig oracle_config;
   oracle_config.enable_cache = false;
   ContainmentEngine oracle(w.catalog.get(), w.symbols.get(), oracle_config);
-  std::vector<Result<EngineVerdict>> expected = oracle.CheckMany(w.tasks);
+  std::vector<Result<EngineVerdict>> expected;
+  for (const ContainmentRequest& r : w.requests) {
+    expected.push_back(oracle.Check(*r.q, *r.q_prime, *r.deps));
+  }
 
   EngineConfig threaded_config;
-  threaded_config.num_threads = 8;
+  threaded_config.executor_threads = 8;
   // A tiny chase cache forces eviction while entries are in use; the
   // reference-counted entries must keep in-flight chases alive.
   threaded_config.chase_cache_capacity = 2;
@@ -196,7 +203,7 @@ TEST(CheckManyConcurrencyTest, EightWorkerFanOutMatchesSequentialOracle) {
 
   // Two passes through the same engine: cold caches, then warm.
   for (int pass = 0; pass < 2; ++pass) {
-    std::vector<Result<EngineVerdict>> got = threaded.CheckMany(w.tasks);
+    std::vector<Result<EngineVerdict>> got = DecideAll(threaded, w.requests);
     ASSERT_EQ(expected.size(), got.size());
     for (size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(expected[i].ok(), got[i].ok())
@@ -210,7 +217,7 @@ TEST(CheckManyConcurrencyTest, EightWorkerFanOutMatchesSequentialOracle) {
   }
 }
 
-TEST(CheckManyConcurrencyTest, ConcurrentAskersOfOneExactKeyShareOneChase) {
+TEST(SubmitAllConcurrencyTest, ConcurrentAskersOfOneExactKeyShareOneChase) {
   Catalog catalog;
   ASSERT_TRUE(catalog.AddRelation("R", {"a", "b"}).ok());
   ASSERT_TRUE(catalog.AddRelation("S", {"x", "y"}).ok());
@@ -231,16 +238,17 @@ TEST(CheckManyConcurrencyTest, ConcurrentAskersOfOneExactKeyShareOneChase) {
     ASSERT_TRUE(qp.ok());
     rhs.push_back(*std::move(qp));
   }
-  std::vector<ContainmentTask> tasks;
+  std::vector<ContainmentRequest> requests;
   for (int i = 0; i < 16; ++i) {
-    tasks.push_back(ContainmentTask{&*q, &rhs[i], &deps});
+    requests.push_back(ContainmentRequest::Borrow(*q, rhs[i], deps));
   }
 
   EngineConfig config;
-  config.num_threads = 8;
+  config.executor_threads = 8;
   config.route_streaming_single_conjunct = false;
   ContainmentEngine engine(&catalog, &symbols, config);
-  std::vector<Result<EngineVerdict>> results = engine.CheckMany(tasks);
+  std::vector<Result<EngineVerdict>> results =
+      DecideAll(engine, std::move(requests));
   for (size_t i = 0; i < results.size(); ++i) {
     ASSERT_TRUE(results[i].ok()) << "task " << i << ": "
                                  << results[i].status().ToString();

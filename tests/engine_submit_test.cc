@@ -4,7 +4,8 @@
 // cooperative cancellation (must release the shared chase-prefix refcount
 // and entry lock), certificate-carrying outcomes extracted from the
 // decision's own chase (chases_built advances by at most one per request),
-// and the CheckMany/Certify compatibility shims. Runs under TSan in CI.
+// and SubmitAll bursts keeping request order and flagging null inputs. Runs
+// under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -17,6 +18,7 @@
 #include "cq/cq_parser.h"
 #include "deps/deps_parser.h"
 #include "engine/engine.h"
+#include "submit_util.h"
 
 namespace cqchase {
 namespace {
@@ -94,7 +96,7 @@ TEST_F(SubmitTest, OwnedRequestSurvivesCallerScope) {
   EngineFuture<EngineOutcome> future;
   {
     // Locals die before the future is waited on; the request owns copies,
-    // so nothing dangles (the old ContainmentTask trap).
+    // so nothing dangles (the trap a raw-pointer request would fall into).
     ConjunctiveQuery q = *ParseQuery(catalog_, symbols_, "ans(e) :- EMP(e, m)");
     ConjunctiveQuery qp = *ParseQuery(
         catalog_, symbols_, "ans(e) :- EMP(e, m), MGR(m, d), DIR(d)");
@@ -192,28 +194,24 @@ TEST_F(SubmitTest, WantCertificateNotContainedCarriesNone) {
   EXPECT_FALSE(outcome->certificate.has_value());
 }
 
-TEST_F(SubmitTest, CertifyShimMatchesLegacyBuildCertificate) {
+TEST_F(SubmitTest, SubmittedCertificateMatchesBuildCertificate) {
   ContainmentEngine engine(&catalog_, &symbols_);
-  Result<std::optional<ContainmentCertificate>> via_engine =
-      engine.Certify(q_, q_prime_, deps_);
-  Result<std::optional<ContainmentCertificate>> legacy =
+  Result<EngineOutcome> via_engine =
+      DecideCertified(engine, q_, q_prime_, deps_);
+  Result<std::optional<ContainmentCertificate>> direct =
       BuildCertificate(q_, q_prime_, deps_, symbols_);
   ASSERT_TRUE(via_engine.ok());
-  ASSERT_TRUE(legacy.ok());
-  ASSERT_TRUE(via_engine->has_value());
-  ASSERT_TRUE(legacy->has_value());
+  ASSERT_TRUE(direct.ok());
+  ASSERT_TRUE(via_engine->certificate.has_value());
+  ASSERT_TRUE(direct->has_value());
   // The two proofs come from distinct chases whose fresh NDVs carry
   // different ids, so compare shape, not terms: same roots (Q's own
   // conjuncts) and the same derivation length.
-  EXPECT_EQ((*via_engine)->roots, (*legacy)->roots);
-  EXPECT_EQ((*via_engine)->steps.size(), (*legacy)->steps.size());
-  EXPECT_TRUE(
-      VerifyCertificate(**via_engine, q_, q_prime_, deps_, symbols_).ok());
-
-  Result<std::optional<ContainmentCertificate>> none =
-      engine.Certify(q_, not_contained_, deps_);
-  ASSERT_TRUE(none.ok());
-  EXPECT_FALSE(none->has_value());
+  EXPECT_EQ(via_engine->certificate->roots, (*direct)->roots);
+  EXPECT_EQ(via_engine->certificate->steps.size(), (*direct)->steps.size());
+  EXPECT_TRUE(VerifyCertificate(*via_engine->certificate, q_, q_prime_, deps_,
+                                symbols_)
+                  .ok());
 }
 
 // --- Divergent general FD+IND semi-decision: deadlines + cancellation --------
@@ -350,36 +348,38 @@ TEST_F(DivergentSubmitTest, PerRequestSemiDecisionOverride) {
   EXPECT_EQ(outcome->verdict.strategy, DecisionStrategy::kSemiDecision);
 }
 
-// --- Legacy batch shim -------------------------------------------------------
+// --- SubmitAll bursts -------------------------------------------------------
 
-TEST_F(SubmitTest, CheckManyShimMatchesSequentialAndFlagsNulls) {
-  EngineConfig threaded_config;
-  threaded_config.num_threads = 4;
-  ContainmentEngine threaded(&catalog_, &symbols_, threaded_config);
-  ContainmentEngine sequential(&catalog_, &symbols_);
+TEST_F(SubmitTest, SubmitAllKeepsOrderMatchesCheckAndFlagsNulls) {
+  EngineConfig config;
+  config.executor_threads = 4;
+  ContainmentEngine engine(&catalog_, &symbols_, config);
+  ContainmentEngine inline_engine(&catalog_, &symbols_);
 
-  std::vector<ContainmentTask> tasks;
+  std::vector<ContainmentRequest> requests;
+  std::vector<Result<EngineVerdict>> expected;
   for (int i = 0; i < 12; ++i) {
-    tasks.push_back(ContainmentTask{
-        &q_, (i % 2 == 0) ? &q_prime_ : &not_contained_, &deps_});
+    const ConjunctiveQuery& q_prime =
+        (i % 2 == 0) ? q_prime_ : not_contained_;
+    requests.push_back(ContainmentRequest::Borrow(q_, q_prime, deps_));
+    expected.push_back(inline_engine.Check(q_, q_prime, deps_));
   }
-  tasks.push_back(ContainmentTask{&q_, nullptr, &deps_});
+  ContainmentRequest null_request =
+      ContainmentRequest::Borrow(q_, q_prime_, deps_);
+  null_request.q_prime = nullptr;
+  requests.push_back(std::move(null_request));
 
-  std::vector<Result<EngineVerdict>> expected = sequential.CheckMany(tasks);
-  std::vector<Result<EngineVerdict>> got = threaded.CheckMany(tasks);
-  ASSERT_EQ(expected.size(), got.size());
+  std::vector<Result<EngineVerdict>> got =
+      DecideAll(engine, std::move(requests));
+  ASSERT_EQ(got.size(), expected.size() + 1);
   for (size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(expected[i].ok(), got[i].ok()) << "task " << i;
-    if (expected[i].ok()) {
-      EXPECT_EQ(expected[i]->report.contained, got[i]->report.contained);
-    } else {
-      EXPECT_EQ(expected[i].status().code(), got[i].status().code());
-    }
+    ASSERT_TRUE(expected[i].ok() && got[i].ok()) << "request " << i;
+    EXPECT_EQ(expected[i]->report.contained, got[i]->report.contained)
+        << "request " << i;
   }
-  // The threaded shim rode the executor; the sequential fast path did not.
-  EXPECT_GT(threaded.stats().submits, 0u);
-  EXPECT_EQ(sequential.stats().submits, 0u);
-  EXPECT_EQ(sequential.stats().executor_tasks, 0u);
+  ASSERT_FALSE(got.back().ok());
+  EXPECT_EQ(got.back().status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.stats().submits, got.size());
 }
 
 }  // namespace

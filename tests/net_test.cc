@@ -3,7 +3,7 @@
 // enforcement and version refusal, the TcpTransport connection discipline
 // (reconnect with backoff, identity pinning across reconnects), batched
 // fetch-many echo verification against confused peers (via the FlakyTransport
-// fault injector and a wrong-echo double), sharded routing with a dead shard
+// fault injector and a wrong-echo double), an engine whose authority dies
 // degrading to local chase, concurrent clients against one server, and the
 // store-backed daemon recipe persisting across a restart.
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -27,9 +28,9 @@
 #include "engine/serialize.h"
 #include "flaky_transport.h"
 #include "net/authority_server.h"
-#include "net/sharded_transport.h"
 #include "net/socket.h"
 #include "net/tcp_transport.h"
+#include "submit_util.h"
 
 namespace cqchase {
 namespace {
@@ -193,22 +194,51 @@ TEST(SocketTest, OversizedFramePrefixRejectedBeforePayload) {
 
 // --- hello parsing and enforcement -------------------------------------------
 
-TEST(HelloTest, VersionBelowMinimumRefused) {
-  std::string payload;
-  wire::PutU8(payload, kTierOpHello);
-  wire::PutU32(payload, 0);  // below kTierMinProtocolVersion
-  wire::PutU64(payload, StoreSchemaFingerprint());
-  uint32_t version = 0;
-  uint64_t fingerprint = 0;
-  Status parsed = ParseTierHelloResponse(FrameTierMessage(payload), "peer",
-                                         &version, &fingerprint);
-  EXPECT_EQ(parsed.code(), StatusCode::kFailedPrecondition);
+// A peer that answers every hello with a fixed protocol version and this
+// build's fingerprint — an older or newer build, as far as the wire shows.
+class FixedVersionPeer final : public VerdictTransport {
+ public:
+  explicit FixedVersionPeer(uint32_t version) : version_(version) {}
+  Status RoundTrip(const std::string& request, std::string* response) override {
+    (void)request;
+    std::string payload;
+    wire::PutU8(payload, kTierOpHello);
+    wire::PutU32(payload, version_);
+    wire::PutU64(payload, StoreSchemaFingerprint());
+    *response = FrameTierMessage(payload);
+    return Status::OK();
+  }
+  std::string_view Peer() const override { return "fixed"; }
+
+ private:
+  const uint32_t version_;
+};
+
+TEST(HelloTest, VersionMismatchRefusedAtConnect) {
+  ASSERT_EQ(kTierProtocolVersion, 3u);  // the wire bytes this build speaks
+  for (uint32_t version : {0u, 2u, 4u}) {
+    Result<std::unique_ptr<RemoteTier>> tier =
+        RemoteTier::Connect(std::make_shared<FixedVersionPeer>(version));
+    ASSERT_FALSE(tier.ok()) << "v" << version;
+    EXPECT_EQ(tier.status().code(), StatusCode::kFailedPrecondition);
+    // The refusal names both numbers.
+    const std::string message(tier.status().message());
+    EXPECT_NE(message.find(StrCat("v", version)), std::string::npos)
+        << message;
+    EXPECT_NE(message.find(StrCat("v", kTierProtocolVersion)),
+              std::string::npos)
+        << message;
+  }
+  ASSERT_TRUE(RemoteTier::Connect(
+                  std::make_shared<FixedVersionPeer>(kTierProtocolVersion))
+                  .ok());
 
   // Malformed (truncated) hello is a different refusal.
   std::string truncated;
   wire::PutU8(truncated, kTierOpHello);
-  Status bad = ParseTierHelloResponse(FrameTierMessage(truncated), "peer",
-                                      &version, &fingerprint);
+  uint64_t fingerprint = 0;
+  Status bad =
+      ParseTierHelloResponse(FrameTierMessage(truncated), "peer", &fingerprint);
   EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
 }
 
@@ -340,7 +370,6 @@ TEST(TcpTransportTest, FetchPublishAndBatchedFetchOverRealTcp) {
       "127.0.0.1", server.port(), FastTcpOptions());
   Result<std::unique_ptr<RemoteTier>> tier = RemoteTier::Connect(transport);
   ASSERT_TRUE(tier.ok()) << tier.status();
-  EXPECT_EQ((*tier)->negotiated_version(), kTierProtocolVersion);
   EXPECT_EQ(transport->pinned_fingerprint(), StoreSchemaFingerprint());
 
   // Single fetch: the seeded verdict arrives over the wire, byte-faithful.
@@ -366,36 +395,6 @@ TEST(TcpTransportTest, FetchPublishAndBatchedFetchOverRealTcp) {
   EXPECT_EQ(astats.fetch_many_keys, 3u);
   EXPECT_EQ(astats.fetch_many_hits, 1u);
   EXPECT_GE((*tier)->Stats().batched_fetches, 1u);
-  server.Stop();
-}
-
-TEST(TcpTransportTest, V1PeerNegotiatesDownToPerKeyFetch) {
-  VerdictAuthority::Options old_peer;
-  old_peer.protocol_version = 1;  // predates kTierOpFetchMany
-  auto authority = std::make_shared<VerdictAuthority>(old_peer);
-  authority->Put("a", MakeVerdict(2));
-  authority->Put("b", MakeVerdict(4));
-  net::VerdictAuthorityServer server(authority);
-  ASSERT_TRUE(server.Start().ok());
-
-  Result<std::unique_ptr<RemoteTier>> tier =
-      RemoteTier::Connect(std::make_shared<net::TcpTransport>(
-          "127.0.0.1", server.port(), FastTcpOptions()));
-  ASSERT_TRUE(tier.ok()) << tier.status();
-  EXPECT_EQ((*tier)->negotiated_version(), 1u);
-
-  // The burst still answers correctly — as per-key fetches, never the
-  // batched opcode the peer does not speak.
-  std::vector<std::optional<StoredVerdict>> got =
-      (*tier)->LookupMany({"a", "b", "missing"});
-  ASSERT_EQ(got.size(), 3u);
-  EXPECT_TRUE(got[0].has_value());
-  EXPECT_TRUE(got[1].has_value());
-  EXPECT_FALSE(got[2].has_value());
-  const VerdictAuthority::Stats astats = authority->stats();
-  EXPECT_EQ(astats.fetch_many_requests, 0u);
-  EXPECT_EQ(astats.fetches, 3u);
-  EXPECT_EQ((*tier)->Stats().batched_fetches, 0u);
   server.Stop();
 }
 
@@ -617,55 +616,7 @@ TEST(ServerTest, ManyConcurrentClientsServedCorrectly) {
   EXPECT_EQ(server.stats().connections_open, 0u);
 }
 
-// --- sharded routing ---------------------------------------------------------
-
-TEST(ShardedTransportTest, PublishesAndFetchesPartitionByKeyHash) {
-  auto authority_a = std::make_shared<VerdictAuthority>();
-  auto authority_b = std::make_shared<VerdictAuthority>();
-  auto sharded = std::make_shared<net::ShardedTransport>(
-      std::vector<std::shared_ptr<VerdictTransport>>{
-          std::make_shared<InProcessTransport>(authority_a),
-          std::make_shared<InProcessTransport>(authority_b)});
-  Result<std::unique_ptr<RemoteTier>> tier = RemoteTier::Connect(sharded);
-  ASSERT_TRUE(tier.ok()) << tier.status();
-
-  const size_t kKeys = 32;
-  for (size_t i = 0; i < kKeys; ++i) {
-    EXPECT_TRUE(
-        (*tier)->Publish(StrCat("key", i), MakeVerdict(uint32_t(i))));
-  }
-  ASSERT_TRUE((*tier)->Flush().ok());
-
-  // Every key lives on exactly the shard FNV-1a64(key) % 2 says, and both
-  // shards got a share (a degenerate hash would hide the routing entirely).
-  EXPECT_EQ(authority_a->size() + authority_b->size(), kKeys);
-  EXPECT_GT(authority_a->size(), 0u);
-  EXPECT_GT(authority_b->size(), 0u);
-  for (size_t i = 0; i < kKeys; ++i) {
-    const std::string key = StrCat("key", i);
-    const auto& home =
-        sharded->ShardOf(key) == 0 ? authority_a : authority_b;
-    const auto& away =
-        sharded->ShardOf(key) == 0 ? authority_b : authority_a;
-    EXPECT_TRUE(home->Lookup(key).has_value()) << key;
-    EXPECT_FALSE(away->Lookup(key).has_value()) << key;
-  }
-
-  // A batched fetch fans out and merges back in request order.
-  std::vector<std::string> all;
-  for (size_t i = 0; i < kKeys; ++i) all.push_back(StrCat("key", i));
-  std::vector<std::optional<StoredVerdict>> got = (*tier)->LookupMany(all);
-  for (size_t i = 0; i < kKeys; ++i) {
-    ASSERT_TRUE(got[i].has_value()) << i;
-    EXPECT_EQ(got[i]->witness_max_level, i);
-  }
-  const std::vector<net::ShardStats> sstats = sharded->shard_stats();
-  ASSERT_EQ(sstats.size(), 2u);
-  EXPECT_GT(sstats[0].keys_routed, 0u);
-  EXPECT_GT(sstats[1].keys_routed, 0u);
-}
-
-// --- engine over TCP shards, one shard dead ----------------------------------
+// --- engine over TCP, authority dead ----------------------------------------
 
 class NetEngineTest : public ::testing::Test {
  protected:
@@ -690,9 +641,6 @@ class NetEngineTest : public ::testing::Test {
       rhs_.push_back(
           Parse(StrCat("ans(u) :- R", i, "(u, v), S", i, "(v, w)")));
     }
-    for (size_t i = 0; i < kRelations; ++i) {
-      tasks_.push_back(ContainmentTask{&lhs_[i], &rhs_[i], &deps_});
-    }
   }
 
   ConjunctiveQuery Parse(const std::string& text) {
@@ -701,16 +649,11 @@ class NetEngineTest : public ::testing::Test {
     return *std::move(q);
   }
 
-  EngineConfig ShardedTcpConfig(uint16_t port_a, uint16_t port_b) {
+  EngineConfig TcpConfig(uint16_t port) {
     EngineConfig config;
-    config.tiers = {
-        TierSpec::Lru(64),
-        TierSpec::Remote(std::make_shared<net::ShardedTransport>(
-            std::vector<std::shared_ptr<VerdictTransport>>{
-                std::make_shared<net::TcpTransport>("127.0.0.1", port_a,
-                                                    FastTcpOptions()),
-                std::make_shared<net::TcpTransport>("127.0.0.1", port_b,
-                                                    FastTcpOptions())}))};
+    config.tiers = {TierSpec::Lru(64),
+                    TierSpec::Remote(std::make_shared<net::TcpTransport>(
+                        "127.0.0.1", port, FastTcpOptions()))};
     return config;
   }
 
@@ -719,58 +662,47 @@ class NetEngineTest : public ::testing::Test {
   DependencySet deps_;
   std::vector<ConjunctiveQuery> lhs_;
   std::vector<ConjunctiveQuery> rhs_;
-  std::vector<ContainmentTask> tasks_;
 };
 
-TEST_F(NetEngineTest, DeadShardDegradesToLocalChaseNeverErrors) {
-  auto authority_a = std::make_shared<VerdictAuthority>();
-  auto authority_b = std::make_shared<VerdictAuthority>();
-  net::VerdictAuthorityServer server_a(authority_a);
-  auto server_b =
-      std::make_unique<net::VerdictAuthorityServer>(authority_b);
-  ASSERT_TRUE(server_a.Start().ok());
-  ASSERT_TRUE(server_b->Start().ok());
-  const uint16_t port_a = server_a.port();
-  const uint16_t port_b = server_b->port();
+TEST_F(NetEngineTest, DeadAuthorityDegradesToLocalChaseNeverErrors) {
+  auto authority = std::make_shared<VerdictAuthority>();
+  auto server = std::make_unique<net::VerdictAuthorityServer>(authority);
+  ASSERT_TRUE(server->Start().ok());
+  const uint16_t port = server->port();
 
-  // Engine 1 decides the workload and publishes across both shards.
+  // Engine one decides the workload and publishes it to the authority.
   std::vector<bool> truth;
   {
-    ContainmentEngine one(&catalog_, &symbols_,
-                          ShardedTcpConfig(port_a, port_b));
-    std::vector<Result<EngineVerdict>> got = one.CheckMany(tasks_);
-    for (const Result<EngineVerdict>& v : got) {
+    ContainmentEngine one(&catalog_, &symbols_, TcpConfig(port));
+    for (const Result<EngineVerdict>& v :
+         DecideAll(one, BorrowAll(lhs_, rhs_, deps_))) {
       ASSERT_TRUE(v.ok()) << v.status();
       truth.push_back(v->report.contained);
     }
     // Guards the task design: these questions cannot be answered for free.
     EXPECT_EQ(one.stats().chases_built, kRelations);
-    // Scope exit drains the write-behind publish across both sockets.
+    // Scope exit drains the write-behind publish over the socket.
   }
-  const size_t on_a = authority_a->size();
-  const size_t on_b = authority_b->size();
-  EXPECT_EQ(on_a + on_b, kRelations);  // distinct canonical key per relation
-  EXPECT_GT(on_a, 0u);
-  EXPECT_GT(on_b, 0u);
+  EXPECT_EQ(authority->size(), kRelations);  // distinct key per relation
 
-  // Shard B dies. A cold engine over the same two endpoints must still
-  // answer everything: shard A's keys over the wire, shard B's by chasing
-  // locally — degraded, never wrong, never an error.
-  server_b->Stop();
-  server_b.reset();
+  // Engine two connects (its hello succeeds), then the authority dies
+  // before the burst. Every request must still answer by chasing locally —
+  // degraded, never wrong, never an error.
+  ContainmentEngine two(&catalog_, &symbols_, TcpConfig(port));
+  ASSERT_TRUE(two.tier_descriptors().back().active);
+  server->Stop();
+  server.reset();
 
-  ContainmentEngine two(&catalog_, &symbols_,
-                        ShardedTcpConfig(port_a, port_b));
-  std::vector<Result<EngineVerdict>> got = two.CheckMany(tasks_);
+  std::vector<Result<EngineVerdict>> got =
+      DecideAll(two, BorrowAll(lhs_, rhs_, deps_));
   ASSERT_EQ(got.size(), kRelations);
   for (size_t i = 0; i < kRelations; ++i) {
     ASSERT_TRUE(got[i].ok()) << got[i].status();
     EXPECT_EQ(got[i]->report.contained, truth[i]) << "task " << i;
   }
   const EngineStats stats = two.stats();
-  EXPECT_EQ(stats.remote_hits, on_a);
-  EXPECT_EQ(stats.chases_built, kRelations - on_a);
-  server_a.Stop();
+  EXPECT_EQ(stats.remote_hits, 0u);
+  EXPECT_EQ(stats.chases_built, kRelations);
 }
 
 // --- store-backed daemon recipe ----------------------------------------------

@@ -2,12 +2,14 @@
 // reads on truncated input, checksummed framing, and the verdict-entry
 // codec's refusal to cast unvalidated bytes into enums. Everything here is
 // the "hostile input" half of the store's trust model — a byte that cannot
-// be verified must fail decode, never become a verdict.
+// be verified must fail decode, never become a verdict — plus the pinned
+// schema fingerprint every store header and remote hello carries.
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <string>
 
+#include "engine/canonical.h"
 #include "engine/serialize.h"
 #include "engine/sigma_class.h"
 
@@ -211,12 +213,14 @@ TEST(VerdictEntryTest, NonBooleanFlagRejected) {
   EXPECT_FALSE(DecodeVerdictEntry(r, &key, &v).ok());
 }
 
-TEST(SchemaTest, FingerprintIsStableWithinABuild) {
-  // Two calls agree (it is a pure function); the exact value is
-  // deliberately unasserted — it *should* change when the layout or the
-  // canonical-key scheme does.
-  EXPECT_EQ(StoreSchemaFingerprint(), StoreSchemaFingerprint());
-  EXPECT_NE(StoreSchemaFingerprint(), 0u);
+TEST(SchemaTest, FingerprintIsPinned) {
+  // Every store file header and every remote hello carries this value: a
+  // silent change quarantines every existing store and refuses every peer.
+  // Re-capture it only together with a kStoreFormatVersion or
+  // kCanonicalKeySchemeVersion bump, never as a side effect of a refactor.
+  EXPECT_EQ(kStoreFormatVersion, 2u);
+  EXPECT_EQ(kCanonicalKeySchemeVersion, 1u);
+  EXPECT_EQ(StoreSchemaFingerprint(), 0x8a6dbea025939a81ULL);
 }
 
 }  // namespace

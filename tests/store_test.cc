@@ -8,8 +8,10 @@
 
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -20,6 +22,7 @@
 #include "engine/engine.h"
 #include "engine/serialize.h"
 #include "engine/store.h"
+#include "submit_util.h"
 
 namespace cqchase {
 namespace {
@@ -294,21 +297,96 @@ std::string CraftSnapshot(uint32_t magic, uint32_t version,
   return file + payload;
 }
 
-TEST(StoreTest, VersionMismatchQuarantinesSnapshot) {
-  const std::string dir = NewStoreDir("version");
-  ASSERT_TRUE(VerdictStore::Open(dir).ok());  // creates the directory
-  const std::string snapshot = StrCat(dir, "/snapshot.cqvs");
-  WriteAll(snapshot, CraftSnapshot(kSnapshotMagic, kStoreFormatVersion + 1,
-                                   StoreSchemaFingerprint()));
+// What a format-v1 build wrote into its file headers: StoreSchemaFingerprint
+// over the v1 entry layout (no Σ-lineage fields). Frozen here so the v1
+// files below are byte-exact.
+constexpr uint64_t kV1SchemaFingerprint = 0x23ff9631d2e23c96ULL;
 
-  std::unique_ptr<VerdictStore> store = MustOpen(dir);
-  EXPECT_EQ(store->size(), 0u);
-  EXPECT_EQ(store->stats().quarantined_files, 1u);
-  EXPECT_FALSE(FileExists(snapshot));
-  EXPECT_TRUE(FileExists(snapshot + ".quarantine"));
-  // The rebuilt store is fully usable.
-  store->Put("fresh", MakeVerdict(1));
-  EXPECT_TRUE(store->Flush().ok());
+// One entry in the v1 layout, byte for byte: no confidence / lineage /
+// used-set fields.
+void EncodeV1Entry(const std::string& key, bool contained, std::string& out) {
+  wire::PutString(out, key);
+  wire::PutU8(out, contained ? 1 : 0);
+  wire::PutU8(out, 0);   // chase_outcome
+  wire::PutU8(out, 0);   // sigma_class
+  wire::PutU8(out, 0);   // strategy
+  wire::PutU32(out, 0);  // witness_max_level
+  wire::PutU32(out, 3);  // chase_levels
+  wire::PutU64(out, 7);  // level_bound
+  wire::PutU64(out, 5);  // chase_conjuncts
+  wire::PutU8(out, 0);   // certified
+  wire::PutU32(out, 0);  // certificate_depth
+}
+
+// A well-formed v1 snapshot holding `entries`.
+std::string EncodeV1Snapshot(
+    const std::vector<std::pair<std::string, bool>>& entries) {
+  std::string payload;
+  for (const auto& [key, contained] : entries) {
+    EncodeV1Entry(key, contained, payload);
+  }
+  std::string file;
+  wire::PutU32(file, kSnapshotMagic);
+  wire::PutU32(file, 1);
+  wire::PutU64(file, kV1SchemaFingerprint);
+  wire::PutU64(file, entries.size());
+  wire::PutU64(file, payload.size());
+  wire::PutU64(file, wire::Fnv1a64(payload));
+  return file + payload;
+}
+
+// A well-formed v1-headed log holding one entry.
+std::string EncodeV1Log() {
+  std::string header;
+  wire::PutU32(header, kLogMagic);
+  wire::PutU32(header, 1);
+  wire::PutU64(header, kV1SchemaFingerprint);
+  std::string log;
+  wire::PutFramed(log, header);
+  std::string entry;
+  EncodeV1Entry("v1-log-key", true, entry);
+  wire::PutFramed(log, entry);
+  return log;
+}
+
+// Only kStoreFormatVersion decodes: an older file (v1, whose bytes and
+// fingerprint are exactly what a v1 build wrote) or a newer one quarantines
+// and never reaches the entry decoder.
+TEST(StoreTest, VersionMismatchQuarantinesSnapshot) {
+  struct Input {
+    const char* name;
+    const char* file;
+    std::string bytes;
+  };
+  const std::vector<Input> inputs = {
+      {"newer", "/snapshot.cqvs",
+       CraftSnapshot(kSnapshotMagic, kStoreFormatVersion + 1,
+                     StoreSchemaFingerprint())},
+      {"older", "/snapshot.cqvs",
+       CraftSnapshot(kSnapshotMagic, kStoreFormatVersion - 1,
+                     StoreSchemaFingerprint())},
+      {"v1_snapshot", "/snapshot.cqvs",
+       EncodeV1Snapshot({{"v1-a", true}, {"v1-b", false}})},
+      {"v1_log", "/log.cqvl", EncodeV1Log()},
+  };
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.name);
+    const std::string dir = NewStoreDir(StrCat("version_", input.name));
+    ASSERT_TRUE(VerdictStore::Open(dir).ok());  // creates the directory
+    const std::string path = StrCat(dir, input.file);
+    WriteAll(path, input.bytes);
+
+    std::unique_ptr<VerdictStore> store = MustOpen(dir);
+    EXPECT_EQ(store->size(), 0u);
+    EXPECT_EQ(store->stats().snapshot_entries_loaded, 0u);
+    EXPECT_EQ(store->stats().log_entries_replayed, 0u);
+    EXPECT_EQ(store->stats().quarantined_files, 1u);
+    EXPECT_FALSE(FileExists(path));
+    EXPECT_TRUE(FileExists(path + ".quarantine"));
+    // The rebuilt store is fully usable.
+    store->Put("fresh", MakeVerdict(1));
+    EXPECT_TRUE(store->Flush().ok());
+  }
 }
 
 TEST(StoreTest, SchemaFingerprintMismatchQuarantinesSnapshot) {
@@ -551,17 +629,24 @@ class StoreEngineTest : public ::testing::Test {
     return *std::move(q);
   }
 
+  // The in-memory LRU with a local-store tier at `dir` behind it.
+  static EngineConfig StoreConfig(const std::string& dir) {
+    EngineConfig config;
+    config.tiers = {TierSpec::Lru(config.verdict_cache_capacity),
+                    TierSpec::LocalStore(dir)};
+    return config;
+  }
+
   Catalog catalog_;
   SymbolTable symbols_;
   DependencySet deps_;
 };
 
-TEST_F(StoreEngineTest, StorePathRequiresEnableCache) {
+TEST_F(StoreEngineTest, StoreTierRequiresEnableCache) {
   // Without the canonicalization layer there are no keys to probe the
   // store with; an opened-but-dead tier would look healthy forever, so the
   // engine refuses it loudly instead.
-  EngineConfig config;
-  config.store_path = NewStoreDir("engine_nocache");
+  EngineConfig config = StoreConfig(NewStoreDir("engine_nocache"));
   config.enable_cache = false;
   ContainmentEngine engine(&catalog_, &symbols_, config);
   EXPECT_EQ(engine.store(), nullptr);
@@ -593,8 +678,7 @@ TEST_F(StoreEngineTest, RestartAnswersFromStoreWithZeroChases) {
   ConjunctiveQuery q2 = Parse("ans(u) :- R(u, v)");
   ConjunctiveQuery qp2 = Parse("ans(u) :- S(u, w)");
 
-  EngineConfig config;
-  config.store_path = dir;
+  const EngineConfig config = StoreConfig(dir);
 
   bool contained_1 = false;
   bool contained_2 = false;
@@ -642,8 +726,7 @@ TEST_F(StoreEngineTest, RestartAnswersFromStoreWithZeroChases) {
 
 TEST_F(StoreEngineTest, IsomorphicReAskHitsStoreAcrossRestart) {
   const std::string dir = NewStoreDir("engine_iso");
-  EngineConfig config;
-  config.store_path = dir;
+  const EngineConfig config = StoreConfig(dir);
   {
     ContainmentEngine a(&catalog_, &symbols_, config);
     ASSERT_TRUE(a.Check(Parse("ans(u) :- R(u, v)"),
@@ -662,8 +745,7 @@ TEST_F(StoreEngineTest, IsomorphicReAskHitsStoreAcrossRestart) {
 
 TEST_F(StoreEngineTest, CertificateRequestBypassesStoreAndStillProves) {
   const std::string dir = NewStoreDir("engine_cert");
-  EngineConfig config;
-  config.store_path = dir;
+  const EngineConfig config = StoreConfig(dir);
   ConjunctiveQuery q = Parse("ans(u) :- R(u, v)");
   ConjunctiveQuery qp = Parse("ans(u) :- R(u, v), S(v, w)");
   {
@@ -671,19 +753,19 @@ TEST_F(StoreEngineTest, CertificateRequestBypassesStoreAndStillProves) {
     ASSERT_TRUE(a.Check(q, qp, deps_).ok());
   }
   ContainmentEngine b(&catalog_, &symbols_, config);
-  // A stored verdict has no derivation to extract a proof from, so Certify
-  // must chase even on a warm store — and must still succeed.
-  Result<std::optional<ContainmentCertificate>> cert = b.Certify(q, qp, deps_);
+  // A stored verdict has no derivation to extract a proof from, so a
+  // certificate request must chase even on a warm store — and must still
+  // succeed.
+  Result<EngineOutcome> cert = DecideCertified(b, q, qp, deps_);
   ASSERT_TRUE(cert.ok()) << cert.status();
-  ASSERT_TRUE(cert->has_value());
+  ASSERT_TRUE(cert->certificate.has_value());
   EXPECT_GT(b.stats().chases_built, 0u);
   EXPECT_EQ(b.stats().store_hits, 0u);
 }
 
 TEST_F(StoreEngineTest, EngineRebuildsQuarantinedStore) {
   const std::string dir = NewStoreDir("engine_quarantine");
-  EngineConfig config;
-  config.store_path = dir;
+  const EngineConfig config = StoreConfig(dir);
   {
     ContainmentEngine a(&catalog_, &symbols_, config);
     ASSERT_TRUE(a.Check(Parse("ans(u) :- R(u, v)"),

@@ -1,5 +1,5 @@
 // The pluggable verdict-tier hierarchy (engine/tier.h + remote_tier.h):
-// stack assembly from specs and from the legacy store_path shim, probe
+// stack assembly from specs, probe
 // order with hit promotion into cheaper tiers, per-tier read/write policy
 // flags, the schema-fingerprint handshake (quarantine vs refuse — a
 // mismatched peer is disabled with a loud reason, never silently served),
@@ -381,20 +381,6 @@ class TierEngineTest : public ::testing::Test {
   SymbolTable symbols_;
   DependencySet deps_;
 };
-
-TEST_F(TierEngineTest, StorePathShimExpandsToLruPlusLocalStore) {
-  EngineConfig config;
-  config.store_path = NewStoreDir("shim");
-  ContainmentEngine engine(&catalog_, &symbols_, config);
-  const auto descs = engine.tier_descriptors();
-  ASSERT_EQ(descs.size(), 2u);
-  EXPECT_EQ(descs[0].kind, TierSpec::Kind::kLru);
-  EXPECT_EQ(descs[1].kind, TierSpec::Kind::kLocalStore);
-  EXPECT_TRUE(descs[0].active);
-  EXPECT_TRUE(descs[1].active);
-  EXPECT_NE(engine.store(), nullptr);
-  EXPECT_TRUE(engine.store_status().ok());
-}
 
 TEST_F(TierEngineTest, DefaultConfigIsSingleLruTier) {
   ContainmentEngine engine(&catalog_, &symbols_);

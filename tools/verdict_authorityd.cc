@@ -49,13 +49,13 @@ int main(int argc, char** argv) {
   using cqchase::VerdictAuthority;
 
   std::string listen = "127.0.0.1:0";
-  std::string store_path;
+  std::string store_dir;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--listen" && i + 1 < argc) {
       listen = argv[++i];
     } else if (arg == "--store-path" && i + 1 < argc) {
-      store_path = argv[++i];
+      store_dir = argv[++i];
     } else {
       return Usage(argv[0]);
     }
@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
   // Build the authority: store-backed when asked, memory-only otherwise.
   cqchase::net::StoreBackedAuthority backed;
   std::shared_ptr<VerdictAuthority> authority;
-  if (!store_path.empty()) {
-    auto made = cqchase::net::MakeStoreBackedAuthority(store_path);
+  if (!store_dir.empty()) {
+    auto made = cqchase::net::MakeStoreBackedAuthority(store_dir);
     if (!made.ok()) {
       std::fprintf(stderr, "store open failed: %s\n",
                    std::string(made.status().message()).c_str());
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
     }
     backed = *std::move(made);
     authority = backed.authority;
-    std::printf("store %s seeded %zu entries\n", store_path.c_str(),
+    std::printf("store %s seeded %zu entries\n", store_dir.c_str(),
                 authority->size());
   } else {
     authority = std::make_shared<VerdictAuthority>();

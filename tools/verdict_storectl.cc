@@ -14,12 +14,12 @@
 //
 // The tool is strictly read-only: it parses snapshot.cqvs and log.cqvl with
 // the same decoders the store uses (engine/serialize.h) but never writes a
-// byte — no quarantine renames, no torn-tail truncation, no legacy-format
-// compaction. It respects the store's single-owner flock: if a live
-// VerdictStore holds <dir>/LOCK the tool refuses to read (the owner may be
-// mid-append), and while the tool itself reads it holds the lock so no store
-// can open the directory under it. Exit codes: 0 ok, 1 cannot read (locked,
-// missing dir), 2 integrity problems found (verify).
+// byte — no quarantine renames, no torn-tail truncation. It respects the
+// store's single-owner flock: if a live VerdictStore holds <dir>/LOCK the
+// tool refuses to read (the owner may be mid-append), and while the tool
+// itself reads it holds the lock so no store can open the directory under
+// it. Exit codes: 0 ok, 1 cannot read (locked, missing dir), 2 integrity
+// problems found (verify).
 #include <fcntl.h>
 #include <sys/file.h>
 #include <sys/stat.h>
@@ -88,7 +88,7 @@ bool ReadFile(const std::string& path, std::string* out, bool* missing) {
 // One parsed store file plus everything verify wants to say about it.
 struct FileReport {
   bool present = false;
-  bool header_ok = false;    // magic + known version + matching fingerprint
+  bool header_ok = false;    // magic + current version + matching fingerprint
   bool payload_ok = false;   // checksum (snapshot) / all frames whole (log)
   uint32_t version = 0;
   uint64_t entries_decoded = 0;
@@ -121,11 +121,13 @@ FileReport ParseSnapshot(
     report.problems.push_back("bad magic");
     return report;
   }
-  if (cqchase::StoreSchemaFingerprintFor(report.version) == 0) {
-    report.problems.push_back(StrCat("unsupported version ", report.version));
+  if (report.version != cqchase::kStoreFormatVersion) {
+    report.problems.push_back(StrCat("unsupported version ", report.version,
+                                     " (this build reads only v",
+                                     cqchase::kStoreFormatVersion, ")"));
     return report;
   }
-  if (fingerprint != cqchase::StoreSchemaFingerprintFor(report.version)) {
+  if (fingerprint != cqchase::StoreSchemaFingerprint()) {
     report.problems.push_back("schema fingerprint mismatch");
     return report;
   }
@@ -144,8 +146,7 @@ FileReport ParseSnapshot(
   for (uint64_t i = 0; i < count; ++i) {
     std::string key;
     StoredVerdict verdict;
-    Status decoded =
-        cqchase::DecodeVerdictEntry(entries, &key, &verdict, report.version);
+    Status decoded = cqchase::DecodeVerdictEntry(entries, &key, &verdict);
     if (!decoded.ok()) {
       report.problems.push_back(
           StrCat("entry ", i, " undecodable: ", decoded.message()));
@@ -188,11 +189,13 @@ FileReport ParseLog(const std::string& path,
     report.problems.push_back("bad header frame");
     return report;
   }
-  if (cqchase::StoreSchemaFingerprintFor(report.version) == 0) {
-    report.problems.push_back(StrCat("unsupported version ", report.version));
+  if (report.version != cqchase::kStoreFormatVersion) {
+    report.problems.push_back(StrCat("unsupported version ", report.version,
+                                     " (this build reads only v",
+                                     cqchase::kStoreFormatVersion, ")"));
     return report;
   }
-  if (fingerprint != cqchase::StoreSchemaFingerprintFor(report.version)) {
+  if (fingerprint != cqchase::StoreSchemaFingerprint()) {
     report.problems.push_back("schema fingerprint mismatch");
     return report;
   }
@@ -204,8 +207,7 @@ FileReport ParseLog(const std::string& path,
     StoredVerdict verdict;
     if (!cqchase::wire::ReadFramed(reader, &payload).ok()) break;
     cqchase::wire::ByteReader entry(payload);
-    if (!cqchase::DecodeVerdictEntry(entry, &key, &verdict, report.version)
-             .ok() ||
+    if (!cqchase::DecodeVerdictEntry(entry, &key, &verdict).ok() ||
         entry.remaining() != 0) {
       break;
     }
@@ -304,12 +306,6 @@ int RunVerify(const FileReport& snapshot, const FileReport& log,
     // Open() salvages up to the tear and truncates the rest — expected
     // crash damage, not corruption, so it does not fail the verify.
     std::printf("verify: OK (torn log tail; next open salvages and trims)\n");
-    return 0;
-  }
-  if (snapshot.present &&
-      snapshot.version != cqchase::kStoreFormatVersion) {
-    std::printf("verify: OK (legacy v%u files; next open rewrites at v%u)\n",
-                snapshot.version, cqchase::kStoreFormatVersion);
     return 0;
   }
   std::printf("verify: OK\n");
