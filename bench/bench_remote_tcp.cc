@@ -64,9 +64,8 @@ int main(int argc, char** argv) {
   bool external = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    // One authority only: a comma list (several endpoints) is a usage error.
-    if (arg == "--connect" && i + 1 < argc && !external &&
-        std::string(argv[i + 1]).find(',') == std::string::npos) {
+    // One authority only: SplitHostPort refuses a comma list.
+    if (arg == "--connect" && i + 1 < argc && !external) {
       Status split = net::SplitHostPort(argv[++i], &host, &port);
       if (!split.ok()) {
         std::fprintf(stderr, "bad --connect endpoint '%s': %s\n", argv[i],

@@ -172,6 +172,16 @@ tcp_gate() {
   fi
   echo "daemon up at ${addr} (pid ${daemon_pid})"
 
+  # One endpoint per --listen: a comma list is a usage error (exit 2).
+  local rc=0
+  ./build/verdict_authorityd --listen 127.0.0.1:1,127.0.0.1:0 \
+    2> "${log}.badlisten" || rc=$?
+  if [[ "${rc}" != 2 ]] || ! grep -q 'bad --listen' "${log}.badlisten"; then
+    echo "FATAL: --listen with a comma list exited ${rc}" >&2
+    cat "${log}.badlisten" >&2
+    return 1
+  fi
+
   # The enforced gate: cold engine over real TCP, zero chases, batched RTTs.
   ./build/bench_remote_tcp --connect "${addr}"
 
@@ -215,14 +225,15 @@ tcp_gate() {
 # under ASan to catch any string_view or pointer kept past it. The
 # homomorphism solver searches through references into a FactIndex it does
 # not own (the chase loop keeps one per decision), so the suites that drive
-# it directly and through the engine's loop run here too.
+# it directly and through the engine's loop run here too; sweep_test builds
+# certificates through that loop as well.
 ASAN_TESTS=(serialize_test store_test tier_test net_test engine_test
             engine_cache_test engine_dispatch_test chase_core_parity_test
             reliance_test executor_test lineage_test delta_migration_test
             string_util_test symbol_table_test pspace_test chase_test
             cq_parser_test certificate_test containment_test
             engine_concurrency_test engine_submit_test homomorphism_test
-            engine_witness_search_test)
+            engine_witness_search_test sweep_test)
 asan_ubsan() {
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -O1 -g" \
@@ -234,10 +245,14 @@ asan_ubsan() {
   done
 }
 
+# BuildCertificate decides on an executor worker and hands the certificate
+# back through EngineFuture::Get, so the suites that build certificates run
+# here too.
 TSAN_TESTS=(symbol_table_test chase_test chase_core_parity_test reliance_test
             engine_test engine_cache_test engine_dispatch_test
             engine_concurrency_test executor_test engine_submit_test
-            store_test tier_test net_test lineage_test delta_migration_test)
+            store_test tier_test net_test lineage_test delta_migration_test
+            certificate_test pspace_test)
 tsan() {
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -O1 -g" \

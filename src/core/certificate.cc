@@ -7,7 +7,6 @@
 
 #include "base/string_util.h"
 #include "chase/chase.h"
-#include "core/homomorphism.h"
 
 namespace cqchase {
 
@@ -54,8 +53,8 @@ std::string ContainmentCertificate::ToString(const Catalog& catalog,
 
 namespace {
 
-// BuildCertificate and VerifyCertificate both need the deterministic FD-only
-// chase of Q. Outcome plus the resulting facts and summary.
+// The deterministic FD-only chase of Q that VerifyCertificate compares the
+// roots against. Outcome plus the resulting facts and summary.
 struct FdChaseResult {
   bool empty_query = false;
   std::vector<Fact> facts;
@@ -164,60 +163,6 @@ ContainmentCertificate ExtractCertificateFromChase(const Chase& chase,
     cert.conjunct_images.push_back(index_of_id.at(alive[fact_index]->id));
   }
   return cert;
-}
-
-Result<std::optional<ContainmentCertificate>> BuildCertificate(
-    const ConjunctiveQuery& q, const ConjunctiveQuery& q_prime,
-    const DependencySet& deps, SymbolTable& symbols,
-    const ContainmentOptions& options) {
-  CQCHASE_RETURN_IF_ERROR(q.Validate());
-  CQCHASE_RETURN_IF_ERROR(q_prime.Validate());
-  if (q.summary().size() != q_prime.summary().size()) {
-    return Status::InvalidArgument(
-        "queries must have the same output arity for containment");
-  }
-  if (!CertifiableSigma(deps, q.catalog())) {
-    return Status::Unimplemented(
-        "certificates are only constructed for IND-only, FD-only or "
-        "key-based dependency sets");
-  }
-
-  // Run the same iterative-deepening decision procedure as CheckContainment,
-  // but keep the chase so the witness's derivation can be extracted.
-  Chase chase(&q.catalog(), &symbols, &deps, options.variant, options.limits);
-  CQCHASE_RETURN_IF_ERROR(chase.Init(q));
-  const uint64_t bound = Theorem2LevelBound(q_prime.conjuncts().size(),
-                                            deps.size(), deps.MaxIndWidth());
-
-  uint32_t level = 0;
-  std::optional<Homomorphism> hom;
-  while (true) {
-    CQCHASE_ASSIGN_OR_RETURN(ChaseOutcome outcome, chase.ExpandToLevel(level));
-    if (outcome == ChaseOutcome::kEmptyQuery) {
-      ContainmentCertificate cert;
-      cert.q_is_empty = true;
-      return std::optional<ContainmentCertificate>(std::move(cert));
-    }
-    if (!q_prime.is_empty_query()) {
-      std::vector<const ChaseConjunct*> alive = chase.AliveConjuncts();
-      std::vector<Fact> facts;
-      facts.reserve(alive.size());
-      for (const ChaseConjunct* c : alive) facts.push_back(c->fact);
-      hom = FindHomomorphism(q_prime, facts, chase.summary());
-      if (hom.has_value()) break;
-    }
-    if (outcome == ChaseOutcome::kSaturated || level >= bound) {
-      return std::optional<ContainmentCertificate>();  // not contained
-    }
-    if (level >= options.limits.max_level) {
-      return Status::ResourceExhausted(
-          StrCat("certificate construction undecided at chase level ", level));
-    }
-    ++level;
-  }
-
-  return std::optional<ContainmentCertificate>(
-      ExtractCertificateFromChase(chase, *hom));
 }
 
 Status VerifyCertificate(const ContainmentCertificate& certificate,

@@ -108,8 +108,18 @@ ContainmentCertificate ExtractCertificateFromChase(const Chase& chase,
                                                    const Homomorphism& hom);
 
 // Decides Σ ⊨ Q ⊆∞ Q' and, when it holds, produces a certificate. Returns
-// nullopt when containment does not hold. Accepts the same Σ shapes as
-// CheckContainment (same options semantics).
+// nullopt when containment does not hold; a Σ that is not CertifiableSigma
+// is refused with kUnimplemented. Like CheckContainment (core/containment.cc)
+// this submits one want_certificate request to a throwaway cache-off
+// ContainmentEngine, so the certificate is extracted from the engine's own
+// deepening loop (ContainmentEngine::DecideByChase), and:
+//   * a chase budget that trips mid-expansion still gets one last witness
+//     search over the partial prefix before kResourceExhausted;
+//   * options.level_stride is honoured;
+//   * reaching options.limits.max_level undecided fails with
+//     "containment undecided at chase level …";
+//   * queries not built on `symbols` are refused with kInvalidArgument;
+//   * each call starts and joins one executor thread.
 Result<std::optional<ContainmentCertificate>> BuildCertificate(
     const ConjunctiveQuery& q, const ConjunctiveQuery& q_prime,
     const DependencySet& deps, SymbolTable& symbols,

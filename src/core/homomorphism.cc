@@ -71,6 +71,7 @@ class Solver {
     windows_.assign(conjuncts, Window{0, n});
     for (size_t p = 0; p < conjuncts; ++p) {
       windows_[p] = Window{first_new, n};
+      pivot_ = p;
       if (Search(0)) return true;
       windows_[p] = Window{0, first_new};
     }
@@ -229,12 +230,23 @@ class Solver {
     // Most-constrained-first: pick the unassigned conjunct with the fewest
     // compatible target facts. The count is capped: the heuristic needs
     // "which is smallest", not exact sizes, and uncapped counting costs a
-    // relation scan per conjunct per node on large chase prefixes.
+    // relation scan per conjunct per node on large chase prefixes. The
+    // touching search's pivot is counted first and wins ties: binding it
+    // first confines the search to the new facts' neighbourhood instead of
+    // re-walking the old prefix once per pivot (a chain Q' of n hops would
+    // otherwise cost about n full searches per level), and a pivot with one
+    // candidate cannot be beaten, so the other counts are skipped.
     constexpr size_t kCountCap = 32;
     size_t best = SIZE_MAX;
     size_t best_count = SIZE_MAX;
+    if (pivot_ != SIZE_MAX && !assigned_[pivot_]) {
+      best = pivot_;
+      best_count = CountCandidates(pivot_, kCountCap);
+      if (best_count == 0) return false;  // dead end
+    }
     for (size_t i = 0; i < source_.conjuncts().size(); ++i) {
-      if (assigned_[i]) continue;
+      if (best == pivot_ && best_count == 1) break;
+      if (assigned_[i] || i == best) continue;
       size_t c = CountCandidates(i, std::min(best_count, kCountCap));
       if (c < best_count) {
         best_count = c;
@@ -269,8 +281,10 @@ class Solver {
   const std::vector<Term>& target_summary_;
   const HomomorphismOptions& options_;
 
-  // Per source conjunct (RunTouching only; empty means unrestricted).
+  // Per source conjunct (RunTouching only; empty means unrestricted), and
+  // the conjunct held to the new facts (SIZE_MAX outside RunTouching).
   std::vector<Window> windows_;
+  size_t pivot_ = SIZE_MAX;
   std::unordered_map<Term, Term> binding_;
   std::unordered_set<Term> used_images_;
   std::vector<Term> trail_;

@@ -173,16 +173,7 @@ ContainmentEngine::ContainmentEngine(const Catalog* catalog,
   if (specs.empty()) {  // the classic single in-memory LRU
     specs.push_back(TierSpec::Lru(config_.verdict_cache_capacity));
   }
-  Result<std::unique_ptr<TierStack>> assembled = TierStack::Assemble(specs);
-  if (!assembled.ok()) {
-    // A kRefuse spec tripped: the caller asked for loud failure, and gets
-    // it — but a broken cache hierarchy must not take the engine down, so
-    // serve with no verdict tiers at all (Σ/chase caches still work) and
-    // let store_status() carry the reason.
-    store_status_ = assembled.status();
-    return;
-  }
-  tiers_ = *std::move(assembled);
+  tiers_ = TierStack::Assemble(specs);
   // A local-store tier that was quarantined (open failure, fingerprint
   // drift) reports its reason through store_status().
   for (const TierStack::TierDescriptor& desc : tiers_->descriptors()) {
@@ -262,7 +253,6 @@ EngineFuture<EngineOutcome> ContainmentEngine::Submit(
     state->control.deadline =
         std::chrono::steady_clock::now() + *request.options.timeout;
   }
-  const bool high_priority = request.options.priority > 0;
   auto shared_request =
       std::make_shared<const ContainmentRequest>(std::move(request));
   {
@@ -281,7 +271,6 @@ EngineFuture<EngineOutcome> ContainmentEngine::Submit(
   }
   Bump(stats_.submits);
   Executor::TaskOptions task_options;
-  task_options.high_priority = high_priority;
   // Shed-at-dequeue: a request whose whole budget elapsed in the queue is
   // completed kDeadlineExceeded by the executor itself instead of occupying
   // a worker slot to discover the same thing at Execute's first control
@@ -483,7 +472,7 @@ Result<EngineOutcome> ContainmentEngine::Execute(
   CQCHASE_ASSIGN_OR_RETURN(outcome.verdict,
                            DecideUncached(q, q_prime, deps, analysis, ctx));
 
-  // Fan the fresh verdict out to every write-through tier. The in-memory
+  // Fan the fresh verdict out to every tier. The in-memory
   // tier serves it immediately; durable/remote tiers buffer (each Publish
   // is insert-if-absent, so certificate re-decides of an already-stored
   // key append nothing) and the executor flush makes the bytes move —
@@ -556,8 +545,7 @@ Result<EngineVerdict> ContainmentEngine::DecideUncached(
   }
   // A certificate is extracted from a live chase derivation, so the
   // chase-free routes (bare homomorphism, streaming frontier) hand over to
-  // the deepening loop — the same decision, now with a proof to show. This
-  // mirrors what the standalone BuildCertificate always did.
+  // the deepening loop — the same decision, now with a proof to show.
   if (ctx.cert_out != nullptr &&
       (*strategy == DecisionStrategy::kHomomorphism ||
        *strategy == DecisionStrategy::kStreamingFrontier)) {

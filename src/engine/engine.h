@@ -32,14 +32,14 @@
 //     engines (engine/remote_tier.h), or any backend implementing the
 //     interface. A miss at tier N falls through to N+1; a hit is promoted
 //     into every cheaper tier; a hit at any non-LRU tier bypasses the chase
-//     entirely; new verdicts fan out to every write-through tier and reach
+//     entirely; new verdicts fan out to every tier and reach
 //     disk/network through write-behind flushes on the executor — the hot
 //     path never waits on I/O.
 //  3. Async request execution (engine/request.h + engine/executor.h):
 //     Submit(ContainmentRequest) -> EngineFuture<EngineOutcome> runs every
 //     request on a persistent work-stealing thread pool shared across calls.
 //     Requests own their inputs, carry per-request policy (deadline,
-//     priority, want_certificate, semi-decision override), support
+//     want_certificate, semi-decision override), support
 //     cooperative cancellation threaded through the chase deepening loop,
 //     and can return a Theorem 2 certificate extracted from the *same*
 //     chase the decision ran. SubmitAll fans a burst out, warming the tier
@@ -104,8 +104,8 @@ struct EngineConfig {
 
   // Layer 2.5: the verdict tier stack (engine/tier.h), probed in order on
   // every cacheable check — miss at tier N falls through to N+1, a hit is
-  // promoted into every cheaper tier, new verdicts fan out to every
-  // write-through tier and are flushed write-behind on the executor.
+  // promoted into every cheaper tier, new verdicts fan out to every tier
+  // and are flushed write-behind on the executor.
   //
   // Empty (the default) assembles the classic single in-memory LRU of
   // verdict_cache_capacity entries. A non-empty vector is taken verbatim;
@@ -117,10 +117,9 @@ struct EngineConfig {
   //                   TierSpec::Remote(transport)};
   //
   // Every tier's schema fingerprint is checked at assembly; a mismatched or
-  // unconstructible tier is refused or quarantined per its
-  // TierSpec::on_mismatch (see tier_descriptors()). The stack rides the
-  // memoization layer, so it requires enable_cache (store_status() reports
-  // kFailedPrecondition otherwise).
+  // unconstructible tier is quarantined (see tier_descriptors()). The stack
+  // rides the memoization layer, so it requires enable_cache (store_status()
+  // reports kFailedPrecondition otherwise).
   std::vector<TierSpec> tiers;
 
   // Layer 1: route IND-only single-conjunct tasks to the PSPACE streaming

@@ -37,12 +37,6 @@ void Executor::EnsureStarted() {
   }
 }
 
-void Executor::Submit(std::function<void()> task, bool high_priority) {
-  TaskOptions options;
-  options.high_priority = high_priority;
-  Submit(std::move(task), std::move(options));
-}
-
 void Executor::Submit(std::function<void()> task, TaskOptions options) {
   EnsureStarted();
   Task item;
@@ -53,11 +47,7 @@ void Executor::Submit(std::function<void()> task, TaskOptions options) {
       next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
   {
     std::lock_guard<std::mutex> lock(queues_[target]->mu);
-    if (options.high_priority) {
-      queues_[target]->tasks.push_front(std::move(item));
-    } else {
-      queues_[target]->tasks.push_back(std::move(item));
-    }
+    queues_[target]->tasks.push_back(std::move(item));
     // Inside the deque lock: a popper acquires this same lock before its
     // fetch_sub, so pending_ can never be decremented for a task whose
     // increment has not happened yet (an after-unlock increment would let a

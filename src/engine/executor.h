@@ -13,9 +13,6 @@
 //   * lazy start: constructing an Executor is free; worker threads spawn on
 //     the first Submit. An engine that only ever serves synchronous
 //     single-shot calls never pays for a pool.
-//   * high-priority submissions jump to the front of their deque (LIFO), so
-//     a latency-sensitive request overtakes queued work without a separate
-//     priority queue.
 //   * deadline shedding at dequeue: a task submitted with a deadline and an
 //     on_expired handler that is popped after its deadline passed runs the
 //     handler instead of the body — expired work is completed (the handler
@@ -63,14 +60,8 @@ class Executor {
   // Blocks until every already-submitted task has run, then joins.
   ~Executor();
 
-  // Enqueues `task`. First call starts the worker threads. With
-  // `high_priority` the task is pushed to the *front* of its deque and runs
-  // before that deque's queued normal-priority work.
-  void Submit(std::function<void()> task, bool high_priority = false);
-
-  // Scheduling policy for one task beyond the priority bit.
+  // Scheduling policy for one task.
   struct TaskOptions {
-    bool high_priority = false;
     // When set *with* on_expired: a task still queued past this instant is
     // shed at dequeue — the worker runs the (cheap) on_expired handler
     // instead of the task body, so an already-dead request never occupies a
@@ -85,8 +76,9 @@ class Executor {
     std::function<void()> on_expired;
   };
 
-  // Enqueues `task` with scheduling options (see TaskOptions).
-  void Submit(std::function<void()> task, TaskOptions options);
+  // Enqueues `task` at the back of a deque (round-robin) with scheduling
+  // options (see TaskOptions). The first call starts the worker threads.
+  void Submit(std::function<void()> task, TaskOptions options = {});
 
   size_t num_workers() const { return queues_.size(); }
 

@@ -4,8 +4,8 @@
 //                         queries and Σ travel inside the request (shared
 //                         ownership), so a submitted request can never
 //                         dangle after the caller's scope exits.
-//   RequestOptions      — per-request policy: deadline, priority,
-//                         want_certificate, semi-decision override.
+//   RequestOptions      — per-request policy: deadline, want_certificate,
+//                         semi-decision override.
 //   EngineOutcome       — what a request resolves to: the verdict (the old
 //                         EngineVerdict, which it subsumes) plus, when
 //                         requested and containment holds, a Theorem 2
@@ -48,15 +48,13 @@ struct RequestOptions {
   // Submit time. Ignored when `deadline` is set.
   std::optional<std::chrono::milliseconds> timeout;
 
-  // Requests with priority > 0 jump the executor queue (front-of-deque).
-  int priority = 0;
-
   // Decide containment AND extract a Theorem 2 proof object from the same
   // chase (EngineOutcome::certificate). Requires a certifiable Σ (empty,
   // FD-only, IND-only or key-based — Lemma 2's cases); otherwise the
-  // request resolves to kUnimplemented, exactly as BuildCertificate always
-  // has. Verdict-cache hits are bypassed for such requests: a cached
-  // verdict carries no derivation to extract from.
+  // request resolves to kUnimplemented. BuildCertificate (core/certificate.h)
+  // is one such request on a throwaway engine. Verdict-cache hits are
+  // bypassed for such requests: a cached verdict carries no derivation to
+  // extract from.
   bool want_certificate = false;
 
   // Overrides EngineConfig::containment.allow_semidecision for this request

@@ -136,8 +136,8 @@ VerdictTierStats LocalStoreTier::Stats() const {
 
 namespace {
 
-// Builds the backend a spec describes; any error flows through the spec's
-// mismatch policy at the Assemble call site.
+// Builds the backend a spec describes; Assemble quarantines the tier on any
+// error.
 Result<std::unique_ptr<VerdictTier>> BuildTier(const TierSpec& spec) {
   switch (spec.kind) {
     case TierSpec::Kind::kLru:
@@ -185,13 +185,11 @@ std::string SpecName(const TierSpec& spec) {
 
 }  // namespace
 
-Result<std::unique_ptr<TierStack>> TierStack::Assemble(
+std::unique_ptr<TierStack> TierStack::Assemble(
     const std::vector<TierSpec>& specs) {
   std::unique_ptr<TierStack> stack(new TierStack());
-  stack->specs_ = specs;
   stack->descriptors_.reserve(specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    const TierSpec& spec = specs[i];
+  for (const TierSpec& spec : specs) {
     TierDescriptor desc;
     desc.kind = spec.kind;
     desc.name = SpecName(spec);
@@ -201,8 +199,8 @@ Result<std::unique_ptr<TierStack>> TierStack::Assemble(
     if (problem.ok()) {
       // The handshake proper: a tier whose fingerprint disagrees with this
       // build speaks a different canonical-key scheme or entry layout, and
-      // serving it would let keys of *different* tasks collide. Refuse or
-      // quarantine — never serve.
+      // serving it would let keys of *different* tasks collide. Quarantine
+      // it — never serve.
       const uint64_t theirs = (*built)->Fingerprint();
       const uint64_t ours = StoreSchemaFingerprint();
       if (theirs != ours) {
@@ -213,11 +211,6 @@ Result<std::unique_ptr<TierStack>> TierStack::Assemble(
       }
     }
     if (!problem.ok()) {
-      if (spec.on_mismatch == TierSpec::MismatchPolicy::kRefuse) {
-        return Status::FailedPrecondition(
-            StrCat("tier stack assembly refused at tier ", i, " (",
-                   desc.name, "): ", problem.message()));
-      }
       desc.active = false;
       desc.status = problem;
       stack->descriptors_.push_back(std::move(desc));
@@ -234,20 +227,17 @@ std::optional<TierStack::LookupResult> TierStack::Lookup(
     const std::string& key) {
   for (size_t a = 0; a < actives_.size(); ++a) {
     const size_t di = actives_[a].second;
-    if (!specs_[di].read_through) continue;
     std::optional<StoredVerdict> hit = actives_[a].first->Lookup(key);
     if (!hit.has_value()) continue;
 
     LookupResult result;
     result.verdict = *hit;
     result.tier_index = di;
-    result.kind = specs_[di].kind;
-    // Promote into every cheaper write-through tier so the next asker stops
-    // earlier. Durable tiers buffer the promotion; the caller schedules the
+    result.kind = descriptors_[di].kind;
+    // Promote into every cheaper tier so the next asker stops earlier.
+    // Durable tiers buffer the promotion; the caller schedules the
     // write-behind flush when we report buffered bytes.
     for (size_t b = 0; b < a; ++b) {
-      const size_t bdi = actives_[b].second;
-      if (!specs_[bdi].write_through) continue;
       if (actives_[b].first->Publish(key, *hit) &&
           actives_[b].first->HasPendingWrites()) {
         result.buffered_writes = true;
@@ -276,8 +266,6 @@ TierStack::PrefetchReceipt TierStack::Prefetch(
   receipt.keys = remaining.size();
 
   for (size_t a = 0; a < actives_.size() && !remaining.empty(); ++a) {
-    const size_t di = actives_[a].second;
-    if (!specs_[di].read_through) continue;
     std::vector<std::optional<StoredVerdict>> answers =
         actives_[a].first->LookupMany(remaining);
     std::vector<std::string> still_cold;
@@ -287,11 +275,9 @@ TierStack::PrefetchReceipt TierStack::Prefetch(
         continue;
       }
       ++receipt.resolved;
-      // Same promotion as Lookup's: the hit lands in every cheaper
-      // write-through tier, so the burst's actual Lookups stop at the LRU.
+      // Same promotion as Lookup's: the hit lands in every cheaper tier,
+      // so the burst's actual Lookups stop at the LRU.
       for (size_t b = 0; b < a; ++b) {
-        const size_t bdi = actives_[b].second;
-        if (!specs_[bdi].write_through) continue;
         if (actives_[b].first->Publish(remaining[i], *answers[i]) &&
             actives_[b].first->HasPendingWrites()) {
           receipt.buffered_writes = true;
@@ -307,7 +293,7 @@ TierStack::PublishReceipt TierStack::Publish(const std::string& key,
                                              const StoredVerdict& verdict) {
   PublishReceipt receipt;
   for (auto& [tier, di] : actives_) {
-    if (!specs_[di].write_through) continue;
+    (void)di;
     if (tier->Publish(key, verdict)) {
       ++receipt.accepted;
       if (tier->HasPendingWrites()) receipt.buffered_writes = true;
@@ -319,9 +305,6 @@ TierStack::PublishReceipt TierStack::Publish(const std::string& key,
 DeltaReceipt TierStack::ApplyDelta(const LineageDelta& ld) {
   DeltaReceipt total;
   if (ld.empty()) return total;
-  // Every active tier, not just read-through ones: a write-only tier holds
-  // (and republishes) entries too, and leaving them old-keyed would strand
-  // them forever rather than migrate them.
   for (auto& [tier, di] : actives_) {
     (void)di;
     total.Add(tier->ApplyDelta(ld));
@@ -358,7 +341,7 @@ std::vector<VerdictTierStats> TierStack::Stats() const {
 
 VerdictStore* TierStack::local_store() const {
   for (const auto& [tier, di] : actives_) {
-    if (specs_[di].kind == TierSpec::Kind::kLocalStore) {
+    if (descriptors_[di].kind == TierSpec::Kind::kLocalStore) {
       return static_cast<LocalStoreTier*>(tier.get())->store();
     }
   }
@@ -367,7 +350,9 @@ VerdictStore* TierStack::local_store() const {
 
 size_t TierStack::lru_entries() const {
   for (const auto& [tier, di] : actives_) {
-    if (specs_[di].kind == TierSpec::Kind::kLru) return tier->Stats().entries;
+    if (descriptors_[di].kind == TierSpec::Kind::kLru) {
+      return tier->Stats().entries;
+    }
   }
   return 0;
 }

@@ -9,13 +9,13 @@
 //
 //   VerdictTier  — the interface every backend implements: Lookup / Publish
 //                  / Flush / Stats, plus a Fingerprint() handshake.
-//   TierSpec     — declarative description of one tier (kind, policy flags,
-//                  backend knobs); EngineConfig carries a vector of these.
+//   TierSpec     — declarative description of one tier (kind and backend
+//                  knobs); EngineConfig carries a vector of these.
 //   TierStack    — the assembled hierarchy. Probes tiers in order (cheapest
 //                  first); a miss at tier N falls through to N+1; a hit at
 //                  tier N is promoted into every cheaper tier, so hot keys
 //                  migrate toward memory. Publishes fan out to every
-//                  write-through tier; durable/remote tiers buffer and make
+//                  tier; durable/remote tiers buffer and make
 //                  the bytes move on Flush(), which the engine runs
 //                  write-behind on its executor.
 //
@@ -23,10 +23,10 @@
 // agree on the canonical-key scheme and the StoredVerdict layout — both are
 // folded into StoreSchemaFingerprint() (engine/serialize.h). TierStack
 // assembly checks every tier's Fingerprint() against this build's; a
-// mismatched tier is *refused* (assembly fails loudly) or *quarantined*
-// (tier disabled, reason recorded in its descriptor, the rest of the stack
-// serves) per TierSpec::on_mismatch. A disabled tier is never silently
-// served — a wrong key scheme would collide keys of *different* tasks.
+// mismatched (or unconstructible) tier is *quarantined*: disabled, its
+// reason recorded in its descriptor, while the rest of the stack serves. A
+// disabled tier is never silently served — a wrong key scheme would collide
+// keys of *different* tasks.
 //
 // Ships with three backends: LruTier (the in-memory verdict LRU), a
 // LocalStoreTier adapting the persistent VerdictStore (engine/store.h), and
@@ -149,22 +149,7 @@ class VerdictTier {
 struct TierSpec {
   enum class Kind { kLru, kLocalStore, kRemote };
 
-  // What stack assembly does with a tier whose Fingerprint() disagrees with
-  // this build's, or whose backend fails to construct (store unopenable,
-  // remote handshake failed).
-  enum class MismatchPolicy {
-    kQuarantine,  // disable the tier, record the reason, serve the rest
-    kRefuse,      // fail the whole stack assembly loudly
-  };
-
   Kind kind = Kind::kLru;
-  // Probed during lookup descent. false = write-only layer (e.g. publish to
-  // a remote authority you never read back from).
-  bool read_through = true;
-  // Receives publishes and hit promotions. false = read-only layer (e.g. a
-  // pre-warmed snapshot replica).
-  bool write_through = true;
-  MismatchPolicy on_mismatch = MismatchPolicy::kQuarantine;
 
   // kLru: entry bound (0 disables storage, the knob-off idiom).
   size_t capacity = 1 << 16;
@@ -235,7 +220,7 @@ class LruTier final : public VerdictTier {
 class LocalStoreTier final : public VerdictTier {
  public:
   // Takes ownership of an already-opened store (TierStack::Assemble opens it
-  // so open failures flow through the spec's mismatch policy).
+  // so an open failure quarantines the tier).
   explicit LocalStoreTier(std::unique_ptr<VerdictStore> store);
 
   std::string_view Name() const override { return name_; }
@@ -278,11 +263,11 @@ class TierStack {
     Status status;  // OK when active; the quarantine reason otherwise
   };
 
-  // Builds every tier, runs the fingerprint handshake, applies each spec's
-  // mismatch policy. Fails only when a kRefuse tier mismatches or fails to
-  // construct (or a spec is malformed); kQuarantine problems leave a
-  // descriptor with the reason and the rest of the stack serving.
-  static Result<std::unique_ptr<TierStack>> Assemble(
+  // Builds every tier and runs the fingerprint handshake. A tier that
+  // mismatches or fails to construct (or whose spec is malformed) is
+  // quarantined: its descriptor carries the reason and the rest of the
+  // stack serves.
+  static std::unique_ptr<TierStack> Assemble(
       const std::vector<TierSpec>& specs);
 
   struct LookupResult {
@@ -292,9 +277,9 @@ class TierStack {
     bool buffered_writes = false;  // promotion left bytes for a Flush()
   };
 
-  // Probes read-through tiers in order; on a hit at tier N, publishes the
-  // verdict into every cheaper write-through tier (the promotion that keeps
-  // hot keys near memory) and reports whether that buffered durable bytes.
+  // Probes the tiers in order; on a hit at tier N, publishes the verdict
+  // into every cheaper tier (the promotion that keeps hot keys near memory)
+  // and reports whether that buffered durable bytes.
   std::optional<LookupResult> Lookup(const std::string& key);
 
   struct PublishReceipt {
@@ -302,7 +287,7 @@ class TierStack {
     bool buffered_writes = false;  // some tier needs a Flush()
   };
 
-  // Fans the verdict out to every write-through tier.
+  // Fans the verdict out to every tier.
   PublishReceipt Publish(const std::string& key, const StoredVerdict& verdict);
 
   struct PrefetchReceipt {
@@ -311,9 +296,9 @@ class TierStack {
     bool buffered_writes = false;  // promotion left bytes for a Flush()
   };
 
-  // Warms the cheap tiers for a burst: probes read-through tiers in order
-  // with LookupMany (deduplicated keys; resolved keys drop out of later
-  // probes) and promotes every hit into the cheaper write-through tiers,
+  // Warms the cheap tiers for a burst: probes the tiers in order with
+  // LookupMany (deduplicated keys; resolved keys drop out of later probes)
+  // and promotes every hit into the cheaper tiers,
   // exactly as Lookup would one key at a time. A network tier thus pays one
   // batched round trip for the burst instead of one RTT per key. Purely an
   // optimization: per-tier lookup counters tick for prefetched keys (they
@@ -321,8 +306,8 @@ class TierStack {
   // engine-level counters see.
   PrefetchReceipt Prefetch(const std::vector<std::string>& keys);
 
-  // Drives one schema edit through every active tier (read-through or not —
-  // a write-only tier holds entries too) and sums the per-tier receipts.
+  // Drives one schema edit through every active tier and sums the per-tier
+  // receipts.
   // Cheap tiers migrate in place; the store compacts; a remote tier ships
   // the delta to its peer (kTierOpApplyDelta). Not atomic across tiers: a
   // later tier may briefly still hold old-Σ entries while a cheaper one is
@@ -359,7 +344,6 @@ class TierStack {
   // quarantined ones; actives_[i].second is the index into descriptors_.
   std::vector<std::pair<std::unique_ptr<VerdictTier>, size_t>> actives_;
   std::vector<TierDescriptor> descriptors_;
-  std::vector<TierSpec> specs_;  // aligned with descriptors_
 };
 
 }  // namespace cqchase

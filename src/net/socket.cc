@@ -91,7 +91,14 @@ Status SplitHostPort(const std::string& address, std::string* host,
     return Status::InvalidArgument(
         StrCat("address \"", address, "\" has a bad port"));
   }
-  *host = address.substr(0, colon);
+  // One endpoint only: a comma list or stray whitespace would otherwise
+  // reach getaddrinfo as a host name and fail late, as a lookup error.
+  const std::string host_str = address.substr(0, colon);
+  if (host_str.find_first_of(", \t\n\r\v\f") != std::string::npos) {
+    return Status::InvalidArgument(
+        StrCat("address \"", address, "\" has a bad host"));
+  }
+  *host = host_str;
   *port = static_cast<uint16_t>(value);
   return Status::OK();
 }

@@ -61,7 +61,8 @@ using SocketDeadline = std::chrono::steady_clock::time_point;
 // Deadline from a relative timeout (never in the past).
 SocketDeadline DeadlineAfter(std::chrono::milliseconds timeout);
 
-// Splits "host:port"; refuses a missing/empty/non-numeric port. Host may be
+// Splits "host:port"; refuses a missing/empty/non-numeric port and a host
+// holding a comma or whitespace (one endpoint, not a list). Host may be
 // empty ("0.0.0.0" semantics are the caller's choice).
 Status SplitHostPort(const std::string& address, std::string* host,
                      uint16_t* port);

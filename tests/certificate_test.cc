@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "base/rng.h"
 #include "cq/cq_parser.h"
 #include "deps/deps_parser.h"
@@ -76,6 +80,104 @@ TEST(CertificateTest, EmptyQueryCertificate) {
   ASSERT_TRUE(cert->has_value());
   EXPECT_TRUE((*cert)->q_is_empty);
   EXPECT_TRUE(VerifyCertificate(**cert, clash, other, fd, symbols).ok());
+}
+
+// The rendered certificate, for golden comparisons: any change to which
+// witness is found, how its derivation is extracted, or how chase NDVs are
+// minted moves these bytes.
+std::string CertificateText(const ConjunctiveQuery& q,
+                            const ConjunctiveQuery& q_prime,
+                            const DependencySet& deps, SymbolTable& symbols,
+                            const ContainmentOptions& options = {}) {
+  Result<std::optional<ContainmentCertificate>> cert =
+      BuildCertificate(q, q_prime, deps, symbols, options);
+  if (!cert.ok()) return cert.status().ToString();
+  if (!cert->has_value()) return "not contained";
+  return (*cert)->ToString(q.catalog(), symbols);
+}
+
+TEST(CertificateTest, BuiltCertificateBytesArePinned) {
+  // bench_certificates' chain family: Σ = {R[2] ⊆ R[1]}, Q = R(x, y), Q' a
+  // chain of `hops` R-hops off x, whose witness descends hops - 1 levels.
+  const std::vector<std::pair<size_t, std::string>> chains = {
+      {1,
+       "roots (chase_FD(Q)):\n"
+       "  [0] R(x, y)\n"
+       "derivation:\n"
+       "summary: (x)\n"},
+      {2,
+       "roots (chase_FD(Q)):\n"
+       "  [0] R(x, y)\n"
+       "derivation:\n"
+       "  [1] R(y, n2147483648[A1,c0,i0,L1])  <- [0] via IND #0\n"
+       "summary: (x)\n"},
+      {4,
+       "roots (chase_FD(Q)):\n"
+       "  [0] R(x, y)\n"
+       "derivation:\n"
+       "  [1] R(y, n2147483648[A1,c0,i0,L1])  <- [0] via IND #0\n"
+       "  [2] R(n2147483648[A1,c0,i0,L1], n2147483649[A1,c1,i0,L2])  <- [1] "
+       "via IND #0\n"
+       "  [3] R(n2147483649[A1,c1,i0,L2], n2147483650[A1,c2,i0,L3])  <- [2] "
+       "via IND #0\n"
+       "summary: (x)\n"},
+      {8,
+       "roots (chase_FD(Q)):\n"
+       "  [0] R(x, y)\n"
+       "derivation:\n"
+       "  [1] R(y, n2147483648[A1,c0,i0,L1])  <- [0] via IND #0\n"
+       "  [2] R(n2147483648[A1,c0,i0,L1], n2147483649[A1,c1,i0,L2])  <- [1] "
+       "via IND #0\n"
+       "  [3] R(n2147483649[A1,c1,i0,L2], n2147483650[A1,c2,i0,L3])  <- [2] "
+       "via IND #0\n"
+       "  [4] R(n2147483650[A1,c2,i0,L3], n2147483651[A1,c3,i0,L4])  <- [3] "
+       "via IND #0\n"
+       "  [5] R(n2147483651[A1,c3,i0,L4], n2147483652[A1,c4,i0,L5])  <- [4] "
+       "via IND #0\n"
+       "  [6] R(n2147483652[A1,c4,i0,L5], n2147483653[A1,c5,i0,L6])  <- [5] "
+       "via IND #0\n"
+       "  [7] R(n2147483653[A1,c5,i0,L6], n2147483654[A1,c6,i0,L7])  <- [6] "
+       "via IND #0\n"
+       "summary: (x)\n"},
+  };
+  for (const auto& [hops, expected] : chains) {
+    Catalog catalog;
+    ASSERT_TRUE(catalog.AddRelation("R", {"a", "b"}).ok());
+    SymbolTable symbols;
+    DependencySet deps = *ParseDependencies(catalog, "R[2] <= R[1]");
+    ConjunctiveQuery q = *ParseQuery(catalog, symbols, "ans(x) :- R(x, y)");
+    std::string text = "ans(x) :- ";
+    std::string prev = "x";
+    for (size_t i = 1; i <= hops; ++i) {
+      if (i > 1) text += ", ";
+      std::string cur = "a" + std::to_string(i);
+      text += "R(" + prev + ", " + cur + ")";
+      prev = cur;
+    }
+    ConjunctiveQuery q_prime = *ParseQuery(catalog, symbols, text);
+    ContainmentOptions options;
+    options.limits.max_level = static_cast<uint32_t>(hops) + 2;
+    EXPECT_EQ(CertificateText(q, q_prime, deps, symbols, options), expected)
+        << hops << " hops";
+  }
+
+  Scenario s = EmpDepScenario();
+  EXPECT_EQ(CertificateText(s.queries[1], s.queries[0], s.deps, *s.symbols),
+            "roots (chase_FD(Q)):\n"
+            "  [0] EMP(e, sq, d)\n"
+            "derivation:\n"
+            "  [1] DEP(d, n2147483648[A1,c0,i0,L1])  <- [0] via IND #0\n"
+            "summary: (e)\n");
+
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddRelation("R", {"a", "b"}).ok());
+  SymbolTable symbols;
+  DependencySet fd = *ParseDependencies(catalog, "R: 1 -> 2");
+  ConjunctiveQuery clash =
+      *ParseQuery(catalog, symbols, "ans(x) :- R(x, '1'), R(x, '2')");
+  ConjunctiveQuery other = *ParseQuery(catalog, symbols, "ans(u) :- R(u, u)");
+  EXPECT_EQ(CertificateText(clash, other, fd, symbols),
+            "certificate: Q is empty under Sigma\n");
 }
 
 TEST(CertificateTest, GeneralMixedSetsAreRejected) {

@@ -189,22 +189,20 @@ TEST(LruTierDeltaTest, MigrationPreservesRecencyOrder) {
 TEST(TierStackDeltaTest, DrivesEveryTierAndSumsReceipts) {
   TwoSigma w;
   const std::string dir = NewStoreDir("stack_delta");
-  Result<std::unique_ptr<TierStack>> stack = TierStack::Assemble(
+  std::unique_ptr<TierStack> stack = TierStack::Assemble(
       {TierSpec::Lru(1 << 8), TierSpec::LocalStore(dir)});
-  ASSERT_TRUE(stack.ok()) << stack.status().ToString();
-  (*stack)->Publish(w.BaseKey(0),
-                    w.Entry(true, true, {FingerprintInd(w.kept)}));
-  (*stack)->Publish(w.BaseKey(1),
-                    w.Entry(true, true, {FingerprintInd(w.dropped)}));
+  stack->Publish(w.BaseKey(0), w.Entry(true, true, {FingerprintInd(w.kept)}));
+  stack->Publish(w.BaseKey(1),
+                 w.Entry(true, true, {FingerprintInd(w.dropped)}));
 
-  const DeltaReceipt receipt = (*stack)->ApplyDelta(w.removal);
+  const DeltaReceipt receipt = stack->ApplyDelta(w.removal);
   // Both tiers held both entries: receipts sum across the stack.
   EXPECT_EQ(receipt.examined, 4u);
   EXPECT_EQ(receipt.kept_exact, 2u);
   EXPECT_EQ(receipt.dropped, 2u);
-  auto hit = (*stack)->Lookup(w.EditedKey(0));
+  auto hit = stack->Lookup(w.EditedKey(0));
   ASSERT_TRUE(hit.has_value());
-  EXPECT_FALSE((*stack)->Lookup(w.EditedKey(1)).has_value());
+  EXPECT_FALSE(stack->Lookup(w.EditedKey(1)).has_value());
 }
 
 // --- the remote protocol -----------------------------------------------------

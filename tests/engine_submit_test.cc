@@ -118,9 +118,7 @@ TEST_F(SubmitTest, SubmitAllMatchesSequentialVerdicts) {
   std::vector<ContainmentRequest> requests;
   for (int i = 0; i < 16; ++i) {
     const ConjunctiveQuery& rhs = (i % 2 == 0) ? q_prime_ : not_contained_;
-    RequestOptions options;
-    options.priority = (i % 3 == 0) ? 1 : 0;  // mix queue-jumpers in
-    requests.push_back(ContainmentRequest::Borrow(q_, rhs, deps_, options));
+    requests.push_back(ContainmentRequest::Borrow(q_, rhs, deps_));
   }
   std::vector<EngineFuture<EngineOutcome>> futures =
       engine.SubmitAll(std::move(requests));

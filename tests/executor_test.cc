@@ -107,41 +107,6 @@ TEST(ExecutorTest, StealsUnderSkewedLoad) {
   EXPECT_GT(executor.stats().steals, 0u);
 }
 
-TEST(ExecutorTest, HighPriorityJumpsItsQueue) {
-  // One worker, one deque. The gate task occupies the worker while the rest
-  // of the batch queues up behind it; the high-priority submission goes to
-  // the deque front and must run before the earlier-submitted normal tasks.
-  Executor executor(1);
-  std::mutex mu;
-  std::vector<int> order;
-  std::atomic<bool> gate_open{false};
-  executor.Submit([&] {
-    while (!gate_open.load()) std::this_thread::yield();
-  });
-  for (int i = 0; i < 3; ++i) {
-    executor.Submit([&, i] {
-      std::lock_guard<std::mutex> lock(mu);
-      order.push_back(i);
-    });
-  }
-  executor.Submit(
-      [&] {
-        std::lock_guard<std::mutex> lock(mu);
-        order.push_back(99);
-      },
-      /*high_priority=*/true);
-  gate_open.store(true);
-  EXPECT_TRUE(WaitUntil([&] {
-    std::lock_guard<std::mutex> lock(mu);
-    return order.size() == 4;
-  }));
-  std::lock_guard<std::mutex> lock(mu);
-  EXPECT_EQ(order[0], 99);  // jumped ahead of 0, 1, 2
-  EXPECT_EQ(order[1], 0);   // FIFO among normal-priority work
-  EXPECT_EQ(order[2], 1);
-  EXPECT_EQ(order[3], 2);
-}
-
 TEST(ExecutorTest, DestructorDrainsQueuedTasks) {
   std::atomic<int> ran{0};
   constexpr int kTasks = 32;

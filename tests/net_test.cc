@@ -85,6 +85,12 @@ TEST(SocketTest, SplitHostPortParsesAndRefuses) {
   EXPECT_FALSE(net::SplitHostPort("host:", &host, &port).ok());
   EXPECT_FALSE(net::SplitHostPort("host:notanumber", &host, &port).ok());
   EXPECT_FALSE(net::SplitHostPort("host:70000", &host, &port).ok());
+  // One endpoint, not a list: the host must not carry a comma or spaces.
+  EXPECT_EQ(
+      net::SplitHostPort("127.0.0.1:1,127.0.0.1:0", &host, &port).code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(net::SplitHostPort("local host:80", &host, &port).code(),
+            StatusCode::kInvalidArgument);
 }
 
 // A listener + one accepted connection, for driving the framing helpers
