@@ -71,7 +71,8 @@ inline void PrintHeader(const std::string& experiment,
 //       frontiers counters
 //  10 — semi-naive witness search: witness_searches/witness_searches_skipped
 //       in AppendEngineCounters
-inline constexpr int kBenchRecordSchema = 10;
+//  11 — canonical labelling: canonical_fallbacks in AppendEngineCounters
+inline constexpr int kBenchRecordSchema = 11;
 
 // One-line machine-readable record, emitted by every bench so the perf
 // trajectory can be scraped (`grep '^{"bench"'` over the run log). Integral
@@ -142,6 +143,8 @@ inline void AppendEngineCounters(
                         static_cast<double>(stats.witness_searches));
   counters.emplace_back("witness_searches_skipped",
                         static_cast<double>(stats.witness_searches_skipped));
+  counters.emplace_back("canonical_fallbacks",
+                        static_cast<double>(stats.canonical_fallbacks));
   counters.emplace_back("entries_retagged",
                         static_cast<double>(stats.entries_retagged));
   counters.emplace_back("entries_dropped",

@@ -226,14 +226,16 @@ tcp_gate() {
 # homomorphism solver searches through references into a FactIndex it does
 # not own (the chase loop keeps one per decision), so the suites that drive
 # it directly and through the engine's loop run here too; sweep_test builds
-# certificates through that loop as well.
+# certificates through that loop as well. canonical_key_test drives the
+# key labeller, whose per-thread scratch arrays outlive each query and only
+# grow.
 ASAN_TESTS=(serialize_test store_test tier_test net_test engine_test
             engine_cache_test engine_dispatch_test chase_core_parity_test
             reliance_test executor_test lineage_test delta_migration_test
             string_util_test symbol_table_test pspace_test chase_test
             cq_parser_test certificate_test containment_test
             engine_concurrency_test engine_submit_test homomorphism_test
-            engine_witness_search_test sweep_test)
+            engine_witness_search_test sweep_test canonical_key_test)
 asan_ubsan() {
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -O1 -g" \

@@ -426,8 +426,10 @@ Result<EngineOutcome> ContainmentEngine::Execute(
     return outcome;
   }
 
-  const std::string key =
-      CanonicalTaskKey(q, q_prime, sigma_key, config_.containment.variant);
+  uint64_t key_fallbacks = 0;
+  const std::string key = CanonicalTaskKey(
+      q, q_prime, sigma_key, config_.containment.variant, &key_fallbacks);
+  BumpBy(stats_.canonical_fallbacks, key_fallbacks);
   // A certificate request skips the verdict-tier *reads*: a cached verdict
   // dropped its chase derivation, so there is nothing to extract a proof
   // from. It still publishes its verdict below for later certificate-free
@@ -1117,6 +1119,8 @@ EngineStats ContainmentEngine::stats() const {
       stats_.witness_searches.load(std::memory_order_relaxed);
   out.witness_searches_skipped =
       stats_.witness_searches_skipped.load(std::memory_order_relaxed);
+  out.canonical_fallbacks =
+      stats_.canonical_fallbacks.load(std::memory_order_relaxed);
   const Executor::StatsSnapshot exec = executor_.stats();
   out.executor_tasks = exec.executed;
   out.executor_steals = exec.steals;

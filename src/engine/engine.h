@@ -181,6 +181,10 @@ struct EngineStats {
   // pre-check found none).
   uint64_t witness_searches = 0;
   uint64_t witness_searches_skipped = 0;
+  // Queries whose canonical key fell back to its tie search's first leaf
+  // (engine/canonical.h): keys that stay sound but may miss an isomorphic
+  // re-ask's hit.
+  uint64_t canonical_fallbacks = 0;
   // Executor health (Executor::stats passthrough): tasks/steals are
   // monotone, queue_depth (queued, not yet started) and workers are gauges.
   uint64_t executor_tasks = 0;
@@ -492,6 +496,7 @@ class ContainmentEngine {
     std::atomic<uint64_t> inds_pruned{0};
     std::atomic<uint64_t> witness_searches{0};
     std::atomic<uint64_t> witness_searches_skipped{0};
+    std::atomic<uint64_t> canonical_fallbacks{0};
     std::array<std::atomic<uint64_t>, kNumStrategies> by_strategy{};
   };
   AtomicStats stats_;

@@ -91,10 +91,10 @@ TEST_F(CacheTest, CanonicalSigmaKeyIsOrderInvariantAndContentSensitive) {
   EXPECT_NE(CanonicalSigmaKey(ab), CanonicalSigmaKey(other));
 }
 
-// Golden key bytes, captured from the stream-based renderer. The persistent
-// store and remote peers key verdicts by these exact strings, so any byte
-// change must bump kCanonicalKeySchemeVersion; these pins catch an
-// accidental one.
+// Golden key bytes, captured from the colour-refinement labeller (key
+// scheme 2). The persistent store and remote peers key verdicts by these
+// exact strings, so any byte change must bump kCanonicalKeySchemeVersion;
+// these pins catch an accidental one.
 TEST_F(CacheTest, CanonicalTaskKeyBytesArePinned) {
   struct Golden {
     const char* name;
@@ -122,7 +122,7 @@ TEST_F(CacheTest, CanonicalTaskKeyBytesArePinned) {
   goldens.push_back(
       {"constants", odd_q, odd_qp, "R[2] <= S[1]", ChaseVariant::kRequired,
        R"(V1|S{I0[1,]<=1[0,];}|Q{(d0,c8#x','y(z)):R0(d0,c8#x','y(z));)"
-       R"(R1(c2#42,d0);R1(c8#x','y(z),n0);}|=>|Q{(d0,c8#x','y(z)):)"
+       R"(R1(c8#x','y(z),n0);R1(c2#42,d0);}|=>|Q{(d0,c8#x','y(z)):)"
        R"(R0(d0,c8#x','y(z));})"});
 
   // An empty-marked (contradictory) Q.
@@ -141,8 +141,8 @@ TEST_F(CacheTest, CanonicalTaskKeyBytesArePinned) {
              "R(r3, r4), R(r4, r2)"),
        Parse("ans(r5, r5) :- R(r5, r6), S(r6, r6)"), "S[2] <= R[1]",
        ChaseVariant::kOblivious,
-       R"(V0|S{I1[1,]<=0[0,];}|Q{(d0,d0):R0(d0,d0);R0(n0,n1);R0(n1,n2);)"
-       R"(R0(n2,n0);R1(d0,n2);R1(n2,n2);}|=>|Q{(d0,d0):R0(d0,n0);)"
+       R"(V0|S{I1[1,]<=0[0,];}|Q{(d0,d0):R0(n0,n1);R0(n2,n0);R0(n1,n2);)"
+       R"(R0(d0,d0);R1(d0,n0);R1(n0,n0);}|=>|Q{(d0,d0):R0(d0,n0);)"
        R"(R1(n0,n0);})"});
 
   // An FD+IND Σ with several dependencies of each kind.

@@ -219,8 +219,8 @@ TEST(SchemaTest, FingerprintIsPinned) {
   // Re-capture it only together with a kStoreFormatVersion or
   // kCanonicalKeySchemeVersion bump, never as a side effect of a refactor.
   EXPECT_EQ(kStoreFormatVersion, 2u);
-  EXPECT_EQ(kCanonicalKeySchemeVersion, 1u);
-  EXPECT_EQ(StoreSchemaFingerprint(), 0x8a6dbea025939a81ULL);
+  EXPECT_EQ(kCanonicalKeySchemeVersion, 2u);
+  EXPECT_EQ(StoreSchemaFingerprint(), 0x8a6dbea025939a82ULL);
 }
 
 }  // namespace
