@@ -72,7 +72,10 @@ inline void PrintHeader(const std::string& experiment,
 //  10 — semi-naive witness search: witness_searches/witness_searches_skipped
 //       in AppendEngineCounters
 //  11 — canonical labelling: canonical_fallbacks in AppendEngineCounters
-inline constexpr int kBenchRecordSchema = 11;
+//  12 — chase-prefix cache removed: AppendEngineConfig drops its Σ-cache
+//       capacity row (now a fixed engine constant) and its chase-cache
+//       capacity row
+inline constexpr int kBenchRecordSchema = 12;
 
 // One-line machine-readable record, emitted by every bench so the perf
 // trajectory can be scraped (`grep '^{"bench"'` over the run log). Integral
@@ -209,12 +212,6 @@ inline void AppendEngineConfig(
   counters.emplace_back(
       "verdict_cache_capacity",
       static_cast<double>(caches_on ? verdict_capacity : 0));
-  counters.emplace_back(
-      "sigma_cache_capacity",
-      static_cast<double>(caches_on ? config.sigma_cache_capacity : 0));
-  counters.emplace_back(
-      "chase_cache_capacity",
-      static_cast<double>(caches_on ? config.chase_cache_capacity : 0));
   bool has_store_tier = false;
   for (const TierSpec& spec : config.tiers) {
     if (spec.kind == TierSpec::Kind::kLocalStore) has_store_tier = true;

@@ -54,8 +54,8 @@
 #     corrupted input), so the parsing code runs under ASan+UBSan from day
 #     one; -fno-sanitize-recover turns any UB into a non-zero exit.
 #  9. tsan: ThreadSanitizer over the concurrency-bearing binaries (sharded
-#     symbol arena, shared chase prefixes and their cancel/deadline release,
-#     the work-stealing executor, SubmitAll bursts, write-behind store/tier
+#     symbol arena, concurrent chases returning their NDV blocks, cancel and
+#     deadline trips, the work-stealing executor, SubmitAll bursts, write-behind store/tier
 #     flush, thread-per-connection authority server): any data race fails
 #     CI.
 # 10. static-analysis: clang-tidy (profile in .clang-tidy: bugprone-*,

@@ -145,9 +145,7 @@ class Chase {
   // control unwinds ExpandToLevel with kCancelled / kDeadlineExceeded and —
   // like a resource limit — leaves a consistent prefix that a later call
   // (under a fresh or cleared control) can resume. The control must outlive
-  // every Expand call made while it is attached; shared chases (the engine's
-  // prefix cache) attach the current asker's control for the duration of its
-  // turn and detach before handing the chase to the next asker.
+  // every Expand call made while it is attached.
   void set_control(const ChaseControl* control) { control_ = control; }
 
   // --- Inspection ---------------------------------------------------------
@@ -194,17 +192,16 @@ class Chase {
   size_t steps() const { return static_cast<size_t>(stats_.steps); }
 
   // Counters and phase timers (see chase/segment.h). Monotone across
-  // ExpandToLevel calls; the engine snapshots deltas per asker turn.
+  // ExpandToLevel calls.
   const ChaseStats& chase_stats() const { return stats_; }
 
   // Used-dependency capture for Σ-lineage (engine/lineage.h): which INDs
   // fired (minted a conjunct or recorded a cross arc) and which FDs merged
-  // anywhere in this prefix so far. Monotone and cumulative — a shared
-  // prefix accumulates bits across askers, which over-approximates any one
-  // asker's derivation (sound: lineage only ever *widens* the touched set).
-  // Indexed like deps.inds() / deps.fds(); identical across the two cores
-  // because the marks sit on the shared FD-merge site and on each core's
-  // arc-recording sites, which the parity contract keeps byte-identical.
+  // anywhere in this prefix so far. Monotone and cumulative across
+  // ExpandToLevel calls. Indexed like deps.inds() / deps.fds(); identical
+  // across the two cores because the marks sit on the shared FD-merge site
+  // and on each core's arc-recording sites, which the parity contract keeps
+  // byte-identical.
   const std::vector<bool>& used_inds() const { return used_inds_; }
   const std::vector<bool>& used_fds() const { return used_fds_; }
 

@@ -33,34 +33,10 @@ size_t ExecutorWidth(const EngineConfig& config) {
   const unsigned hc = std::thread::hardware_concurrency();
   return hc > 0 ? hc : 1;
 }
-}  // namespace
 
-namespace {
-
-// Exact (term-identity) key of a query, for the chase-prefix cache: a chase
-// holds the query's actual terms, so only a byte-identical re-ask may resume
-// it. Contrast CanonicalQueryKey, which is renaming-invariant.
-void AppendExactQueryKey(std::string* out, const ConjunctiveQuery& q) {
-  size_t terms = q.summary().size();
-  for (const Fact& f : q.conjuncts()) terms += f.terms.size() + 2;
-  out->reserve(out->size() + 4 * terms + 3);
-  *out += q.is_empty_query() ? "E(" : "(";
-  auto append_term = [out](Term t) {
-    switch (t.kind()) {
-      case TermKind::kConstant: *out += 'c'; break;
-      case TermKind::kDistVar: *out += 'd'; break;
-      case TermKind::kNondistVar: *out += 'n'; break;
-    }
-    StrAppend(out, t.id(), ",");
-  };
-  for (Term t : q.summary()) append_term(t);
-  *out += ')';
-  for (const Fact& f : q.conjuncts()) {
-    StrAppend(out, "R", f.relation, "(");
-    for (Term t : f.terms) append_term(t);
-    *out += ')';
-  }
-}
+// Distinct canonical Σs whose records (analysis, fingerprint, compiled chase
+// plan) the engine keeps, least-recently-used first out.
+constexpr size_t kSigmaCacheCapacity = 1 << 12;
 
 // Re-labels a certificate's derivation steps from the IND order of the Σ the
 // chase ran on to the asker's Σ, which holds the same dependencies (equal
@@ -154,8 +130,7 @@ ContainmentEngine::ContainmentEngine(const Catalog* catalog,
     : catalog_(catalog),
       symbols_(symbols),
       config_(std::move(config)),
-      sigma_cache_(config_.sigma_cache_capacity),
-      chase_cache_(config_.chase_cache_capacity),
+      sigma_cache_(kSigmaCacheCapacity),
       executor_(ExecutorWidth(config_)) {
   if (!config_.enable_cache) {
     if (!config_.tiers.empty()) {
@@ -294,7 +269,7 @@ EngineFuture<EngineOutcome> ContainmentEngine::Submit(
         Result<EngineOutcome> result =
             Execute(*shared_request->q, *shared_request->q_prime,
                     *shared_request->deps, shared_request->options,
-                    &state->control, /*cache_chase_prefix=*/true);
+                    &state->control);
         if (!result.ok()) {
           if (result.status().code() == StatusCode::kDeadlineExceeded) {
             Bump(stats_.deadline_expirations);
@@ -339,28 +314,21 @@ std::vector<EngineFuture<EngineOutcome>> ContainmentEngine::SubmitAll(
 Result<EngineVerdict> ContainmentEngine::Check(const ConjunctiveQuery& q,
                                                const ConjunctiveQuery& q_prime,
                                                const DependencySet& deps) {
-  return CheckCounted(q, q_prime, deps, /*cache_chase_prefix=*/true);
-}
-
-Result<EngineVerdict> ContainmentEngine::CheckCounted(
-    const ConjunctiveQuery& q, const ConjunctiveQuery& q_prime,
-    const DependencySet& deps, bool cache_chase_prefix) {
-  // The checks bump lives here, not in Check: Minimize/IsNonMinimal probes
-  // route through this too, and every cache hit/miss they record must
-  // belong to a counted check (hit rates over stats() stay <= 100%).
+  // Minimize/IsNonMinimal probes route through here too, so every cache
+  // hit/miss they record belongs to a counted check (hit rates over stats()
+  // stay <= 100%).
   Bump(stats_.checks);
   RequestOptions defaults;
   CQCHASE_ASSIGN_OR_RETURN(
       EngineOutcome outcome,
-      Execute(q, q_prime, deps, defaults, /*control=*/nullptr,
-              cache_chase_prefix));
+      Execute(q, q_prime, deps, defaults, /*control=*/nullptr));
   return std::move(outcome.verdict);
 }
 
 Result<EngineOutcome> ContainmentEngine::Execute(
     const ConjunctiveQuery& q, const ConjunctiveQuery& q_prime,
     const DependencySet& deps, const RequestOptions& options,
-    ChaseControl* control, bool cache_chase_prefix) {
+    ChaseControl* control) {
   CQCHASE_RETURN_IF_ERROR(q.Validate());
   CQCHASE_RETURN_IF_ERROR(q_prime.Validate());
   if (q.summary().size() != q_prime.summary().size()) {
@@ -389,8 +357,8 @@ Result<EngineOutcome> ContainmentEngine::Execute(
   // cache keys; serve them uncached — and classify Σ against *their*
   // catalog, whose relation ids the dependencies refer to.
   const bool foreign_catalog = &q.catalog() != catalog_;
-  // Σ is rendered at most once per request: the Σ-record lookup, the task
-  // key and the chase-prefix key all read this one string.
+  // Σ is rendered at most once per request: the Σ-record lookup and the
+  // task key both read this one string.
   std::string sigma_key;
   std::shared_ptr<const SigmaRecord> sigma;
   SigmaAnalysis uncached_analysis;
@@ -408,11 +376,7 @@ Result<EngineOutcome> ContainmentEngine::Execute(
   ExecContext ctx;
   ctx.options = &options;
   ctx.control = control;
-  ctx.cache_chase_prefix = cache_chase_prefix;
-  if (sigma != nullptr) {
-    ctx.sigma_key = &sigma_key;
-    ctx.sigma = sigma.get();
-  }
+  ctx.sigma = sigma.get();
   EngineOutcome outcome;
   if (options.want_certificate) ctx.cert_out = &outcome.certificate;
   // Cacheable decisions harvest their chase's used-dependency set so the
@@ -648,106 +612,33 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
     const ExecContext& ctx) {
   const ContainmentOptions& options = config_.containment;
 
-  // Symbol-table identity is enforced at the Execute entry point, and
-  // Execute hands over a Σ record only for caching, same-catalog requests.
-  // Every chase of such a request — shared prefix or not — runs on the
-  // record's compiled plan and its Σ.
-  const bool cacheable = ctx.cache_chase_prefix && ctx.sigma != nullptr &&
-                         config_.chase_cache_capacity > 0;
-  std::shared_ptr<SharedChase> shared;
-  std::optional<Chase> local_chase;
-  Chase* chase_ptr = nullptr;
-  // Held for the whole decision loop when the chase is shared: a Chase is
-  // not internally thread-safe, so concurrent askers of the same exact key
-  // queue here and each extends the single shared prefix in turn. Askers of
-  // different keys proceed in parallel; eviction of this entry while we run
-  // only drops the map's reference, not ours.
-  std::unique_lock<std::mutex> shared_lock;
-  uint32_t start_level = 0;
-  // Turn-start snapshot for the ChaseStats harvest below. Stays
-  // zero-initialized when this call builds the chase (Init's FD work is this
-  // turn's work); a resumed shared prefix snapshots its monotone counters so
-  // only the delta this asker drives is attributed here.
-  ChaseStats chase_stats_before;
-  if (cacheable) {
-    std::string chase_key =
-        StrCat("V", static_cast<int>(options.variant), "|", *ctx.sigma_key,
-               "|");
-    AppendExactQueryKey(&chase_key, q);
-    // An evicted prefix may hold the last reference to its chase: drop it
-    // after unlocking, so a whole Chase (and the symbol-table lock its NDV
-    // blocks take on the way out) is never destroyed under mu_.
-    ChaseCache::Entries evicted;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (std::shared_ptr<SharedChase>* hit = chase_cache_.Get(chase_key)) {
-        shared = *hit;
-      } else {
-        shared = std::make_shared<SharedChase>();
-        evicted = chase_cache_.Put(chase_key, shared);
-      }
-    }
-    evicted.clear();
-    shared_lock = std::unique_lock<std::mutex>(shared->mu);
-    if (!shared->built) {
-      // First asker through the entry lock builds the chase, on the Σ
-      // record's plan: the chase then outlives the caller's DependencySet,
-      // and no chase miss copies Σ or recompiles it.
-      shared->chase = std::make_unique<Chase>(ctx.sigma->plan, symbols_,
-                                              options.variant, options.limits);
-      shared->init_status = shared->chase->Init(q);
-      shared->built = true;
-      if (shared->init_status.ok()) Bump(stats_.chases_built);
-    } else if (shared->init_status.ok()) {
-      Bump(stats_.chase_prefix_reuses);
-      chase_stats_before = shared->chase->chase_stats();
-      // Resume where the shared prefix already is: the first homomorphism
-      // search sees the whole prefix anyway, so the per-level searches
-      // below this depth would be identical repeats.
-      start_level =
-          std::min(shared->chase->MaxAliveLevel(), options.limits.max_level);
-    }
-    // Init failures are deterministic for a fixed (Q, Σ): replay the same
-    // status to every asker instead of rebuilding just to re-fail.
-    if (!shared->init_status.ok()) return shared->init_status;
-    chase_ptr = shared->chase.get();
-  } else if (ctx.sigma != nullptr) {
-    // Unshared, but the request has a Σ record: the chase lives and dies in
-    // this call, on the record's plan.
-    local_chase.emplace(ctx.sigma->plan, symbols_, options.variant,
-                        options.limits);
+  // The chase lives and dies in this call. Symbol-table identity is
+  // enforced at the Execute entry point; a request with a Σ record chases
+  // on the record's compiled plan and its copy of Σ, one without (cache
+  // off, or a foreign catalog) on a private plan of the caller's Σ.
+  std::optional<Chase> chase_slot;
+  if (ctx.sigma != nullptr) {
+    chase_slot.emplace(ctx.sigma->plan, symbols_, options.variant,
+                       options.limits);
   } else {
-    // No Σ record (cache off, or a foreign catalog): a private plan of the
-    // caller's Σ.
-    local_chase.emplace(&q.catalog(), symbols_, &deps, options.variant,
-                        options.limits);
+    chase_slot.emplace(&q.catalog(), symbols_, &deps, options.variant,
+                       options.limits);
   }
-  if (local_chase.has_value()) {
-    Status init = local_chase->Init(q);
-    if (!init.ok()) return init;
-    chase_ptr = &*local_chase;
-    Bump(stats_.chases_built);
-  }
+  Chase& chase = *chase_slot;
+  CQCHASE_RETURN_IF_ERROR(chase.Init(q));
+  Bump(stats_.chases_built);
 
-  Chase& chase = *chase_ptr;
   // The Σ the chase runs on, whose dependency order its used-dependency
   // bitmaps and IND labels index: under a Σ record the record's copy, which
   // may order Σ differently from this asker's `deps`.
   const DependencySet& chase_deps = chase.deps();
-  // This asker's cancellation/deadline applies for exactly this asker's
-  // turn on the chase: attach now, detach before unlocking, so a shared
-  // prefix never carries a dead asker's control into the next turn. A
-  // tripped control unwinds like a resource limit — the prefix stays
-  // consistent and resumable for other askers.
+  // The chase polls the request's cancellation/deadline between steps; a
+  // tripped control unwinds like a resource limit.
   chase.set_control(ctx.control);
   // The Theorem 1/2 decision loop (moved here from core/containment.cc):
   // expand the chase prefix level by level, searching for a homomorphism
   // after each expansion, stopping at a witness, saturation, the Lemma 5
-  // bound, or a resource limit. A cache-resumed chase may already be deeper
-  // than `level`; ExpandToLevel is then a no-op and the loop simply finds
-  // the answer in the wider prefix (the verdict is unaffected — a witness
-  // into a deeper prefix is still a witness, and the negative cases require
-  // the same saturation/bound evidence).
+  // bound, or a resource limit.
   Result<ContainmentReport> result = [&]() -> Result<ContainmentReport> {
     ContainmentReport report;
     report.level_bound = Theorem2LevelBound(
@@ -864,7 +755,7 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
       return true;
     };
 
-    uint32_t level = start_level;
+    uint32_t level = 0;
     while (true) {
       // Level-boundary poll: the chase polls between steps, but a
       // homomorphism search over a large prefix can also run long — check
@@ -875,12 +766,10 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
       Result<ChaseOutcome> expanded = chase.ExpandToLevel(level);
       if (!expanded.ok()) {
         // Budget tripped mid-expansion. A witness into the partial prefix is
-        // still a witness (every chase fact is derived), so search once
-        // before surfacing the error — this also keeps verdicts identical
-        // between a fresh chase (which searches level by level on the way
-        // up) and a cache-resumed one that starts deep and may re-trip a
-        // sticky limit before its first search. (Not for a cancelled
-        // request: its caller asked us to stop, not to answer.)
+        // still a witness (every chase fact is derived), and the facts the
+        // tripped level did add may complete one, so search once before
+        // surfacing the error. (Not for a cancelled request: its caller
+        // asked us to stop, not to answer.)
         if (expanded.status().code() == StatusCode::kResourceExhausted &&
             search_witness()) {
           return report;
@@ -924,10 +813,9 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
     }
   }();
 
-  // Certificate extraction happens here — while the chase (shared or local)
-  // is still alive and, for a shared prefix, still locked by us. This is
-  // the "no re-chase" unification: the decision's own derivation becomes
-  // the Theorem 2 proof object.
+  // Certificate extraction happens here, while the chase is still alive.
+  // This is the "no re-chase" unification: the decision's own derivation
+  // becomes the Theorem 2 proof object.
   if (ctx.cert_out != nullptr && result.ok() && result->contained) {
     if (chase.is_empty_query()) {
       ContainmentCertificate cert;
@@ -942,37 +830,22 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
     if (ctx.cert_out->has_value()) Bump(stats_.certificates_built);
   }
 
-  // Harvest this turn's chase work into the engine counters — under the
-  // shared entry's lock (the chase is still ours), as monotone deltas
-  // against the turn-start snapshot.
+  // Harvest the decision's chase work into the engine counters.
   const ChaseStats& cs = chase.chase_stats();
-  BumpBy(stats_.chase_steps, cs.steps - chase_stats_before.steps);
-  BumpBy(stats_.chase_index_rebuilds,
-         cs.index_rebuilds - chase_stats_before.index_rebuilds);
-  BumpBy(stats_.segments_built,
-         cs.segments_built - chase_stats_before.segments_built);
-  BumpBy(stats_.bulk_ind_applications,
-         cs.bulk_ind_applications - chase_stats_before.bulk_ind_applications);
-  BumpBy(stats_.inds_pruned,
-         cs.inds_pruned - chase_stats_before.inds_pruned);
+  BumpBy(stats_.chase_steps, cs.steps);
+  BumpBy(stats_.chase_index_rebuilds, cs.index_rebuilds);
+  BumpBy(stats_.segments_built, cs.segments_built);
+  BumpBy(stats_.bulk_ind_applications, cs.bulk_ind_applications);
+  BumpBy(stats_.inds_pruned, cs.inds_pruned);
 
-  // Lineage harvest: the chase's used-dependency bitmaps, as structural
-  // fingerprints. Taken while the chase is still ours (shared entries are
-  // still locked). A shared prefix's bits are cumulative across every asker
-  // that extended it — an over-approximation of what *this* decision used,
-  // which only ever makes a future delta drop more than strictly needed:
-  // conservative, never wrong.
+  // Lineage harvest: the dependencies this decision's chase used, as
+  // structural fingerprints.
   if (ctx.lineage != nullptr && result.ok()) {
     ctx.lineage->known = true;
     ctx.lineage->used_fps =
         UsedDependencyFingerprints(chase_deps, chase.used_inds(),
                                    chase.used_fds());
   }
-
-  chase.set_control(nullptr);
-  // No release step: the shared entry stayed in the cache the whole time
-  // (touched to most-recently-used at lookup); shared_lock and our
-  // shared_ptr reference drop on return.
   return result;
 }
 
@@ -991,12 +864,7 @@ Result<bool> ContainmentEngine::IsNonMinimal(const ConjunctiveQuery& q,
   for (size_t i = 0; i < q.conjuncts().size(); ++i) {
     if (!RemovalKeepsSafety(q, i)) continue;
     ConjunctiveQuery candidate = WithoutConjunct(q, i);
-    // Candidate-side probe: the chased side is this one-shot candidate whose
-    // exact key never repeats, so skip chase-prefix caching (the verdict
-    // cache still absorbs isomorphic candidates).
-    CQCHASE_ASSIGN_OR_RETURN(
-        EngineVerdict v,
-        CheckCounted(candidate, q, deps, /*cache_chase_prefix=*/false));
+    CQCHASE_ASSIGN_OR_RETURN(EngineVerdict v, Check(candidate, q, deps));
     if (v.report.contained) return true;
   }
   return false;
@@ -1012,10 +880,8 @@ Result<MinimizeReport> ContainmentEngine::Minimize(const ConjunctiveQuery& q,
       if (!RemovalKeepsSafety(report.query, i)) continue;
       ConjunctiveQuery candidate = WithoutConjunct(report.query, i);
       ++report.containment_checks;
-      // One-shot candidate probe; see IsNonMinimal.
       CQCHASE_ASSIGN_OR_RETURN(EngineVerdict v,
-                               CheckCounted(candidate, report.query, deps,
-                                            /*cache_chase_prefix=*/false));
+                               Check(candidate, report.query, deps));
       if (v.report.contained) {
         report.query = std::move(candidate);
         ++report.removed_conjuncts;
@@ -1078,8 +944,6 @@ EngineStats ContainmentEngine::stats() const {
   out.checks = stats_.checks.load(std::memory_order_relaxed);
   out.cache_hits = stats_.cache_hits.load(std::memory_order_relaxed);
   out.cache_misses = stats_.cache_misses.load(std::memory_order_relaxed);
-  out.chase_prefix_reuses =
-      stats_.chase_prefix_reuses.load(std::memory_order_relaxed);
   out.chases_built = stats_.chases_built.load(std::memory_order_relaxed);
   // Store/remote rollups are sums over the stack's per-tier counters —
   // the tiers are the source of truth for what they served and accepted.
@@ -1137,7 +1001,6 @@ ContainmentEngine::CacheSizes ContainmentEngine::cache_sizes() const {
   sizes.verdict_entries = tiers_ != nullptr ? tiers_->lru_entries() : 0;
   std::lock_guard<std::mutex> lock(mu_);
   sizes.sigma_entries = sigma_cache_.size();
-  sizes.chase_entries = chase_cache_.size();
   return sizes;
 }
 
@@ -1158,9 +1021,7 @@ const VerdictStore* ContainmentEngine::store() const {
 
 void ContainmentEngine::ClearCaches() {
   if (tiers_ != nullptr) tiers_->Clear();
-  ChaseCache::Entries dropped;  // destroyed after unlocking, as in Put
   std::lock_guard<std::mutex> lock(mu_);
-  dropped = chase_cache_.Drain();
   sigma_cache_.Clear();
 }
 
@@ -1170,13 +1031,10 @@ DeltaReceipt ContainmentEngine::EvolveSigma(const DependencySet& old_deps,
   const LineageDelta ld = MakeLineageDelta(old_deps, new_deps);
   if (ld.empty()) return receipt;
   {
-    // The Σ-analysis and chase-prefix caches embed the old Σ (a shared
-    // chase holds a live copy of it). Their old-Σ entries are unreachable
-    // under new-Σ keys anyway; clearing reclaims the pinned chases rather
-    // than letting them age out of the LRU.
-    ChaseCache::Entries dropped;  // destroyed after unlocking, as in Put
+    // The Σ-record cache embeds the old Σ. Its old-Σ entries are
+    // unreachable under new-Σ keys anyway; clearing reclaims their plans
+    // rather than letting them age out of the LRU.
     std::lock_guard<std::mutex> lock(mu_);
-    dropped = chase_cache_.Drain();
     sigma_cache_.Clear();
   }
   if (tiers_ != nullptr) receipt = tiers_->ApplyDelta(ld);

@@ -13,17 +13,10 @@
 //     re-ask of the same question — even with renamed variables or permuted
 //     conjuncts — returns instantly (this is also what absorbs repeated or
 //     isomorphic candidates in greedy Σ-minimization, whose chased side
-//     changes on every probe); chase prefixes are cached under an exact key
-//     of (Q, Σ, variant) and resumed, so loops that probe one fixed Q
-//     against many Q' (equivalence checks, repeated asks about one query)
-//     stop re-chasing. All three caches (verdict, Σ-analysis, chase prefix)
-//     evict least-recently-used with independent capacity knobs; chase
-//     prefixes are reference-counted and *shared* — N concurrent askers of
-//     the same exact (Q, Σ, variant) serialize on that one entry's mutex
-//     and extend a single chase instead of re-chasing from scratch.
-//     Minimization's candidate-side probes are tagged non-prefix-cacheable
-//     (their exact keys never repeat, so caching them would only pin dead
-//     chases until eviction).
+//     changes on every probe). Σ analyses are cached per canonical Σ key in
+//     a Σ record, which also holds the compiled chase plan every chase of
+//     that Σ runs on. Both caches evict least-recently-used, independently.
+//     A chase lives and dies inside the one decision that built it.
 //     The verdict side of this layer is a composable *tier stack*
 //     (engine/tier.h): EngineConfig::tiers declares a hierarchy of
 //     VerdictTier backends probed cheapest-first — by default just the
@@ -94,13 +87,11 @@ struct EngineConfig {
   // budgets from here. RequestOptions can override the per-request subset.
   ContainmentOptions containment;
 
-  // Layer 2: verdict + Σ-analysis + chase-prefix memoization. Each cache
-  // evicts least-recently-used against its own bound (a capacity of 0
-  // disables that cache alone; enable_cache = false disables all three).
+  // Layer 2: verdict + Σ-record memoization. The verdict cache evicts
+  // least-recently-used against this bound (0 disables it alone);
+  // enable_cache = false disables both it and the Σ-record cache.
   bool enable_cache = true;
   size_t verdict_cache_capacity = 1 << 16;  // canonical-key verdicts
-  size_t sigma_cache_capacity = 1 << 12;    // Σ classifications
-  size_t chase_cache_capacity = 32;         // shared chase prefixes retained
 
   // Layer 2.5: the verdict tier stack (engine/tier.h), probed in order on
   // every cacheable check — miss at tier N falls through to N+1, a hit is
@@ -139,6 +130,9 @@ struct EngineStats {
   uint64_t checks = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
+  // Always 0: chases are no longer resumed across decisions. Kept only
+  // because perfbench still reads it for its chase.prefix_reuse_ratio
+  // metric.
   uint64_t chase_prefix_reuses = 0;
   uint64_t chases_built = 0;
   // Tier stack: verdicts served from / published to the non-LRU tiers,
@@ -163,11 +157,10 @@ struct EngineStats {
   uint64_t deadline_expirations = 0;
   uint64_t cancellations = 0;
   uint64_t certificates_built = 0;
-  // Chase-core rollups (ChaseStats deltas harvested per asker turn —
-  // shared-prefix chases attribute work to the turn that drove it).
-  // segments_built / bulk_ind_applications stay zero under
-  // ChaseCoreMode::kScalar; index_rebuilds counts scalar pending/witness
-  // rebuilds and bulk witness-group rebuilds alike.
+  // Chase-core rollups (each decision's whole ChaseStats). segments_built /
+  // bulk_ind_applications stay zero under ChaseCoreMode::kScalar;
+  // index_rebuilds counts scalar pending/witness rebuilds and bulk
+  // witness-group rebuilds alike.
   uint64_t chase_steps = 0;
   uint64_t chase_index_rebuilds = 0;
   uint64_t segments_built = 0;
@@ -198,11 +191,9 @@ class ContainmentEngine {
  public:
   // The engine serves one catalog + symbol-table universe; every query and
   // dependency set passed in must be built against them. `catalog` and
-  // `symbols` must outlive the engine — strictly: the chase-prefix cache
-  // holds live chases (each owning an NdvShard into `symbols`) until
-  // ClearCaches() or destruction, so destroying the table first is
-  // use-after-free, not just stale pointers. The chase creates NDVs in
-  // `symbols`.
+  // `symbols` must outlive the engine: requests still in flight chase into
+  // `symbols` (each chase owns an NdvShard of it) until the destructor has
+  // drained them.
   ContainmentEngine(const Catalog* catalog, SymbolTable* symbols,
                     EngineConfig config = {});
 
@@ -301,13 +292,12 @@ class ContainmentEngine {
 
   EngineStats stats() const;
 
-  // Current entry counts of the three caches (gauges, not counters) —
+  // Current entry counts of the two caches (gauges, not counters) —
   // introspection for capacity/eviction tests and ops dashboards.
   // verdict_entries reads the first LRU tier of the stack.
   struct CacheSizes {
     size_t verdict_entries = 0;
     size_t sigma_entries = 0;
-    size_t chase_entries = 0;
   };
   CacheSizes cache_sizes() const;
 
@@ -329,14 +319,14 @@ class ContainmentEngine {
   const Status& store_status() const { return store_status_; }
 
   // Drops volatile cache state only (the LRU tiers, a remote tier's
-  // negative entries, Σ/chase caches); durable tiers keep their entries
+  // negative entries, the Σ-record cache); durable tiers keep their entries
   // (their contents are valid forever by construction — see
   // engine/store.h).
   void ClearCaches();
 
   // Migrates every verdict tier from `old_deps` to `new_deps` in one pass:
-  // computes the per-dependency delta, drops the Σ-analysis and chase-prefix
-  // caches (their entries embed the old Σ), and drives the delta through
+  // computes the per-dependency delta, drops the Σ-record cache (its
+  // entries embed the old Σ), and drives the delta through
   // the tier stack — surviving entries are re-keyed in place (exact or
   // monotone per engine/lineage.h), touched entries are dropped, the local
   // store compacts, and a remote peer migrates its authority map too.
@@ -355,40 +345,16 @@ class ContainmentEngine {
   // tagged with, and the compiled chase plan (chase/plan.h) — which owns
   // one stable copy of Σ — that every chase of this Σ runs on. Σs that
   // differ only in insertion order share one record; the plan's Σ keeps the
-  // order of whichever of them built it (see SharedChase).
+  // order of whichever of them built it. A chase's used-dependency bitmaps
+  // and IND labels index that order (chase.deps()), so lineage is
+  // fingerprinted against it and certificate steps are re-indexed to the
+  // asker's Σ.
   struct SigmaRecord {
     SigmaAnalysis analysis;
     uint64_t fingerprint = 0;  // SigmaFingerprint (analysis/delta.h)
     std::shared_ptr<const ChasePlan> plan;
   };
 
-  // A shared, resumable chase prefix. The engine hands out shared_ptrs: the
-  // LRU map holds one reference and every in-flight asker holds another, so
-  // eviction under load never destroys a chase mid-use — the last asker
-  // does. `mu` serializes extension (a Chase is not internally thread-safe);
-  // concurrent askers of the same exact (Q, Σ, variant) queue here and each
-  // resumes the single shared prefix where the previous one left it. The
-  // chase runs on its Σ record's plan (shared, so it and its Σ outlive both
-  // the record's cache entry and any caller's DependencySet). The plan's Σ
-  // may list the dependencies in another order than a later asker's Σ with
-  // the same canonical key: the chase's used-dependency bitmaps and IND
-  // labels index chase->deps(), so lineage is fingerprinted against it and
-  // certificate steps are re-indexed to the asker's Σ. Each asker attaches
-  // its own ChaseControl for its turn and detaches before unlocking, so one
-  // asker's deadline or cancellation never aborts another's.
-  struct SharedChase {
-    std::mutex mu;  // guards everything below
-    bool built = false;
-    Status init_status;
-    std::unique_ptr<Chase> chase;
-  };
-
-  // Per-execution context threaded through the decision path: the request's
-  // policy, the cooperative control (null for uncontrolled synchronous
-  // calls), the certificate out-slot (null unless want_certificate), and
-  // whether the chase prefix may be cached (`false` for Minimize /
-  // IsNonMinimal one-shot probes whose exact keys never repeat — they still
-  // use the verdict cache but would otherwise pin dead chases).
   // Used-dependency lineage harvested from a decision's own chase, filled by
   // DecideByChase when the ExecContext asks (cacheable tasks only — this is
   // what ToStoredVerdict persists so a schema delta can later prove the
@@ -399,16 +365,17 @@ class ContainmentEngine {
     std::vector<uint64_t> used_fps;  // sorted per-dependency fingerprints
   };
 
+  // Per-execution context threaded through the decision path: the request's
+  // policy, the cooperative control (null for uncontrolled synchronous
+  // calls), the certificate out-slot (null unless want_certificate), the
+  // lineage out-slot (null unless the verdict is published), and the
+  // request's Σ record — null when the engine keeps no caches for this
+  // request (cache off, or a foreign catalog).
   struct ExecContext {
     const RequestOptions* options = nullptr;  // never null
     ChaseControl* control = nullptr;
     std::optional<ContainmentCertificate>* cert_out = nullptr;
     LineageCapture* lineage = nullptr;
-    bool cache_chase_prefix = true;
-    // The request's Σ rendered once (CanonicalSigmaKey) and its record;
-    // both null when the engine keeps no caches for this request (cache
-    // off, or a foreign catalog).
-    const std::string* sigma_key = nullptr;
     const SigmaRecord* sigma = nullptr;
   };
 
@@ -420,8 +387,7 @@ class ContainmentEngine {
                                 const ConjunctiveQuery& q_prime,
                                 const DependencySet& deps,
                                 const RequestOptions& options,
-                                ChaseControl* control,
-                                bool cache_chase_prefix);
+                                ChaseControl* control);
 
   // Uncached dispatch: classify, route, execute.
   Result<EngineVerdict> DecideUncached(const ConjunctiveQuery& q,
@@ -430,10 +396,10 @@ class ContainmentEngine {
                                        const SigmaAnalysis& analysis,
                                        const ExecContext& ctx);
 
-  // The Theorem 1/2 iterative-deepening decision loop, run on a fresh,
-  // shared-from-cache, or local chase of Q. Polls ctx.control between
-  // levels (and the chase polls it between steps); extracts ctx.cert_out
-  // from the live chase on a contained verdict.
+  // The Theorem 1/2 iterative-deepening decision loop, run on a chase of Q
+  // that this call builds and destroys. Polls ctx.control between levels
+  // (and the chase polls it between steps); extracts ctx.cert_out from the
+  // live chase on a contained verdict.
   Result<ContainmentReport> DecideByChase(const ConjunctiveQuery& q,
                                           const ConjunctiveQuery& q_prime,
                                           const DependencySet& deps,
@@ -444,12 +410,6 @@ class ContainmentEngine {
   // one, or a fresh one inserted unless a racing asker inserted first.
   std::shared_ptr<const SigmaRecord> SigmaRecordFor(
       const DependencySet& deps, const std::string& sigma_key);
-
-  // Check()'s body, minus the public-entry stats increment.
-  Result<EngineVerdict> CheckCounted(const ConjunctiveQuery& q,
-                                     const ConjunctiveQuery& q_prime,
-                                     const DependencySet& deps,
-                                     bool cache_chase_prefix);
 
   // Write-behind: schedules one tier-stack flush on the executor unless one
   // is already queued. The decision path buffers into the tiers' in-memory
@@ -478,7 +438,6 @@ class ContainmentEngine {
     std::atomic<uint64_t> checks{0};
     std::atomic<uint64_t> cache_hits{0};
     std::atomic<uint64_t> cache_misses{0};
-    std::atomic<uint64_t> chase_prefix_reuses{0};
     std::atomic<uint64_t> chases_built{0};
     // store/remote hit+write counts live in the tiers themselves
     // (tier_stats()); stats() derives the EngineStats rollups from there.
@@ -501,12 +460,10 @@ class ContainmentEngine {
   };
   AtomicStats stats_;
 
-  mutable std::mutex mu_;  // guards the two caches below (the verdict tiers
+  mutable std::mutex mu_;  // guards sigma_cache_ (the verdict tiers
                            // synchronize themselves)
   using SigmaCache = LruCache<std::shared_ptr<const SigmaRecord>>;
   SigmaCache sigma_cache_;
-  using ChaseCache = LruCache<std::shared_ptr<SharedChase>>;
-  ChaseCache chase_cache_;
 
   // Outstanding request states, so destruction can cancel them all — the
   // futures may have been dropped, and without this a no-deadline

@@ -25,7 +25,7 @@
 // previous block, or carves a fresh one at the top of the region, so ids
 // strictly increase within one shard (one chase) whichever blocks it
 // reuses. The chase region's slabs are thus bounded by the blocks held at
-// one time (live and parked chases, in-flight streaming calls), not by the
+// one time (live chases, in-flight streaming calls), not by the
 // number of decisions ever made. A recycled id names nothing once its
 // chase is gone: results that outlive a chase either drop chase NDVs
 // (stored verdicts), treat them as opaque ids (witness homomorphisms), or

@@ -357,13 +357,14 @@ TEST(EvolveSigmaDifferentialTest, RetaggedVerdictsMatchColdEngine) {
   EXPECT_GT(warm.stats().monotone_hits, 0u);
 }
 
-// A shared chase prefix indexes the Σ it was built on, not the Σ of a later
-// asker with the same canonical key but another dependency order: Σ_fwd =
-// [A⊆B, X⊆Y] builds the prefix of A(x, y), Σ_rev = [X⊆Y, A⊆B] resumes it.
-// The resumed decision used A⊆B; had its lineage been read against Σ_rev's
-// order it would name X⊆Y, and removing A⊆B would keep the entry exact and
-// serve "contained" where a cold engine says "not contained".
-TEST(EvolveSigmaDifferentialTest, ReorderedSigmaResumingAPrefixKeepsLineage) {
+// A chase indexes the Σ of the record's plan, not the Σ of a later asker
+// with the same canonical key but another dependency order: Σ_fwd =
+// [A⊆B, X⊆Y] builds the Σ record, and a Σ_rev = [X⊆Y, A⊆B] asker's chase
+// runs on its plan. That decision used A⊆B; had its lineage been read
+// against Σ_rev's order it would name X⊆Y, and removing A⊆B would keep the
+// entry exact and serve "contained" where a cold engine says "not
+// contained".
+TEST(EvolveSigmaDifferentialTest, ReorderedSigmaAskerKeepsTheRecordsLineage) {
   Catalog catalog;
   SymbolTable symbols;
   const RelationId a = *catalog.AddRelation("A", {"x", "y"});
@@ -390,10 +391,9 @@ TEST(EvolveSigmaDifferentialTest, ReorderedSigmaResumingAPrefixKeepsLineage) {
   Result<EngineVerdict> built = warm.Check(q, one_b, fwd);
   ASSERT_TRUE(built.ok());
   EXPECT_TRUE(built->report.contained);
-  Result<EngineVerdict> resumed = warm.Check(q, two_b, rev);
-  ASSERT_TRUE(resumed.ok());
-  EXPECT_TRUE(resumed->report.contained);
-  ASSERT_EQ(warm.stats().chase_prefix_reuses, 1u);
+  Result<EngineVerdict> reordered = warm.Check(q, two_b, rev);
+  ASSERT_TRUE(reordered.ok());
+  EXPECT_TRUE(reordered->report.contained);
 
   const DeltaReceipt receipt = warm.EvolveSigma(rev, xy_only);
   EXPECT_EQ(receipt.dropped, 2u);  // both decisions fired A⊆B
@@ -407,9 +407,8 @@ TEST(EvolveSigmaDifferentialTest, ReorderedSigmaResumingAPrefixKeepsLineage) {
   EXPECT_EQ(reask->report.contained, truth->report.contained);
 }
 
-// The same world down every chase path of a request with a Σ record —
-// shared prefix, unshared chase (chase_cache_capacity = 0) and Minimize's
-// cache_chase_prefix=false probes — each on the record's compiled plan.
+// The same world down both chase paths of a request with a Σ record —
+// Check and Minimize's probes — each on the record's compiled plan.
 // Whichever of Σ_fwd / Σ_rev built the record, EvolveSigma must keep and
 // drop the same entries, and every re-ask must match a cold engine.
 TEST(EvolveSigmaDifferentialTest, ReorderedSigmaLineageOnEveryChasePath) {
@@ -440,19 +439,16 @@ TEST(EvolveSigmaDifferentialTest, ReorderedSigmaLineageOnEveryChasePath) {
 
   struct Path {
     const char* name;
-    size_t chase_cache_capacity;
     bool minimize;
   };
-  for (const Path& path : {Path{"shared prefix", 32, false},
-                           Path{"unshared chase", 0, false},
-                           Path{"minimize probes", 32, true}}) {
+  for (const Path& path :
+       {Path{"check", false}, Path{"minimize probes", true}}) {
     std::optional<DeltaReceipt> first;
     for (const DependencySet* builder : {&fwd, &rev}) {
       SCOPED_TRACE(StrCat(path.name, " builder=",
                           builder == &fwd ? "fwd" : "rev"));
       EngineConfig config;
       config.route_streaming_single_conjunct = false;  // chase → lineage
-      config.chase_cache_capacity = path.chase_cache_capacity;
       ContainmentEngine warm(&catalog, &symbols, config);
       warm.Analyze(*builder);  // the record takes the builder's order
       if (path.minimize) {
@@ -499,6 +495,60 @@ TEST(EvolveSigmaDifferentialTest, ReorderedSigmaLineageOnEveryChasePath) {
       }
     }
   }
+}
+
+// A decision's lineage is what its own chase used, not what an earlier
+// decision about the same Q drove the chase to. Σ = {A⊆B, B⊆C}: Q'₁ needs
+// level 2 and fires both INDs; Q'₂ needs level 1 and fires only A⊆B.
+// Removing B⊆C must keep Q'₂'s entry exact (it never relied on B⊆C) and
+// drop Q'₁'s, and both re-asks must match a cold engine.
+TEST(EvolveSigmaDifferentialTest, LineageIsTheDecidingChasesOwn) {
+  Catalog catalog;
+  SymbolTable symbols;
+  const RelationId a = *catalog.AddRelation("A", {"x", "y"});
+  const RelationId b = *catalog.AddRelation("B", {"x", "y"});
+  const RelationId c = *catalog.AddRelation("C", {"x", "y"});
+  const InclusionDependency ab{a, {0}, b, {0}};
+  const InclusionDependency bc{b, {1}, c, {0}};
+  DependencySet full, ab_only;
+  ASSERT_TRUE(full.AddInd(catalog, ab).ok());
+  ASSERT_TRUE(full.AddInd(catalog, bc).ok());
+  ASSERT_TRUE(ab_only.AddInd(catalog, ab).ok());
+  const ConjunctiveQuery q = *ParseQuery(catalog, symbols, "ans(x) :- A(x, y)");
+  const ConjunctiveQuery deep =
+      *ParseQuery(catalog, symbols, "ans(x) :- B(x, z), C(z, w)");
+  const ConjunctiveQuery shallow =
+      *ParseQuery(catalog, symbols, "ans(x) :- B(x, z)");
+
+  EngineConfig config;
+  config.route_streaming_single_conjunct = false;  // chase → lineage capture
+  ContainmentEngine warm(&catalog, &symbols, config);
+  Result<EngineVerdict> first = warm.Check(q, deep, full);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_TRUE(first->report.contained);
+  EXPECT_EQ(first->report.witness_max_level, 2u);
+  Result<EngineVerdict> second = warm.Check(q, shallow, full);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_TRUE(second->report.contained);
+  EXPECT_EQ(second->report.witness_max_level, 1u);
+
+  const DeltaReceipt receipt = warm.EvolveSigma(full, ab_only);
+  EXPECT_EQ(receipt.kept_exact, 1u);  // Q'₂ fired only A⊆B
+  EXPECT_EQ(receipt.dropped, 1u);     // Q'₁ fired B⊆C
+
+  ContainmentEngine cold(&catalog, &symbols, config);
+  Result<EngineVerdict> reask_shallow = warm.Check(q, shallow, ab_only);
+  Result<EngineVerdict> truth_shallow = cold.Check(q, shallow, ab_only);
+  ASSERT_TRUE(reask_shallow.ok() && truth_shallow.ok());
+  EXPECT_TRUE(reask_shallow->cache_hit);  // served by the exact survivor
+  EXPECT_TRUE(truth_shallow->report.contained);
+  EXPECT_EQ(reask_shallow->report.contained, truth_shallow->report.contained);
+  Result<EngineVerdict> reask_deep = warm.Check(q, deep, ab_only);
+  Result<EngineVerdict> truth_deep = cold.Check(q, deep, ab_only);
+  ASSERT_TRUE(reask_deep.ok() && truth_deep.ok());
+  EXPECT_FALSE(reask_deep->cache_hit);
+  EXPECT_FALSE(truth_deep->report.contained);
+  EXPECT_EQ(reask_deep->report.contained, truth_deep->report.contained);
 }
 
 // An empty edit is the identity: nothing examined, nothing dropped, caches

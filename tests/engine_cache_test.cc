@@ -1,9 +1,8 @@
 // The ContainmentEngine's memoization layer: canonical keys are invariant
 // under variable renaming and conjunct permutation (and only then), verdict
-// caching hits on isomorphic re-asks and misses on Σ changes, chase prefixes
-// are resumed across Q' variations, and — the soundness contract — verdicts
-// with the cache on are identical to verdicts with it off, inline and over
-// SubmitAll bursts.
+// caching hits on isomorphic re-asks and misses on Σ changes, and — the
+// soundness contract — verdicts with the cache on are identical to verdicts
+// with it off, inline and over SubmitAll bursts.
 #include <gtest/gtest.h>
 
 #include <stdlib.h>
@@ -282,31 +281,17 @@ TEST_F(CacheTest, MissOnSigmaChange) {
   EXPECT_EQ(engine.stats().cache_hits, 0u);
 }
 
-TEST_F(CacheTest, ChasePrefixReusedAcrossDifferentQPrimes) {
-  EngineConfig config;
-  config.route_streaming_single_conjunct = false;  // force the chase route
-  ContainmentEngine engine(&catalog_, &symbols_, config);
-  ConjunctiveQuery q = Parse("ans(u) :- R(u, v)");
-  ConjunctiveQuery qp1 = Parse("ans(f) :- S(f, g)");
-  ConjunctiveQuery qp2 = Parse("ans(e2) :- R(e2, f2), S(f2, g2)");
-
-  ASSERT_TRUE(engine.Check(q, qp1, deps_).ok());
-  ASSERT_TRUE(engine.Check(q, qp2, deps_).ok());
-  EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.chases_built, 1u);
-  EXPECT_GE(stats.chase_prefix_reuses, 1u);
-}
-
-TEST_F(CacheTest, ExhaustedCachedChaseStillYieldsContainedVerdict) {
-  // A chase that tripped max_conjuncts gets re-cached; a later trivially-
-  // contained ask that resumes it re-trips the sticky limit before its
-  // first per-level search. The final-search-on-exhaustion path must still
-  // find the witness, keeping cache-on verdicts identical to cache-off.
+TEST_F(CacheTest, BudgetTripStillYieldsAWitnessFromThePartialLevel) {
+  // Under max_conjuncts = 6 the chase of Q completes level 1 (4 facts) and
+  // trips while expanding level 2, so no per-level search ever sees level 2:
+  // the absent Q' proves the trip. The deep Q' needs a level-2 fact, which
+  // the tripped expansion did mint; the search made after the trip must
+  // find it, turning kResourceExhausted into a sound "contained".
   DependencySet cyclic = *ParseDependencies(
       catalog_, "R[2] <= R[1]\nR[2] <= S[1]\nS[2] <= R[1]");
   ConjunctiveQuery q = Parse("ans(u) :- R(u, v), S(v, w)");
   ConjunctiveQuery absent = Parse("ans(e) :- R(e, '9')");
-  ConjunctiveQuery trivial = Parse("ans(m) :- R(m, k)");
+  ConjunctiveQuery deep = Parse("ans(m) :- R(m, k), R(k, j), R(j, i)");
 
   EngineConfig config;
   config.containment.limits.max_conjuncts = 6;
@@ -317,10 +302,11 @@ TEST_F(CacheTest, ExhaustedCachedChaseStillYieldsContainedVerdict) {
   ASSERT_FALSE(first.ok());
   EXPECT_EQ(first.status().code(), StatusCode::kResourceExhausted);
 
-  Result<EngineVerdict> second = engine.Check(q, trivial, cyclic);
+  Result<EngineVerdict> second = engine.Check(q, deep, cyclic);
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_TRUE(second->report.contained);
-  EXPECT_GE(engine.stats().chase_prefix_reuses, 1u);
+  EXPECT_EQ(second->report.witness_max_level, 2u);
+  EXPECT_EQ(engine.stats().chases_built, 2u);
 }
 
 TEST_F(CacheTest, ClearCachesForgetsVerdicts) {
@@ -420,8 +406,8 @@ TEST(CacheParityTest, IdenticalVerdictsWithCacheOnAndOffAcrossScenarios) {
 }
 
 // The differential contract over generated Σs of every decidable class,
-// each asked in two dependency orders that share one Σ record and one chase
-// prefix per Q: a caching engine serves exactly the cache-less verdicts on
+// each asked in two dependency orders that share one Σ record: a caching
+// engine serves exactly the cache-less verdicts on
 // Check, Submit, SubmitAll and warm re-asks, and every certificate it
 // returns verifies against the asker's own Σ.
 TEST(CacheParityTest, CachingEngineMatchesCachelessAcrossSigmaOrders) {
@@ -496,7 +482,6 @@ TEST(CacheParityTest, CachingEngineMatchesCachelessAcrossSigmaOrders) {
   }
   EXPECT_GT(contained, 0u);
   EXPECT_GT(certified, 0u);
-  EXPECT_GT(on.stats().chase_prefix_reuses, 0u);
 }
 
 // --- Σ records: one per canonical Σ, shared by every dependency order --------
@@ -530,26 +515,6 @@ class ReorderedSigmaTest : public ::testing::Test {
   EngineConfig config_;
 };
 
-// A Σ_rev asker resuming the prefix Σ_fwd built gets a certificate whose
-// steps cite Σ_rev's IND numbering.
-TEST_F(ReorderedSigmaTest, CertificateFromAResumedPrefixCitesTheAskersInds) {
-  ContainmentEngine engine(&catalog_, &symbols_, config_);
-  const ConjunctiveQuery q = Parse("ans(x) :- A(x, y)");
-  const ConjunctiveQuery one_b = Parse("ans(x) :- B(x, z)");
-  const ConjunctiveQuery two_b = Parse("ans(x) :- B(x, z), B(x, w)");
-  ASSERT_TRUE(engine.Check(q, one_b, fwd_).ok());
-
-  Result<EngineOutcome> submitted = DecideCertified(engine, q, two_b, rev_);
-  ASSERT_TRUE(submitted.ok() && submitted->certificate.has_value());
-  ASSERT_FALSE(submitted->certificate->steps.empty());
-  EXPECT_EQ(submitted->certificate->steps[0].ind_index, 1u);  // A⊆B in Σ_rev
-  EXPECT_TRUE(
-      VerifyCertificate(*submitted->certificate, q, two_b, rev_, symbols_)
-          .ok());
-  EXPECT_EQ(engine.stats().chases_built, 1u);
-  EXPECT_EQ(engine.stats().chase_prefix_reuses, 1u);
-}
-
 // A fresh chase runs on the Σ record's copy, which keeps the order of the
 // asker that built the record (here Σ_fwd); a Σ_rev certificate from it
 // still cites Σ_rev's numbering.
@@ -567,8 +532,7 @@ TEST_F(ReorderedSigmaTest, CertificateFromTheRecordsCopyCitesTheAskersInds) {
 
 // Every chase of a request with a Σ record runs on the record's compiled
 // plan, whose IND numbering is that of whichever order built the record.
-// Down each chase path — shared prefix, an unshared chase
-// (chase_cache_capacity = 0) and the cache_chase_prefix=false probes of
+// Down each chase path — Check, certificate requests and the probes of
 // Minimize / IsNonMinimal — and for every (builder, asker) order pair,
 // verdicts must equal a cache-less engine's and every certificate must
 // verify against the asker's Σ.
@@ -586,44 +550,38 @@ TEST_F(ReorderedSigmaTest, EveryChasePathRunsOnTheRecordsPlan) {
   EngineConfig cacheless = config_;
   cacheless.enable_cache = false;
   ContainmentEngine truth(&catalog_, &symbols_, cacheless);
-  EngineConfig unshared = config_;
-  unshared.chase_cache_capacity = 0;
 
-  for (const EngineConfig& config : {config_, unshared}) {
-    for (const DependencySet* builder : {&fwd_, &rev_}) {
-      for (const DependencySet* asker : {&fwd_, &rev_}) {
-        SCOPED_TRACE(StrCat("chase_cache_capacity=",
-                            config.chase_cache_capacity, " builder=",
-                            builder == &fwd_ ? "fwd" : "rev", " asker=",
-                            asker == &fwd_ ? "fwd" : "rev"));
-        ContainmentEngine engine(&catalog_, &symbols_, config);
-        engine.Analyze(*builder);  // the record takes the builder's order
-        for (const ConjunctiveQuery& qp : rhs) {
-          Result<EngineVerdict> want = truth.Check(q, qp, *asker);
-          Result<EngineVerdict> got = engine.Check(q, qp, *asker);
-          ASSERT_TRUE(want.ok() && got.ok());
-          EXPECT_EQ(got->report.contained, want->report.contained);
-          Result<EngineOutcome> cert = DecideCertified(engine, q, qp, *asker);
-          ASSERT_TRUE(cert.ok()) << cert.status();
-          ASSERT_EQ(cert->certificate.has_value(), want->report.contained);
-          if (cert->certificate.has_value()) {
-            EXPECT_TRUE(VerifyCertificate(*cert->certificate, q, qp, *asker,
-                                          symbols_)
-                            .ok());
-          }
+  for (const DependencySet* builder : {&fwd_, &rev_}) {
+    for (const DependencySet* asker : {&fwd_, &rev_}) {
+      SCOPED_TRACE(StrCat("builder=", builder == &fwd_ ? "fwd" : "rev",
+                          " asker=", asker == &fwd_ ? "fwd" : "rev"));
+      ContainmentEngine engine(&catalog_, &symbols_, config_);
+      engine.Analyze(*builder);  // the record takes the builder's order
+      for (const ConjunctiveQuery& qp : rhs) {
+        Result<EngineVerdict> want = truth.Check(q, qp, *asker);
+        Result<EngineVerdict> got = engine.Check(q, qp, *asker);
+        ASSERT_TRUE(want.ok() && got.ok());
+        EXPECT_EQ(got->report.contained, want->report.contained);
+        Result<EngineOutcome> cert = DecideCertified(engine, q, qp, *asker);
+        ASSERT_TRUE(cert.ok()) << cert.status();
+        ASSERT_EQ(cert->certificate.has_value(), want->report.contained);
+        if (cert->certificate.has_value()) {
+          EXPECT_TRUE(
+              VerifyCertificate(*cert->certificate, q, qp, *asker, symbols_)
+                  .ok());
         }
-        Result<MinimizeReport> minimized = engine.Minimize(redundant, *asker);
-        Result<MinimizeReport> want_min = truth.Minimize(redundant, *asker);
-        ASSERT_TRUE(minimized.ok() && want_min.ok());
-        EXPECT_EQ(CanonicalQueryKey(minimized->query),
-                  CanonicalQueryKey(want_min->query));
-        EXPECT_EQ(CanonicalQueryKey(minimized->query),
-                  CanonicalQueryKey(minimal));
-        Result<bool> non_minimal = engine.IsNonMinimal(redundant, *asker);
-        ASSERT_TRUE(non_minimal.ok());
-        EXPECT_TRUE(*non_minimal);
-        EXPECT_EQ(engine.cache_sizes().sigma_entries, 1u);
       }
+      Result<MinimizeReport> minimized = engine.Minimize(redundant, *asker);
+      Result<MinimizeReport> want_min = truth.Minimize(redundant, *asker);
+      ASSERT_TRUE(minimized.ok() && want_min.ok());
+      EXPECT_EQ(CanonicalQueryKey(minimized->query),
+                CanonicalQueryKey(want_min->query));
+      EXPECT_EQ(CanonicalQueryKey(minimized->query),
+                CanonicalQueryKey(minimal));
+      Result<bool> non_minimal = engine.IsNonMinimal(redundant, *asker);
+      ASSERT_TRUE(non_minimal.ok());
+      EXPECT_TRUE(*non_minimal);
+      EXPECT_EQ(engine.cache_sizes().sigma_entries, 1u);
     }
   }
 }
@@ -657,7 +615,7 @@ TEST_F(ReorderedSigmaTest, InsertionOrdersShareOneRecordAndItsFingerprint) {
   }
 }
 
-// --- LRU eviction and per-cache capacity knobs -------------------------------
+// --- LRU eviction, cache independence and the NDV region ---------------------
 
 TEST_F(CacheTest, VerdictCacheEvictsLeastRecentlyUsedNotOldest) {
   EngineConfig config;
@@ -682,69 +640,12 @@ TEST_F(CacheTest, VerdictCacheEvictsLeastRecentlyUsedNotOldest) {
   }
 }
 
-TEST_F(CacheTest, ChaseCacheEvictsLeastRecentlyUsedNotOldest) {
-  EngineConfig config;
-  config.verdict_cache_capacity = 0;  // force every check down to the chase
-  config.chase_cache_capacity = 2;
-  config.route_streaming_single_conjunct = false;
-  ContainmentEngine engine(&catalog_, &symbols_, config);
-  ConjunctiveQuery qp = Parse("ans(p) :- R(p, p0)");
-
-  ConjunctiveQuery a = Parse("ans(u) :- R(u, v), S(v, w)");
-  ASSERT_TRUE(engine.Check(a, qp, deps_).ok());
-  const int kRounds = 5;
-  for (int i = 0; i < kRounds; ++i) {
-    ASSERT_TRUE(engine.Check(a, qp, deps_).ok());  // touches A's prefix
-    ConjunctiveQuery filler =
-        Parse(StrCat("ans(f", i, ") :- R(f", i, ", 'c", i, "'), S(f", i,
-                     ", g", i, ")"));
-    ASSERT_TRUE(engine.Check(filler, qp, deps_).ok());
-    EXPECT_LE(engine.cache_sizes().chase_entries, 2u);
-  }
-  EngineStats stats = engine.stats();
-  // A's chase was built once and resumed every round; FIFO eviction would
-  // have rebuilt it each time the fillers cycled the cache.
-  EXPECT_EQ(stats.chases_built, 1u + kRounds);
-  EXPECT_EQ(stats.chase_prefix_reuses, static_cast<uint64_t>(kRounds));
-}
-
-TEST_F(CacheTest, ChaseCacheHammeredAtCapacityStaysBoundedAndConsistent) {
-  // Regression for the old exclusive-checkout bookkeeping (O(n) fifo scan,
-  // entries erased while in use): hammer acquire/release through a tiny
-  // cache and require bounded size plus stable verdicts throughout.
-  EngineConfig config;
-  config.verdict_cache_capacity = 0;
-  config.chase_cache_capacity = 4;
-  config.route_streaming_single_conjunct = false;
-  ContainmentEngine engine(&catalog_, &symbols_, config);
-  ConjunctiveQuery qp = Parse("ans(p) :- R(p, p0), S(p0, p1)");
-
-  std::vector<ConjunctiveQuery> qs;
-  for (int i = 0; i < 12; ++i) {
-    qs.push_back(Parse(StrCat("ans(h", i, ") :- R(h", i, ", 'v", i, "')")));
-  }
-  std::vector<bool> first_verdicts;
-  for (int round = 0; round < 3; ++round) {
-    for (size_t i = 0; i < qs.size(); ++i) {
-      Result<EngineVerdict> v = engine.Check(qs[i], qp, deps_);
-      ASSERT_TRUE(v.ok()) << "round " << round << " q " << i;
-      if (round == 0) {
-        first_verdicts.push_back(v->report.contained);
-      } else {
-        EXPECT_EQ(v->report.contained, first_verdicts[i])
-            << "round " << round << " q " << i;
-      }
-      EXPECT_LE(engine.cache_sizes().chase_entries, 4u);
-    }
-  }
-}
-
-TEST_F(CacheTest, ParkedChasesDoNotStrandNdvBlocks) {
-  // Every decision below parks its chase in the prefix cache, NDV blocks
-  // and all. Evicting a chase frees its blocks for the next chase, so the
-  // chase region stays within the blocks the cache (plus the one deciding
-  // chase) holds, and the table region — the NDVs that live as long as the
-  // table — stays within a block of what the table itself named.
+TEST_F(CacheTest, ColdDecisionsDoNotStrandNdvBlocks) {
+  // Every decision below builds a chase that mints NDVs and returns its
+  // blocks when the decision ends, so the chase region stays within the
+  // blocks of the one deciding chase (two, for slack), and the table
+  // region — the NDVs that live as long as the table — stays within a
+  // block of what the table itself named.
   constexpr int kDecisions = 1000;
   std::vector<ConjunctiveQuery> qs;
   for (int i = 0; i < kDecisions; ++i) {
@@ -752,7 +653,7 @@ TEST_F(CacheTest, ParkedChasesDoNotStrandNdvBlocks) {
   }
   ConjunctiveQuery qp = Parse("ans(p) :- R(p, p0), S(p0, p1)");
 
-  EngineConfig config;  // default chase cache
+  EngineConfig config;
   config.executor_threads = 1;
   ContainmentEngine engine(&catalog_, &symbols_, config);
   const uint64_t minted_before = symbols_.num_nondist_vars();
@@ -768,18 +669,17 @@ TEST_F(CacheTest, ParkedChasesDoNotStrandNdvBlocks) {
             static_cast<uint64_t>(kDecisions));
   EXPECT_LE(symbols_.ndv_high_water(),
             symbols_.num_nondist_vars() + SymbolTable::kNdvBlockSize);
-  EXPECT_LE(symbols_.chase_ndv_slots(), (config.chase_cache_capacity + 2) *
-                                            SymbolTable::kNdvBlockSize);
+  EXPECT_LE(symbols_.chase_ndv_slots(), 2 * SymbolTable::kNdvBlockSize);
 }
 
 TEST_F(CacheTest, ChaseRegionIsTheSameAfterOneAndTenThousandColdDecisions) {
   // The chase region is bounded by the chases alive at once, not by the
   // decisions made: 9 000 more cold decisions, each minting NDVs into a
-  // chase that is parked and later evicted, carve no further slots.
+  // chase that dies with its decision, carve no further slots.
   constexpr int kFirst = 1000;
   constexpr int kTotal = 10000;
   ConjunctiveQuery qp = Parse("ans(p) :- R(p, p0), S(p0, p1)");
-  EngineConfig config;  // default chase cache
+  EngineConfig config;
   config.executor_threads = 1;
   ContainmentEngine engine(&catalog_, &symbols_, config);
   size_t slots_after_first = 0;
@@ -795,16 +695,14 @@ TEST_F(CacheTest, ChaseRegionIsTheSameAfterOneAndTenThousandColdDecisions) {
   EXPECT_EQ(engine.stats().chases_built, static_cast<uint64_t>(kTotal));
   EXPECT_GE(symbols_.num_nondist_vars(), static_cast<uint64_t>(kTotal));
   EXPECT_EQ(symbols_.chase_ndv_slots(), slots_after_first);
-  EXPECT_LE(slots_after_first, (config.chase_cache_capacity + 2) *
-                                   SymbolTable::kNdvBlockSize);
+  EXPECT_LE(slots_after_first, 2 * SymbolTable::kNdvBlockSize);
 }
 
 TEST_F(CacheTest, CertificateOutlivesItsChaseAndItsRecycledBlock) {
   // A certificate copies the provenance of the NDVs it cites: after its
-  // chase is evicted and another chase mints into the same ids, it prints
-  // the same bytes and still verifies.
+  // chase is gone and another chase mints into the same ids, it prints the
+  // same bytes and still verifies.
   EngineConfig config;
-  config.chase_cache_capacity = 1;
   config.executor_threads = 1;
   ContainmentEngine engine(&catalog_, &symbols_, config);
   ConjunctiveQuery q = Parse("ans(h) :- R(h, 'v')");
@@ -817,10 +715,14 @@ TEST_F(CacheTest, CertificateOutlivesItsChaseAndItsRecycledBlock) {
   const Term cited = c.steps[0].fact.terms[1];  // S('v', n)
   ASSERT_TRUE(SymbolTable::IsChaseRegionNdv(cited));
   const std::string text = c.ToString(catalog_, symbols_);
-  EXPECT_NE(text.find(symbols_.Name(cited)), std::string::npos);
+  // Its chase is already gone: the text renders the NDV from the
+  // certificate's own copy of the provenance.
+  EXPECT_NE(text.find(SymbolTable::ChaseNdvName(cited.id(),
+                                                c.ndv_provenance.at(cited))),
+            std::string::npos);
 
-  // Churn under a Σ whose chase mints into column 0: each decision evicts
-  // the previous chase (capacity 1) and reuses its block.
+  // Churn under a Σ whose chase mints into column 0: each decision reuses
+  // the block the previous decision's chase returned.
   DependencySet other = *ParseDependencies(catalog_, "R[1] <= S[2]");
   ConjunctiveQuery other_qp = Parse("ans(p) :- R(p, p0), S(p1, p)");
   for (int i = 0; i < 4; ++i) {
@@ -830,10 +732,14 @@ TEST_F(CacheTest, CertificateOutlivesItsChaseAndItsRecycledBlock) {
     ASSERT_TRUE(v.ok()) << v.status();
     ASSERT_TRUE(v->report.contained);
   }
+  // A chase alive now mints into the same block: the cited id names its
+  // NDV, which the table renders differently.
+  Chase live(&catalog_, &symbols_, &other, ChaseVariant::kRequired,
+             config.containment.limits);
+  ASSERT_TRUE(live.Init(Parse("ans(h) :- R(h, 'w')")).ok());
+  ASSERT_TRUE(live.Run().ok());
   EXPECT_EQ(c.ToString(catalog_, symbols_), text);
   EXPECT_TRUE(VerifyCertificate(c, q, qp, deps_, symbols_).ok());
-  // The block really was reused: the cited id now names the last churn
-  // chase's NDV, which the table renders differently.
   EXPECT_EQ(symbols_.chase_ndv_slots(), SymbolTable::kNdvBlockSize);
   EXPECT_EQ(text.find(symbols_.Name(cited)), std::string::npos);
 }
@@ -899,56 +805,28 @@ TEST_F(CacheTest, StreamingDecisionsLeaveTheNameIndexAlone) {
 }
 
 TEST_F(CacheTest, SigmaCacheSizesIndependentlyOfVerdictCache) {
+  // A verdict cache of capacity 0 must not constrain Σ records: every
+  // distinct Σ keeps its record, and repeats share one. LruCacheTest covers
+  // eviction itself.
   EngineConfig config;
-  config.sigma_cache_capacity = 2;
-  config.verdict_cache_capacity = 64;
+  config.verdict_cache_capacity = 0;
   ContainmentEngine engine(&catalog_, &symbols_, config);
   std::vector<DependencySet> sigmas;
   sigmas.push_back(*ParseDependencies(catalog_, "R[1] <= S[1]"));
   sigmas.push_back(*ParseDependencies(catalog_, "R[2] <= S[1]"));
   sigmas.push_back(*ParseDependencies(catalog_, "R[2] <= S[2]"));
   sigmas.push_back(*ParseDependencies(catalog_, "S[1] <= R[1]"));
-  for (const DependencySet& s : sigmas) engine.Analyze(s);
-  EXPECT_EQ(engine.cache_sizes().sigma_entries, 2u);
-
-  // The converse: a starved verdict cache must not constrain Σ analyses
-  // (the old code evicted the sigma cache against verdict_cache_capacity).
-  EngineConfig tight;
-  tight.verdict_cache_capacity = 1;
-  tight.sigma_cache_capacity = 64;
-  ContainmentEngine tight_engine(&catalog_, &symbols_, tight);
   ConjunctiveQuery q = Parse("ans(u) :- R(u, v)");
   ConjunctiveQuery qp = Parse("ans(u) :- R(u, v), S(v, w)");
-  for (const DependencySet& s : sigmas) {
-    ASSERT_TRUE(tight_engine.Check(q, qp, s).ok());
+  for (int round = 0; round < 2; ++round) {
+    for (const DependencySet& s : sigmas) {
+      Result<EngineVerdict> v = engine.Check(q, qp, s);
+      ASSERT_TRUE(v.ok()) << v.status();
+      EXPECT_FALSE(v->cache_hit);
+    }
   }
-  EXPECT_EQ(tight_engine.cache_sizes().sigma_entries, sigmas.size());
-  EXPECT_EQ(tight_engine.cache_sizes().verdict_entries, 1u);
-}
-
-// --- Minimization probes must not pollute the chase-prefix cache -------------
-
-TEST(CacheProbeTest, MinimizeLeavesChaseCacheEmpty) {
-  // Each candidate probe chases a one-shot query whose exact key never
-  // repeats; caching those prefixes would pin up to chase_cache_capacity
-  // dead chases. Tagged non-cacheable, minimization must leave the chase
-  // cache empty while still warming the verdict cache.
-  Catalog catalog;
-  ASSERT_TRUE(catalog.AddRelation("R", {"a", "b"}).ok());
-  ASSERT_TRUE(catalog.AddRelation("S", {"x", "y"}).ok());
-  SymbolTable symbols;
-  DependencySet deps = *ParseDependencies(catalog, "R[2] <= S[1]");
-  Result<ConjunctiveQuery> q = ParseQuery(
-      catalog, symbols,
-      "ans(u) :- R(u, v), S(v, w), S(v, w2), R(u, v2), S(v2, w3)");
-  ASSERT_TRUE(q.ok());
-
-  ContainmentEngine engine(&catalog, &symbols);
-  Result<MinimizeReport> report = engine.Minimize(*q, deps);
-  ASSERT_TRUE(report.ok());
-  EXPECT_GT(report->containment_checks, 0u);
-  EXPECT_EQ(engine.cache_sizes().chase_entries, 0u);
-  EXPECT_GT(engine.cache_sizes().verdict_entries, 0u);
+  EXPECT_EQ(engine.cache_sizes().sigma_entries, sigmas.size());
+  EXPECT_EQ(engine.cache_sizes().verdict_entries, 0u);
 }
 
 // --- The optimizer's minimization through the warm engine --------------------

@@ -1,9 +1,9 @@
-// Concurrency stress for the sharded symbol arena and the engine's shared
-// chase-prefix cache. Every test here is also a ThreadSanitizer target:
+// Concurrency stress for the sharded symbol arena and the engine's
+// concurrent decisions. Every test here is also a ThreadSanitizer target:
 // ci.sh builds this binary (plus the other engine/chase tests) under
 // -fsanitize=thread and fails CI on any reported race. The assertions cover
-// correctness (distinct ids, verdict parity with a sequential oracle,
-// single shared chase per exact key); TSan covers the memory model.
+// correctness (distinct ids, verdict parity with a sequential oracle, NDV
+// blocks returned once decisions end); TSan covers the memory model.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -117,7 +117,7 @@ TEST(ShardConcurrencyTest, ShardMintingInterleavedWithLockedInterning) {
 }
 
 // A SubmitAll workload mixing distinct canonical keys, exact repeats (shared
-// verdict keys), and one fixed Q probed against many Q' (shared chase key).
+// verdict keys), and one fixed Q probed against many Q'.
 // unique_ptrs keep the catalog / symbol-table addresses stable across moves
 // of the workload itself — the queries hold pointers into them.
 struct StressWorkload {
@@ -153,7 +153,7 @@ StressWorkload BuildStressWorkload() {
     qp.name_prefix = StrCat("dr", i);
     w.queries.push_back(RandomQuery(rng, *w.catalog, *w.symbols, qp));
   }
-  // One fixed Q against several Q' (same exact chase key, distinct verdicts).
+  // One fixed Q against several Q' (distinct verdicts).
   RandomQueryParams fixed;
   fixed.num_conjuncts = 4;
   fixed.name_prefix = "fx";
@@ -196,9 +196,6 @@ TEST(SubmitAllConcurrencyTest, EightWorkerFanOutMatchesSequentialOracle) {
 
   EngineConfig threaded_config;
   threaded_config.executor_threads = 8;
-  // A tiny chase cache forces eviction while entries are in use; the
-  // reference-counted entries must keep in-flight chases alive.
-  threaded_config.chase_cache_capacity = 2;
   ContainmentEngine threaded(w.catalog.get(), w.symbols.get(), threaded_config);
 
   // Two passes through the same engine: cold caches, then warm.
@@ -217,54 +214,12 @@ TEST(SubmitAllConcurrencyTest, EightWorkerFanOutMatchesSequentialOracle) {
   }
 }
 
-TEST(SubmitAllConcurrencyTest, ConcurrentAskersOfOneExactKeyShareOneChase) {
-  Catalog catalog;
-  ASSERT_TRUE(catalog.AddRelation("R", {"a", "b"}).ok());
-  ASSERT_TRUE(catalog.AddRelation("S", {"x", "y"}).ok());
-  SymbolTable symbols;
-  DependencySet deps = *ParseDependencies(catalog, "R[2] <= S[1]\nS[2] <= R[1]");
-  Result<ConjunctiveQuery> q =
-      ParseQuery(catalog, symbols, "ans(u) :- R(u, v), S(v, w)");
-  ASSERT_TRUE(q.ok());
-
-  // Distinct Q' per task => distinct verdict keys, but one exact chase key:
-  // all 16 workers must extend the single shared prefix, not re-chase.
-  std::vector<ConjunctiveQuery> rhs;
-  for (int i = 0; i < 16; ++i) {
-    Result<ConjunctiveQuery> qp = ParseQuery(
-        catalog, symbols,
-        StrCat("ans(p", i, ") :- R(p", i, ", q", i, "), S(q", i, ", 'z", i,
-               "')"));
-    ASSERT_TRUE(qp.ok());
-    rhs.push_back(*std::move(qp));
-  }
-  std::vector<ContainmentRequest> requests;
-  for (int i = 0; i < 16; ++i) {
-    requests.push_back(ContainmentRequest::Borrow(*q, rhs[i], deps));
-  }
-
-  EngineConfig config;
-  config.executor_threads = 8;
-  config.route_streaming_single_conjunct = false;
-  ContainmentEngine engine(&catalog, &symbols, config);
-  std::vector<Result<EngineVerdict>> results =
-      DecideAll(engine, std::move(requests));
-  for (size_t i = 0; i < results.size(); ++i) {
-    ASSERT_TRUE(results[i].ok()) << "task " << i << ": "
-                                 << results[i].status().ToString();
-  }
-  EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.chases_built, 1u);
-  EXPECT_EQ(stats.chase_prefix_reuses, 15u);
-}
-
-TEST(SubmitConcurrencyTest, ParkedChasesRaceBlockRecycling) {
-  // Four executor workers decide cold IND tasks through the shared chase
-  // cache. Evicted chases return their NDV blocks under the table mutex
-  // while other workers' shards lease blocks, and the second ask of each Q
-  // resumes a parked chase that kept its blocks. Verdicts must match a
-  // cache-less sequential oracle, and once the engine is gone every block
-  // is back on the free list.
+TEST(SubmitConcurrencyTest, ConcurrentChasesRaceBlockRecycling) {
+  // Four executor workers decide cold IND tasks, two per Q. Each decision's
+  // chase returns its NDV blocks under the table mutex when it ends, while
+  // other workers' shards lease blocks. Verdicts must match a cache-less
+  // sequential oracle, and once every future has resolved — the engine
+  // still alive — every block is back on the free list.
   Catalog catalog;
   ASSERT_TRUE(catalog.AddRelation("R", {"a", "b"}).ok());
   ASSERT_TRUE(catalog.AddRelation("S", {"x", "y"}).ok());
@@ -299,12 +254,11 @@ TEST(SubmitConcurrencyTest, ParkedChasesRaceBlockRecycling) {
 
   EngineConfig config;
   config.executor_threads = 4;
-  auto engine = std::make_unique<ContainmentEngine>(&catalog, &symbols, config);
+  ContainmentEngine engine(&catalog, &symbols, config);
   std::vector<EngineFuture<EngineOutcome>> futures;
   for (const ConjunctiveQuery& q : qs) {
     for (const ConjunctiveQuery& qp : rhs) {
-      futures.push_back(
-          engine->Submit(ContainmentRequest::Borrow(q, qp, deps)));
+      futures.push_back(engine.Submit(ContainmentRequest::Borrow(q, qp, deps)));
     }
   }
   for (size_t i = 0; i < futures.size(); ++i) {
@@ -312,10 +266,8 @@ TEST(SubmitConcurrencyTest, ParkedChasesRaceBlockRecycling) {
     ASSERT_TRUE(got.ok()) << "task " << i << ": " << got.status();
     EXPECT_EQ(got->verdict.report.contained, expected[i]) << "task " << i;
   }
-  EngineStats stats = engine->stats();
-  EXPECT_GT(stats.chase_prefix_reuses, 0u);
-  engine.reset();
   EXPECT_EQ(symbols.chase_ndv_blocks_held(), 0u);
+  EXPECT_EQ(engine.stats().chases_built, futures.size());
 }
 
 TEST(SubmitConcurrencyTest, StreamingShardsRaceChaseShards) {
@@ -395,70 +347,6 @@ TEST(SubmitConcurrencyTest, StreamingShardsRaceChaseShards) {
     }
   }
   EXPECT_EQ(streamed, static_cast<uint64_t>(kClients * kPerClient / 2));
-  engine.reset();
-  EXPECT_EQ(symbols.chase_ndv_blocks_held(), 0u);
-}
-
-TEST(SubmitConcurrencyTest, ChaseCacheChurnDropsEvictedChasesOffTheLock) {
-  // Four workers churn a two-entry chase cache: nearly every decision
-  // evicts a parked chase, whose destruction frees its NDV blocks (taking
-  // the symbol-table mutex) after the engine mutex is released, while the
-  // other workers' chases lease those blocks and resume surviving entries.
-  // Verdicts must match a cache-less sequential oracle.
-  Catalog catalog;
-  ASSERT_TRUE(catalog.AddRelation("R", {"a", "b"}).ok());
-  ASSERT_TRUE(catalog.AddRelation("S", {"x", "y"}).ok());
-  SymbolTable symbols;
-  DependencySet deps =
-      *ParseDependencies(catalog, "R[2] <= S[1]\nS[2] <= R[1]");
-  auto parse = [&](const std::string& text) {
-    Result<ConjunctiveQuery> q = ParseQuery(catalog, symbols, text);
-    EXPECT_TRUE(q.ok()) << q.status();
-    return *std::move(q);
-  };
-  std::vector<ConjunctiveQuery> qs;
-  for (int i = 0; i < 16; ++i) {
-    qs.push_back(parse(StrCat("ans(h) :- R(h, 'v", i, "')")));
-  }
-  const std::vector<ConjunctiveQuery> rhs = {
-      parse("ans(p) :- R(p, p0), S(p0, p1), R(p1, p2)"),  // contained
-      parse("ans(r) :- R(r, r0), S(r0, 'w')"),            // not contained
-  };
-
-  EngineConfig oracle_config;
-  oracle_config.enable_cache = false;
-  ContainmentEngine oracle(&catalog, &symbols, oracle_config);
-  std::vector<bool> expected;
-  for (const ConjunctiveQuery& q : qs) {
-    for (const ConjunctiveQuery& qp : rhs) {
-      Result<EngineVerdict> v = oracle.Check(q, qp, deps);
-      ASSERT_TRUE(v.ok()) << v.status();
-      expected.push_back(v->report.contained);
-    }
-  }
-
-  EngineConfig config;
-  config.executor_threads = 4;
-  config.verdict_cache_capacity = 0;  // every ask reaches the chase cache
-  config.chase_cache_capacity = 2;
-  auto engine = std::make_unique<ContainmentEngine>(&catalog, &symbols, config);
-  constexpr int kRounds = 3;
-  std::vector<EngineFuture<EngineOutcome>> futures;
-  for (int round = 0; round < kRounds; ++round) {
-    for (const ConjunctiveQuery& q : qs) {
-      for (const ConjunctiveQuery& qp : rhs) {
-        futures.push_back(
-            engine->Submit(ContainmentRequest::Borrow(q, qp, deps)));
-      }
-    }
-  }
-  for (size_t i = 0; i < futures.size(); ++i) {
-    Result<EngineOutcome> got = futures[i].Get();
-    ASSERT_TRUE(got.ok()) << "task " << i << ": " << got.status();
-    EXPECT_EQ(got->verdict.report.contained, expected[i % expected.size()])
-        << "task " << i;
-  }
-  EXPECT_LE(engine->cache_sizes().chase_entries, 2u);
   engine.reset();
   EXPECT_EQ(symbols.chase_ndv_blocks_held(), 0u);
 }

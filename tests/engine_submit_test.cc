@@ -1,8 +1,8 @@
 // The async request/future engine API: Submit/EngineFuture semantics,
 // request-owned input lifetimes, per-request deadlines on a deliberately
 // divergent semi-decision (must resolve kDeadlineExceeded, not hang),
-// cooperative cancellation (must release the shared chase-prefix refcount
-// and entry lock), certificate-carrying outcomes extracted from the
+// cooperative cancellation (must hand the chase's NDV blocks back and leave
+// a re-ask free to run), certificate-carrying outcomes extracted from the
 // decision's own chase (chases_built advances by at most one per request),
 // and SubmitAll bursts keeping request order and flagging null inputs. Runs
 // under TSan in CI.
@@ -164,15 +164,15 @@ TEST_F(SubmitTest, WantCertificateReturnsVerifiedProofWithoutRechase) {
                                 symbols_)
                   .ok());
 
-  // A re-ask resumes the cached chase prefix: zero additional chases, and
-  // the certificate still verifies against the (possibly deeper) prefix.
+  // A certificate re-ask skips the verdict tiers (a stored verdict has no
+  // derivation) and decides on exactly one chase of its own.
   const uint64_t chases_mid = engine.stats().chases_built;
   Result<EngineOutcome> again =
       engine.Submit(ContainmentRequest::Borrow(q_, q_prime_, deps_, options))
           .Get();
   ASSERT_TRUE(again.ok());
   ASSERT_TRUE(again->certificate.has_value());
-  EXPECT_EQ(engine.stats().chases_built, chases_mid);
+  EXPECT_EQ(engine.stats().chases_built, chases_mid + 1);
   EXPECT_TRUE(VerifyCertificate(*again->certificate, q_, q_prime_, deps_,
                                 symbols_)
                   .ok());
@@ -272,7 +272,7 @@ TEST_F(DivergentSubmitTest, AbsoluteDeadlineFormWorksToo) {
   EXPECT_EQ(outcome.status().code(), StatusCode::kDeadlineExceeded);
 }
 
-TEST_F(DivergentSubmitTest, CancelReleasesChasePrefixAndEntryLock) {
+TEST_F(DivergentSubmitTest, CancelReturnsTheChaseAndAReAskRunsItsOwn) {
   ContainmentEngine engine(&catalog_, &symbols_, config_);
   EngineFuture<EngineOutcome> future = engine.Submit(Request());
   // Let the request actually start chasing before cancelling it.
@@ -289,22 +289,19 @@ TEST_F(DivergentSubmitTest, CancelReleasesChasePrefixAndEntryLock) {
   EXPECT_EQ(outcome.status().code(), StatusCode::kCancelled);
   EXPECT_EQ(engine.stats().cancellations, 1u);
 
-  // The cancelled task must have dropped its shared-chase reference AND the
-  // entry's extension lock: a fresh asker of the same exact key must be able
-  // to check the entry out (it resumes the prefix, then trips its own
-  // deadline — promptly, which it could not do against a leaked lock).
-  EXPECT_EQ(engine.cache_sizes().chase_entries, 1u);
+  // The cancelled decision's chase died with it, handing back every NDV
+  // block it leased. A fresh asker of the same task builds its own chase
+  // and trips its own deadline promptly.
+  EXPECT_EQ(symbols_.chase_ndv_blocks_held(), 0u);
   RequestOptions options;
   options.timeout = milliseconds(100);
+  const auto asked = std::chrono::steady_clock::now();
   Result<EngineOutcome> second = engine.Submit(Request(options)).Get();
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_GT(engine.stats().chase_prefix_reuses, 0u);
-
-  // The cache's reference is the last one standing; clearing it destroys
-  // the chase (returning its NDV shard) without touching live askers.
-  engine.ClearCaches();
-  EXPECT_EQ(engine.cache_sizes().chase_entries, 0u);
+  EXPECT_LT(std::chrono::steady_clock::now() - asked, std::chrono::seconds(10));
+  EXPECT_EQ(engine.stats().chases_built, 2u);
+  EXPECT_EQ(symbols_.chase_ndv_blocks_held(), 0u);
 }
 
 TEST_F(DivergentSubmitTest, DestructionCancelsAbandonedRequests) {

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -33,10 +32,9 @@ namespace {
 // --- the reference -----------------------------------------------------------
 
 // The deepening loop with a full search over a fresh copy of the alive prefix
-// at every level; `start_level` is where a resumed shared prefix begins.
-// `last_chance`, when given, is set when the witness came from the search
-// made after a budget trip.
-Result<ContainmentReport> ReferenceLoop(Chase& chase, uint32_t start_level,
+// at every level. `last_chance`, when given, is set when the witness came
+// from the search made after a budget trip.
+Result<ContainmentReport> ReferenceLoop(Chase& chase,
                                         const ConjunctiveQuery& q_prime,
                                         const DependencySet& deps,
                                         const SigmaAnalysis& analysis,
@@ -71,7 +69,7 @@ Result<ContainmentReport> ReferenceLoop(Chase& chase, uint32_t start_level,
     report.witness = std::move(hom);
     return true;
   };
-  uint32_t level = start_level;
+  uint32_t level = 0;
   while (true) {
     Result<ChaseOutcome> expanded = chase.ExpandToLevel(level);
     if (!expanded.ok()) {
@@ -231,10 +229,9 @@ const SigmaCase kSigmas[] = {
      "R[2] <= S[1]\nS[2] <= R[1]\nR[1,2] <= T[1,2]\nT: 1 -> 2\nS: 2 -> 1"},
 };
 
-// How the engine holds its chase: a private plan with every cache off, the
-// Σ record's plan without prefix sharing, or a shared prefix that later
-// askers of the same Q resume.
-enum class ChaseHolding { kCacheOff, kUnshared, kShared };
+// Which plan the engine's chase runs on: a private plan with every cache
+// off, or the Σ record's plan with the caches on.
+enum class ChaseHolding { kCacheOff, kCacheOn };
 
 class WitnessSearchDifferentialTest : public ::testing::Test {
  protected:
@@ -307,21 +304,17 @@ class WitnessSearchDifferentialTest : public ::testing::Test {
     config.containment.level_stride = stride;
     config.containment.allow_semidecision = true;
     // Small budgets: some decisions trip them, which exercises the
-    // last-chance search and resuming a tripped shared prefix.
+    // last-chance search.
     config.containment.limits.max_level = 6;
     config.containment.limits.max_conjuncts = max_conjuncts;
     config.route_streaming_single_conjunct = false;
     config.executor_threads = 1;
     if (holding == ChaseHolding::kCacheOff) config.enable_cache = false;
-    if (holding == ChaseHolding::kUnshared) config.chase_cache_capacity = 0;
     ContainmentEngine engine(&catalog_, &symbols_, config);
 
     std::vector<ConjunctiveQuery> qs;
     std::vector<Task> tasks;
     MakeWorkload(seed, deps, &qs, &tasks);
-    // The reference's chases: one per Q for a shared prefix (resumed by
-    // every later asker of that Q), a fresh one per ask otherwise.
-    std::vector<std::unique_ptr<Chase>> shared(qs.size());
     for (size_t k = 0; k < tasks.size(); ++k) {
       const ConjunctiveQuery& q = qs[tasks[k].q_index];
       const ConjunctiveQuery& q_prime = tasks[k].q_prime;
@@ -350,8 +343,7 @@ class WitnessSearchDifferentialTest : public ::testing::Test {
       } else {
         Result<EngineVerdict> verdict = engine.Check(q, q_prime, deps);
         if (verdict.ok()) {
-          // A verdict-tier hit ran no chase: nothing to compare, and the
-          // reference's prefix must not move either.
+          // A verdict-tier hit ran no chase: nothing to compare.
           if (verdict->cache_hit) continue;
           got = verdict->report;
         } else {
@@ -359,30 +351,13 @@ class WitnessSearchDifferentialTest : public ::testing::Test {
         }
       }
 
-      std::unique_ptr<Chase> fresh;
-      Chase* chase = nullptr;
-      uint32_t start_level = 0;
-      if (holding == ChaseHolding::kShared) {
-        if (shared[tasks[k].q_index] == nullptr) {
-          shared[tasks[k].q_index] = std::make_unique<Chase>(
-              &catalog_, &symbols_, &deps, variant, config.containment.limits);
-          ASSERT_TRUE(shared[tasks[k].q_index]->Init(q).ok());
-        } else {
-          start_level =
-              std::min(shared[tasks[k].q_index]->MaxAliveLevel(),
-                       config.containment.limits.max_level);
-        }
-        chase = shared[tasks[k].q_index].get();
-      } else {
-        fresh = std::make_unique<Chase>(&catalog_, &symbols_, &deps, variant,
-                                        config.containment.limits);
-        ASSERT_TRUE(fresh->Init(q).ok());
-        chase = fresh.get();
-      }
+      Chase chase(&catalog_, &symbols_, &deps, variant,
+                  config.containment.limits);
+      ASSERT_TRUE(chase.Init(q).ok());
       bool last_chance = false;
       Result<ContainmentReport> want =
-          ReferenceLoop(*chase, start_level, q_prime, deps, analysis,
-                        config.containment, &last_chance);
+          ReferenceLoop(chase, q_prime, deps, analysis, config.containment,
+                        &last_chance);
       if (last_chance) ++last_chance_witnesses_;
       ASSERT_EQ(RenderResult(q_prime, got), RenderResult(q_prime, want));
       ++compared_;
@@ -391,11 +366,11 @@ class WitnessSearchDifferentialTest : public ::testing::Test {
 
       if (certify && want.ok() && want->contained) {
         ContainmentCertificate cert;
-        if (chase->is_empty_query()) {
+        if (chase.is_empty_query()) {
           cert.q_is_empty = true;
         } else {
           ASSERT_TRUE(want->witness.has_value());
-          cert = ExtractCertificateFromChase(*chase, *want->witness);
+          cert = ExtractCertificateFromChase(chase, *want->witness);
         }
         ASSERT_TRUE(got_cert.has_value());
         EXPECT_EQ(RenderCertificate(q_prime, *got_cert),
@@ -424,8 +399,7 @@ TEST_F(WitnessSearchDifferentialTest, MatchesFullSearchAtEveryLevel) {
          {ChaseVariant::kRequired, ChaseVariant::kOblivious}) {
       for (uint32_t stride : {1u, 2u}) {
         for (ChaseHolding holding :
-             {ChaseHolding::kCacheOff, ChaseHolding::kUnshared,
-              ChaseHolding::kShared}) {
+             {ChaseHolding::kCacheOff, ChaseHolding::kCacheOn}) {
           for (size_t max_conjuncts : {120u, 16u}) {
             SCOPED_TRACE(StrCat(
                 "sigma class ", static_cast<int>(sc.sigma_class), " variant ",
@@ -478,7 +452,7 @@ TEST_F(WitnessSearchDifferentialTest, MergeBetweenLevelsRewritesIndexedFact) {
                 config.containment.limits);
     ASSERT_TRUE(chase.Init(q).ok());
     Result<ContainmentReport> want =
-        ReferenceLoop(chase, 0, q_prime, deps, AnalyzeSigma(deps, catalog_),
+        ReferenceLoop(chase, q_prime, deps, AnalyzeSigma(deps, catalog_),
                       config.containment);
     ASSERT_TRUE(want.ok()) << want.status();
     EXPECT_EQ(RenderReport(q_prime, got->report),
@@ -489,8 +463,8 @@ TEST_F(WitnessSearchDifferentialTest, MergeBetweenLevelsRewritesIndexedFact) {
   }
 }
 
-// Minimize and IsNonMinimal probe containment through one-shot unshared
-// chases; their answers must match probes decided by the reference loop.
+// Minimize and IsNonMinimal probe containment through one-shot chases;
+// their answers must match probes decided by the reference loop.
 TEST_F(WitnessSearchDifferentialTest, MinimizeProbesMatchReference) {
   for (const SigmaCase& sc : kSigmas) {
     if (sc.sigma_class == SigmaClass::kGeneral) continue;  // undecidable
@@ -509,7 +483,7 @@ TEST_F(WitnessSearchDifferentialTest, MinimizeProbesMatchReference) {
       CQCHASE_RETURN_IF_ERROR(chase.Init(candidate));
       CQCHASE_ASSIGN_OR_RETURN(
           ContainmentReport r,
-          ReferenceLoop(chase, 0, q, deps, analysis, config.containment));
+          ReferenceLoop(chase, q, deps, analysis, config.containment));
       return r.contained;
     };
     auto without = [&](const ConjunctiveQuery& q, size_t skip) {
