@@ -10,7 +10,16 @@
 //   2. warm  (`bench_store_warmstart <dir> --warm`) — a "restarted process":
 //      every canonical key must now be answered from the store, so the run
 //      exits non-zero unless chases_built == 0 and store_hits > 0, on top
-//      of verdict parity.
+//      of verdict parity. After the parity pass it reopens the store as the
+//      only tier, so every ask is a store hit, and times those hits in
+//      interleaved blocks through Submit -> Get and through the inline
+//      Check, pinned to one CPU. A store hit is answered on the submitting
+//      thread, so it must not pay an executor hand-off: the run also exits
+//      non-zero when the Submit -> Get p50 exceeds 1.2x the Check p50.
+#include <sched.h>
+
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -30,6 +39,75 @@ namespace {
 // seeds. Deterministic, so both CI invocations regenerate byte-identical
 // queries and the warm run's canonical keys equal the cold run's — the
 // whole point of the gate.
+
+// The hit-latency gate: Submit -> Get of a store hit may cost at most this
+// multiple of the same hit through the inline Check.
+constexpr double kMaxSubmitOverCheck = 1.2;
+constexpr int kTimedBlocks = 12;  // per path, interleaved
+constexpr int kRepsPerBlock = 40;  // passes over the workload per block
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v.empty() ? 0.0 : v[v.size() / 2];
+}
+
+// Per-ask latencies of store hits, Submit -> Get and inline Check, taken in
+// alternating blocks (which path runs first flips every block) so host
+// drift lands on both alike. Counts asks that were not store hits.
+struct HitTimings {
+  std::vector<double> submit_us;
+  std::vector<double> check_us;
+  size_t not_store_hits = 0;
+};
+
+HitTimings TimeStoreHits(ContainmentEngine& engine,
+                         const bench::ContainmentWorkload& w) {
+  using Clock = std::chrono::steady_clock;
+  HitTimings t;
+  const size_t tasks = w.lhs.size();
+  auto micros = [](Clock::time_point a, Clock::time_point b) {
+    return std::chrono::duration<double, std::micro>(b - a).count();
+  };
+  auto submit_block = [&] {
+    for (int r = 0; r < kRepsPerBlock; ++r) {
+      for (size_t i = 0; i < tasks; ++i) {
+        const Clock::time_point t0 = Clock::now();
+        Result<EngineOutcome> outcome =
+            engine.Submit(ContainmentRequest::Borrow(w.lhs[i], w.rhs[i], w.deps))
+                .Get();
+        const Clock::time_point t1 = Clock::now();
+        t.submit_us.push_back(micros(t0, t1));
+        if (!outcome.ok() || !outcome->verdict.store_hit) ++t.not_store_hits;
+      }
+    }
+  };
+  auto check_block = [&] {
+    for (int r = 0; r < kRepsPerBlock; ++r) {
+      for (size_t i = 0; i < tasks; ++i) {
+        const Clock::time_point t0 = Clock::now();
+        Result<EngineVerdict> verdict =
+            engine.Check(w.lhs[i], w.rhs[i], w.deps);
+        const Clock::time_point t1 = Clock::now();
+        t.check_us.push_back(micros(t0, t1));
+        if (!verdict.ok() || !verdict->store_hit) ++t.not_store_hits;
+      }
+    }
+  };
+  check_block();  // warm-up, untimed
+  t.check_us.clear();
+  t.not_store_hits = 0;
+  for (int b = 0; b < kTimedBlocks; ++b) {
+    if (b % 2 == 0) {
+      submit_block();
+      check_block();
+    } else {
+      check_block();
+      submit_block();
+    }
+  }
+  return t;
+}
+
 }  // namespace
 }  // namespace cqchase
 
@@ -38,6 +116,18 @@ int main(int argc, char** argv) {
   const std::string store_dir = argc > 1 ? argv[1] : "warmstart-store";
   const bool expect_warm =
       argc > 2 && std::strcmp(argv[2], "--warm") == 0;
+
+  // Timing runs pin the whole process (the executor's workers start later
+  // and inherit the mask) to the CPU it started on, so client and worker
+  // share one CPU, as they do in perfbench.
+  int pinned_cpu = -1;
+  if (expect_warm) {
+    pinned_cpu = sched_getcpu();
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(pinned_cpu, &one);
+    if (sched_setaffinity(0, sizeof(one), &one) != 0) pinned_cpu = -1;
+  }
 
   bench::PrintHeader(
       "E-STORE-WARMSTART / persistent verdict tier across restarts",
@@ -116,6 +206,32 @@ int main(int argc, char** argv) {
   std::printf("  verdicts    : %zu contained, %zu mismatches, %zu errors\n\n",
               contained, mismatches, errors);
 
+  // The hit-latency pass: the store reopened as the only tier, so nothing
+  // promotes a hit into an LRU and every ask below is a store hit.
+  HitTimings hits;
+  double submit_p50_us = 0;
+  double check_p50_us = 0;
+  if (expect_warm && mismatches == 0 && errors == 0) {
+    EngineConfig timing_config;
+    timing_config.executor_threads = 1;
+    timing_config.tiers = {TierSpec::LocalStore(store_dir)};
+    ContainmentEngine engine(w.catalog.get(), w.symbols.get(), timing_config);
+    if (engine.store() == nullptr) {
+      std::fprintf(stderr, "FAIL: store did not reopen: %s\n",
+                   engine.store_status().ToString().c_str());
+      return 1;
+    }
+    hits = TimeStoreHits(engine, w);
+    submit_p50_us = Median(hits.submit_us);
+    check_p50_us = Median(hits.check_us);
+    std::printf(
+        "  store hits  : Submit->Get p50 %.3f us, Check p50 %.3f us "
+        "(%.2fx; %d interleaved blocks x %zu asks each, cpu %d)\n\n",
+        submit_p50_us, check_p50_us,
+        check_p50_us > 0 ? submit_p50_us / check_p50_us : 0.0, kTimedBlocks,
+        kRepsPerBlock * tasks, pinned_cpu);
+  }
+
   std::vector<std::pair<std::string, double>> counters = {
       {"tasks", static_cast<double>(tasks)},
       {"warm", expect_warm ? 1.0 : 0.0},
@@ -129,7 +245,9 @@ int main(int argc, char** argv) {
       {"store_quarantined",
        static_cast<double>(store_stats.quarantined_files)},
       {"mismatches", static_cast<double>(mismatches)},
-      {"errors", static_cast<double>(errors)}};
+      {"errors", static_cast<double>(errors)},
+      {"hit_submit_get_p50_us", submit_p50_us},
+      {"hit_check_p50_us", check_p50_us}};
   bench::AppendEngineCounters(stats, counters);
   bench::AppendEngineConfig(store_config, counters);
   bench::PrintJsonRecord("store_warmstart", store_ms, counters);
@@ -149,6 +267,21 @@ int main(int argc, char** argv) {
     }
     if (stats.store_hits == 0) {
       std::fprintf(stderr, "FAIL: warm run served no store hits\n");
+      return 1;
+    }
+    if (hits.not_store_hits != 0) {
+      std::fprintf(stderr,
+                   "FAIL: %zu timed asks were not store hits (want every "
+                   "one answered by the store)\n",
+                   hits.not_store_hits);
+      return 1;
+    }
+    if (submit_p50_us > kMaxSubmitOverCheck * check_p50_us) {
+      std::fprintf(stderr,
+                   "FAIL: store-hit Submit->Get p50 %.3f us exceeds %.1fx the "
+                   "inline Check p50 %.3f us (a local hit must not pay the "
+                   "executor hand-off)\n",
+                   submit_p50_us, kMaxSubmitOverCheck, check_p50_us);
       return 1;
     }
   }

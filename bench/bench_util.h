@@ -75,7 +75,11 @@ inline void PrintHeader(const std::string& experiment,
 //  12 — chase-prefix cache removed: AppendEngineConfig drops its Σ-cache
 //       capacity row (now a fixed engine constant) and its chase-cache
 //       capacity row
-inline constexpr int kBenchRecordSchema = 12;
+//  13 — local-tier hits answered on the submitting thread:
+//       bench_store_warmstart --warm reports hit_submit_get_p50_us and
+//       hit_check_p50_us (store-hit latency through Submit -> Get and
+//       through the inline Check; 0 on a cold run)
+inline constexpr int kBenchRecordSchema = 13;
 
 // One-line machine-readable record, emitted by every bench so the perf
 // trajectory can be scraped (`grep '^{"bench"'` over the run log). Integral

@@ -29,7 +29,12 @@
 #     bench_store_warmstart twice against the same fresh store directory; the
 #     cold run populates the store and checks verdict parity against a
 #     store-less engine, the warm run additionally exits non-zero unless it
-#     answered the whole repeated workload with zero chases built. Then
+#     answered the whole repeated workload with zero chases built. The warm
+#     run then pins itself to one CPU, reopens the store as the only tier
+#     and times store hits in 12 interleaved blocks through Submit -> Get
+#     and through the inline Check: it exits non-zero when the Submit -> Get
+#     p50 exceeds 1.2x the Check p50, i.e. when a local-tier hit pays the
+#     executor hand-off again (both p50s are in its JSON record). Then
 #     `verdict_storectl verify` must find the store's files clean (current
 #     format version, fingerprint, checksums, every entry decodable).
 #  6. tier-gate: the distributed-tier contract in-process. bench_tier_stack
@@ -138,7 +143,7 @@ warmstart_gate() {
   local dir="build/warmstart-store"
   rm -rf "${dir}"
   ./build/bench_store_warmstart "${dir}"          # cold: populate + parity
-  ./build/bench_store_warmstart "${dir}" --warm   # warm: zero chases or fail
+  ./build/bench_store_warmstart "${dir}" --warm   # warm: zero chases + hit p50
   ./build/verdict_storectl verify --dir "${dir}"  # files clean or fail
 }
 

@@ -219,17 +219,90 @@ std::optional<DecisionStrategy> ContainmentEngine::RouteOf(
 
 EngineFuture<EngineOutcome> ContainmentEngine::Submit(
     ContainmentRequest request) {
-  auto state = std::make_shared<internal::FutureState<EngineOutcome>>();
+  Admission admission = Admit(std::move(request));
+  AnswerLocally(admission);
+  return Dispatch(std::move(admission));
+}
+
+std::vector<EngineFuture<EngineOutcome>> ContainmentEngine::SubmitAll(
+    std::vector<ContainmentRequest> requests) {
+  std::vector<Admission> admissions;
+  admissions.reserve(requests.size());
+  for (ContainmentRequest& r : requests) {
+    admissions.push_back(Admit(std::move(r)));
+  }
+  // Warm the tier stack for the whole burst before probing it: one batched
+  // round trip per network tier instead of one RTT per worker-side Lookup,
+  // and its hits are promoted into the local tiers, so they resolve below.
+  // Certificate requests skip tier reads entirely, so their keys stay out.
+  if (admissions.size() > 1 && tiers_ != nullptr) {
+    std::vector<std::string> keys;
+    for (const Admission& a : admissions) {
+      if (!a.answer.has_value() && a.prepared.cacheable &&
+          !a.request.options.want_certificate) {
+        keys.push_back(a.prepared.key);
+      }
+    }
+    if (!keys.empty() && tiers_->Prefetch(keys).buffered_writes) {
+      ScheduleTierFlush();
+    }
+  }
+  // Every request is probed before any is enqueued, so no burst member
+  // races a sibling's publish: which requests queue depends on the tiers'
+  // state before the burst alone.
+  for (Admission& a : admissions) AnswerLocally(a);
+  std::vector<EngineFuture<EngineOutcome>> futures;
+  futures.reserve(admissions.size());
+  for (Admission& a : admissions) futures.push_back(Dispatch(std::move(a)));
+  return futures;
+}
+
+ContainmentEngine::Admission ContainmentEngine::Admit(
+    ContainmentRequest request) {
+  Bump(stats_.submits);
+  Admission admission;
+  admission.request = std::move(request);
+  const ContainmentRequest& r = admission.request;
   // Resolve the relative form once, at submission — queue time counts
   // against the deadline, exactly like a network request's.
-  if (request.options.deadline.has_value()) {
-    state->control.deadline = request.options.deadline;
-  } else if (request.options.timeout.has_value()) {
-    state->control.deadline =
-        std::chrono::steady_clock::now() + *request.options.timeout;
+  if (r.options.deadline.has_value()) {
+    admission.deadline = r.options.deadline;
+  } else if (r.options.timeout.has_value()) {
+    admission.deadline = std::chrono::steady_clock::now() + *r.options.timeout;
   }
-  auto shared_request =
-      std::make_shared<const ContainmentRequest>(std::move(request));
+  if (r.q == nullptr || r.q_prime == nullptr || r.deps == nullptr) {
+    admission.answer.emplace(Status::InvalidArgument(
+        "ContainmentRequest has a null query or dependency set"));
+    return admission;
+  }
+  Bump(stats_.checks);
+  ChaseControl control;
+  control.deadline = admission.deadline;
+  Status prepared = Prepare(*r.q, *r.q_prime, *r.deps, r.options, &control,
+                            &admission.prepared);
+  if (!prepared.ok()) {
+    if (prepared.code() == StatusCode::kDeadlineExceeded) {
+      Bump(stats_.deadline_expirations);
+    }
+    admission.answer.emplace(std::move(prepared));
+  }
+  return admission;
+}
+
+void ContainmentEngine::AnswerLocally(Admission& admission) {
+  if (admission.answer.has_value()) return;
+  if (std::optional<EngineOutcome> hit = ProbeLocalTiers(
+          admission.prepared, admission.request.options)) {
+    admission.answer.emplace(*std::move(hit));
+  }
+}
+
+EngineFuture<EngineOutcome> ContainmentEngine::Dispatch(Admission admission) {
+  if (admission.answer.has_value()) {
+    return EngineFuture<EngineOutcome>::Ready(*std::move(admission.answer));
+  }
+  auto state = std::make_shared<internal::FutureState<EngineOutcome>>();
+  state->control.deadline = admission.deadline;
   {
     // Register for cancel-on-destruction; prune resolved (expired) entries
     // opportunistically so the registry tracks live requests, not history.
@@ -244,32 +317,24 @@ EngineFuture<EngineOutcome> ContainmentEngine::Submit(
     }
     inflight_.push_back(state);
   }
-  Bump(stats_.submits);
   Executor::TaskOptions task_options;
   // Shed-at-dequeue: a request whose whole budget elapsed in the queue is
   // completed kDeadlineExceeded by the executor itself instead of occupying
-  // a worker slot to discover the same thing at Execute's first control
+  // a worker slot to discover the same thing at Finish's first control
   // poll (under overload, expired backlog must not starve live requests).
-  task_options.deadline = state->control.deadline;
+  task_options.deadline = admission.deadline;
   task_options.on_expired = [this, state] {
     Bump(stats_.deadline_expirations);
     state->Set(Status::DeadlineExceeded(
         "request deadline exceeded while queued (shed at dequeue)"));
   };
+  auto queued = std::make_shared<const Admission>(std::move(admission));
   executor_.Submit(
-      [this, state, shared_request] {
-        if (shared_request->q == nullptr ||
-            shared_request->q_prime == nullptr ||
-            shared_request->deps == nullptr) {
-          state->Set(Status::InvalidArgument(
-              "ContainmentRequest has a null query or dependency set"));
-          return;
-        }
-        Bump(stats_.checks);
+      [this, state, queued] {
+        const ContainmentRequest& r = queued->request;
         Result<EngineOutcome> result =
-            Execute(*shared_request->q, *shared_request->q_prime,
-                    *shared_request->deps, shared_request->options,
-                    &state->control);
+            Finish(*r.q, *r.q_prime, *r.deps, r.options, &state->control,
+                   queued->prepared);
         if (!result.ok()) {
           if (result.status().code() == StatusCode::kDeadlineExceeded) {
             Bump(stats_.deadline_expirations);
@@ -283,32 +348,6 @@ EngineFuture<EngineOutcome> ContainmentEngine::Submit(
   return EngineFuture<EngineOutcome>(std::move(state));
 }
 
-std::vector<EngineFuture<EngineOutcome>> ContainmentEngine::SubmitAll(
-    std::vector<ContainmentRequest> requests) {
-  // Warm the tier stack for the whole burst before fanning out: one batched
-  // round trip per network tier instead of one RTT per worker-side Lookup.
-  // Certificate requests skip tier reads entirely, so their keys stay out.
-  if (requests.size() > 1 && tiers_ != nullptr) {
-    std::vector<std::string> keys;
-    keys.reserve(requests.size());
-    SigmaKeysByAddress sigma_keys;
-    for (const ContainmentRequest& r : requests) {
-      if (r.q == nullptr || r.q_prime == nullptr || r.deps == nullptr) continue;
-      if (r.options.want_certificate) continue;
-      keys.push_back(
-          TierKeyForPrefetch(*r.q, *r.q_prime, *r.deps, &sigma_keys));
-      if (keys.back().empty()) keys.pop_back();
-    }
-    if (!keys.empty() && tiers_->Prefetch(keys).buffered_writes) {
-      ScheduleTierFlush();
-    }
-  }
-  std::vector<EngineFuture<EngineOutcome>> futures;
-  futures.reserve(requests.size());
-  for (ContainmentRequest& r : requests) futures.push_back(Submit(std::move(r)));
-  return futures;
-}
-
 // --- Synchronous API --------------------------------------------------------
 
 Result<EngineVerdict> ContainmentEngine::Check(const ConjunctiveQuery& q,
@@ -318,17 +357,29 @@ Result<EngineVerdict> ContainmentEngine::Check(const ConjunctiveQuery& q,
   // hit/miss they record belongs to a counted check (hit rates over stats()
   // stay <= 100%).
   Bump(stats_.checks);
-  RequestOptions defaults;
-  CQCHASE_ASSIGN_OR_RETURN(
-      EngineOutcome outcome,
-      Execute(q, q_prime, deps, defaults, /*control=*/nullptr));
+  const RequestOptions defaults;
+  PreparedRequest prepared;
+  CQCHASE_RETURN_IF_ERROR(
+      Prepare(q, q_prime, deps, defaults, /*control=*/nullptr, &prepared));
+  if (std::optional<EngineOutcome> hit = ProbeLocalTiers(prepared, defaults)) {
+    return std::move(hit->verdict);
+  }
+  CQCHASE_ASSIGN_OR_RETURN(EngineOutcome outcome,
+                           Finish(q, q_prime, deps, defaults,
+                                  /*control=*/nullptr, prepared));
   return std::move(outcome.verdict);
 }
 
-Result<EngineOutcome> ContainmentEngine::Execute(
-    const ConjunctiveQuery& q, const ConjunctiveQuery& q_prime,
-    const DependencySet& deps, const RequestOptions& options,
-    ChaseControl* control) {
+// --- The three steps of a request --------------------------------------------
+
+Status ContainmentEngine::Prepare(const ConjunctiveQuery& q,
+                                  const ConjunctiveQuery& q_prime,
+                                  const DependencySet& deps,
+                                  const RequestOptions& options,
+                                  const ChaseControl* control,
+                                  PreparedRequest* prepared) {
+  // A request whose budget is already spent resolves before any work.
+  if (control != nullptr) CQCHASE_RETURN_IF_ERROR(control->Check());
   CQCHASE_RETURN_IF_ERROR(q.Validate());
   CQCHASE_RETURN_IF_ERROR(q_prime.Validate());
   if (q.summary().size() != q_prime.summary().size()) {
@@ -344,9 +395,6 @@ Result<EngineOutcome> ContainmentEngine::Execute(
     return Status::InvalidArgument(
         "queries must be built against the engine's symbol table");
   }
-  // A request that spent its whole budget in the queue resolves without
-  // touching a cache or chase.
-  if (control != nullptr) CQCHASE_RETURN_IF_ERROR(control->Check());
   if (options.want_certificate && !CertifiableSigma(deps, q.catalog())) {
     return Status::Unimplemented(
         "certificates are only constructed for IND-only, FD-only or "
@@ -357,80 +405,103 @@ Result<EngineOutcome> ContainmentEngine::Execute(
   // cache keys; serve them uncached — and classify Σ against *their*
   // catalog, whose relation ids the dependencies refer to.
   const bool foreign_catalog = &q.catalog() != catalog_;
-  // Σ is rendered at most once per request: the Σ-record lookup and the
-  // task key both read this one string.
-  std::string sigma_key;
-  std::shared_ptr<const SigmaRecord> sigma;
-  SigmaAnalysis uncached_analysis;
-  if (config_.enable_cache && !foreign_catalog) {
-    sigma_key = CanonicalSigmaKey(deps);
-    sigma = SigmaRecordFor(deps, sigma_key);
-  } else {
-    uncached_analysis = AnalyzeSigma(deps, q.catalog());
+  if (!config_.enable_cache || foreign_catalog) {
+    prepared->uncached_analysis = AnalyzeSigma(deps, q.catalog());
+    return Status::OK();
   }
-  const SigmaAnalysis& analysis =
-      sigma != nullptr ? sigma->analysis : uncached_analysis;
-  const bool cacheable = config_.enable_cache && tiers_ != nullptr &&
-                         !foreign_catalog && &q_prime.catalog() == catalog_;
+  // Σ is rendered once per request: the Σ-record lookup and the task key
+  // both read this one string.
+  const std::string sigma_key = CanonicalSigmaKey(deps);
+  prepared->sigma = SigmaRecordFor(deps, sigma_key);
+  prepared->cacheable = tiers_ != nullptr && &q_prime.catalog() == catalog_;
+  if (prepared->cacheable) {
+    uint64_t key_fallbacks = 0;
+    prepared->key = CanonicalTaskKey(q, q_prime, sigma_key,
+                                     config_.containment.variant,
+                                     &key_fallbacks);
+    BumpBy(stats_.canonical_fallbacks, key_fallbacks);
+  }
+  return Status::OK();
+}
+
+std::optional<EngineOutcome> ContainmentEngine::ProbeLocalTiers(
+    const PreparedRequest& prepared, const RequestOptions& options) {
+  // A certificate request skips the verdict-tier *reads*: a cached verdict
+  // dropped its chase derivation, so there is nothing to extract a proof
+  // from. It still publishes its verdict in Finish for later
+  // certificate-free askers.
+  if (!prepared.cacheable || options.want_certificate) return std::nullopt;
+  std::optional<TierStack::LookupResult> hit =
+      tiers_->Lookup(prepared.key, TierStack::Probe::kLocal);
+  if (!hit.has_value()) return std::nullopt;
+  return ServeHit(*hit);
+}
+
+EngineOutcome ContainmentEngine::ServeHit(const TierStack::LookupResult& hit) {
+  EngineOutcome outcome;
+  outcome.verdict = FromStoredVerdict(hit.verdict);
+  outcome.verdict.cache_hit = true;
+  // A monotone-bound survivor of a schema delta: its contained bit is
+  // guaranteed under the current Σ (engine/lineage.h), so it answers a
+  // plain check like any hit; the counter lets ops and differential suites
+  // see how much of the traffic rides the weaker guarantee.
+  if (hit.verdict.confidence ==
+      static_cast<uint8_t>(VerdictConfidence::kMonotoneBound)) {
+    Bump(stats_.monotone_hits);
+  }
+  switch (hit.kind) {
+    case TierSpec::Kind::kLru:
+      Bump(stats_.cache_hits);
+      break;
+    case TierSpec::Kind::kLocalStore:
+      // The in-memory tier did miss before this tier answered; count that
+      // miss so hit rates read the same as the pre-stack engine.
+      Bump(stats_.cache_misses);
+      outcome.verdict.store_hit = true;
+      break;
+    case TierSpec::Kind::kRemote:
+      Bump(stats_.cache_misses);
+      outcome.verdict.remote_hit = true;
+      break;
+  }
+  // A promotion into a durable tier buffered bytes; make them move.
+  if (hit.buffered_writes) ScheduleTierFlush();
+  return outcome;
+}
+
+Result<EngineOutcome> ContainmentEngine::Finish(
+    const ConjunctiveQuery& q, const ConjunctiveQuery& q_prime,
+    const DependencySet& deps, const RequestOptions& options,
+    ChaseControl* control, const PreparedRequest& prepared) {
+  // A request that spent its whole budget in the queue (or was cancelled
+  // there) resolves without touching a tier or a chase.
+  if (control != nullptr) CQCHASE_RETURN_IF_ERROR(control->Check());
 
   ExecContext ctx;
   ctx.options = &options;
   ctx.control = control;
-  ctx.sigma = sigma.get();
+  ctx.sigma = prepared.sigma.get();
   EngineOutcome outcome;
   if (options.want_certificate) ctx.cert_out = &outcome.certificate;
-  // Cacheable decisions harvest their chase's used-dependency set so the
-  // published entry carries lineage a future schema delta can consult.
-  LineageCapture lineage;
-  if (cacheable) ctx.lineage = &lineage;
+  const SigmaAnalysis& analysis = prepared.analysis();
 
-  if (!cacheable) {
+  if (!prepared.cacheable) {
     CQCHASE_ASSIGN_OR_RETURN(outcome.verdict,
                              DecideUncached(q, q_prime, deps, analysis, ctx));
     return outcome;
   }
+  // Cacheable decisions harvest their chase's used-dependency set so the
+  // published entry carries lineage a future schema delta can consult.
+  LineageCapture lineage;
+  ctx.lineage = &lineage;
 
-  uint64_t key_fallbacks = 0;
-  const std::string key = CanonicalTaskKey(
-      q, q_prime, sigma_key, config_.containment.variant, &key_fallbacks);
-  BumpBy(stats_.canonical_fallbacks, key_fallbacks);
-  // A certificate request skips the verdict-tier *reads*: a cached verdict
-  // dropped its chase derivation, so there is nothing to extract a proof
-  // from. It still publishes its verdict below for later certificate-free
-  // askers.
   if (!options.want_certificate) {
-    // Probe the tier stack cheapest-first; a hit at any tier below the LRU
-    // bypasses the chase entirely, and the stack promotes it into every
-    // cheaper tier so the next re-ask stops earlier.
-    if (std::optional<TierStack::LookupResult> hit = tiers_->Lookup(key)) {
-      outcome.verdict = FromStoredVerdict(hit->verdict);
-      outcome.verdict.cache_hit = true;
-      // A monotone-bound survivor of a schema delta: its contained bit is
-      // guaranteed under the current Σ (engine/lineage.h), so it answers a
-      // plain check like any hit; the counter lets ops and differential
-      // suites see how much of the traffic rides the weaker guarantee.
-      if (hit->verdict.confidence ==
-          static_cast<uint8_t>(VerdictConfidence::kMonotoneBound)) {
-        Bump(stats_.monotone_hits);
-      }
-      switch (hit->kind) {
-        case TierSpec::Kind::kLru:
-          Bump(stats_.cache_hits);
-          break;
-        case TierSpec::Kind::kLocalStore:
-          // The in-memory tier did miss before this tier answered; count
-          // that miss so hit rates read the same as the pre-stack engine.
-          Bump(stats_.cache_misses);
-          outcome.verdict.store_hit = true;
-          break;
-        case TierSpec::Kind::kRemote:
-          Bump(stats_.cache_misses);
-          outcome.verdict.remote_hit = true;
-          break;
-      }
-      // A promotion into a durable tier buffered bytes; make them move.
-      if (hit->buffered_writes) ScheduleTierFlush();
-      return outcome;
+    // The local tiers missed in step 2; a hit below them still bypasses the
+    // chase, and the stack promotes it into every cheaper tier so the next
+    // re-ask stops earlier.
+    if (std::optional<TierStack::LookupResult> hit =
+            tiers_->Lookup(prepared.key, TierStack::Probe::kRest)) {
+      return ServeHit(*hit);
     }
     Bump(stats_.cache_misses);
   }
@@ -450,28 +521,14 @@ Result<EngineOutcome> ContainmentEngine::Execute(
   // entry with its Σ's fingerprint, and with the chase's used-dependency
   // lineage when one ran — a chase-free strategy publishes lineage-unknown
   // and can only ever survive a delta monotonically.
-  stored.sigma_fp = sigma->fingerprint;
+  stored.sigma_fp = prepared.sigma->fingerprint;
   if (lineage.known) {
     stored.lineage_known = true;
     stored.used_fps = std::move(lineage.used_fps);
   }
-  TierStack::PublishReceipt receipt = tiers_->Publish(key, stored);
+  TierStack::PublishReceipt receipt = tiers_->Publish(prepared.key, stored);
   if (receipt.buffered_writes) ScheduleTierFlush();
   return outcome;
-}
-
-std::string ContainmentEngine::TierKeyForPrefetch(
-    const ConjunctiveQuery& q, const ConjunctiveQuery& q_prime,
-    const DependencySet& deps, SigmaKeysByAddress* sigma_keys) const {
-  // Mirrors Execute's cacheable conditions: foreign-catalog (or
-  // foreign-symbol) tasks are served uncached there, so prefetching their
-  // keys would probe the tiers for entries Execute will never read.
-  if (tiers_ == nullptr || !config_.enable_cache) return {};
-  if (&q.catalog() != catalog_ || &q_prime.catalog() != catalog_) return {};
-  if (&q.symbols() != symbols_ || &q_prime.symbols() != symbols_) return {};
-  auto [it, fresh] = sigma_keys->try_emplace(&deps);
-  if (fresh) it->second = CanonicalSigmaKey(deps);
-  return CanonicalTaskKey(q, q_prime, it->second, config_.containment.variant);
 }
 
 void ContainmentEngine::ScheduleTierFlush() {
@@ -613,7 +670,7 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
   const ContainmentOptions& options = config_.containment;
 
   // The chase lives and dies in this call. Symbol-table identity is
-  // enforced at the Execute entry point; a request with a Σ record chases
+  // enforced when the request is prepared; a request with a Σ record chases
   // on the record's compiled plan and its copy of Σ, one without (cache
   // off, or a foreign catalog) on a private plan of the caller's Σ.
   std::optional<Chase> chase_slot;

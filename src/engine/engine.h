@@ -29,15 +29,19 @@
 //     disk/network through write-behind flushes on the executor — the hot
 //     path never waits on I/O.
 //  3. Async request execution (engine/request.h + engine/executor.h):
-//     Submit(ContainmentRequest) -> EngineFuture<EngineOutcome> runs every
-//     request on a persistent work-stealing thread pool shared across calls.
-//     Requests own their inputs, carry per-request policy (deadline,
-//     want_certificate, semi-decision override), support
-//     cooperative cancellation threaded through the chase deepening loop,
-//     and can return a Theorem 2 certificate extracted from the *same*
-//     chase the decision ran. SubmitAll fans a burst out, warming the tier
-//     stack with one batched probe first; Check is the inline synchronous
-//     form.
+//     Submit(ContainmentRequest) -> EngineFuture<EngineOutcome> validates
+//     and keys the request and probes the in-process tiers (LRU, local
+//     store) on the submitting thread: a hit or an input error comes back
+//     as an already-resolved future. Only a miss — or a certificate or
+//     uncacheable request — is queued, already keyed, on a persistent
+//     work-stealing thread pool shared across calls, where the remote tiers
+//     are probed and the decision runs. Requests own their inputs, carry
+//     per-request policy (deadline, want_certificate, semi-decision
+//     override), support cooperative cancellation threaded through the
+//     chase deepening loop, and can return a Theorem 2 certificate
+//     extracted from the *same* chase the decision ran. SubmitAll keys a
+//     burst, warms the tier stack with one batched probe, then answers or
+//     queues each request; Check runs every step inline.
 //
 // Adding a new decision strategy is a three-step recipe (see README):
 // extend DecisionStrategy + ChooseStrategy in engine/sigma_class.h, add the
@@ -52,12 +56,12 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "chase/chase.h"
@@ -211,20 +215,26 @@ class ContainmentEngine {
 
   // --- Async decision API --------------------------------------------------
 
-  // Submits one containment question for execution on the shared
-  // work-stealing pool and returns immediately. The future resolves to the
-  // verdict (plus certificate when requested); a deadline/cancellation trips
-  // it to kDeadlineExceeded / kCancelled. The request's queries and Σ are
-  // owned or shared by the request, so the caller's locals may go out of
-  // scope freely; the engine keeps the request alive until it resolves.
+  // Submits one containment question. The submitting thread pays for
+  // validation, the canonical keys and the in-process tier probes (LRU,
+  // local store): a local-tier hit, an input error or an already-expired
+  // deadline resolves the future before Submit returns, without touching
+  // the executor. Anything else is queued on the shared work-stealing pool
+  // and Submit returns at once. The future resolves to the verdict (plus
+  // certificate when requested); a deadline/cancellation trips it to
+  // kDeadlineExceeded / kCancelled. The request's queries and Σ are owned
+  // or shared by the request, so the caller's locals may go out of scope
+  // freely; the engine keeps a queued request alive until it resolves.
   //
   // Do not block on a future from inside another request's execution (the
   // classic pool deadlock); Submit more work instead.
   EngineFuture<EngineOutcome> Submit(ContainmentRequest request);
 
-  // Burst fan-out: one future per request, in order. The burst's tier keys
-  // are prefetched first, so a network tier pays one batched round trip
-  // instead of one per request.
+  // Burst fan-out: one future per request, in order. Every request is
+  // keyed once, on the submitting thread; the burst's keys are prefetched
+  // together, so a network tier pays one batched round trip instead of one
+  // per request, and then each request is answered from the local tiers or
+  // queued as Submit would.
   std::vector<EngineFuture<EngineOutcome>> SubmitAll(
       std::vector<ContainmentRequest> requests);
 
@@ -379,15 +389,63 @@ class ContainmentEngine {
     const SigmaRecord* sigma = nullptr;
   };
 
-  // The one decision path everything funnels into: validate, classify,
-  // consult the verdict cache (unless a certificate is wanted — a cached
-  // verdict has no derivation to extract), decide, extract the certificate,
-  // fill the cache.
-  Result<EngineOutcome> Execute(const ConjunctiveQuery& q,
-                                const ConjunctiveQuery& q_prime,
-                                const DependencySet& deps,
-                                const RequestOptions& options,
-                                ChaseControl* control);
+  // What a request's first step derives before any tier is probed: the
+  // Σ record (null when the engine keeps no caches for this request — cache
+  // off, or a foreign catalog), the analysis such an uncached request
+  // classifies Σ with, and the canonical task key when the request is
+  // cacheable. A queued miss carries it to the worker, so no key is
+  // rendered twice.
+  struct PreparedRequest {
+    std::shared_ptr<const SigmaRecord> sigma;
+    SigmaAnalysis uncached_analysis;
+    bool cacheable = false;
+    std::string key;  // empty unless cacheable
+
+    const SigmaAnalysis& analysis() const {
+      return sigma != nullptr ? sigma->analysis : uncached_analysis;
+    }
+  };
+
+  // Every request runs these three steps; Check runs all of them inline,
+  // Submit runs the first two on the submitting thread and queues the third
+  // only for a miss.
+  //
+  // Step 1: the control poll, validation, the arity / symbol-table /
+  // certificate checks, the Σ record and the task key.
+  Status Prepare(const ConjunctiveQuery& q, const ConjunctiveQuery& q_prime,
+                 const DependencySet& deps, const RequestOptions& options,
+                 const ChaseControl* control, PreparedRequest* prepared);
+  // Step 2: the in-process tiers (TierStack::Probe::kLocal). A hit is the
+  // request's outcome; nullopt sends it on to step 3. Certificate and
+  // uncacheable requests always go on.
+  std::optional<EngineOutcome> ProbeLocalTiers(const PreparedRequest& prepared,
+                                               const RequestOptions& options);
+  // Step 3: the remaining tiers, then the decision and its publish.
+  Result<EngineOutcome> Finish(const ConjunctiveQuery& q,
+                               const ConjunctiveQuery& q_prime,
+                               const DependencySet& deps,
+                               const RequestOptions& options,
+                               ChaseControl* control,
+                               const PreparedRequest& prepared);
+  // A tier hit as the request's outcome, with its hit counters bumped and
+  // any flush its promotion needs scheduled.
+  EngineOutcome ServeHit(const TierStack::LookupResult& hit);
+
+  // A submitted request between its submit-side steps and its future.
+  struct Admission {
+    ContainmentRequest request;
+    std::optional<std::chrono::steady_clock::time_point> deadline;
+    PreparedRequest prepared;
+    // Engaged once the submitting thread has answered the request: an input
+    // error, an expired deadline or a local-tier hit.
+    std::optional<Result<EngineOutcome>> answer;
+  };
+  // Step 1 for a submitted request, with its deadline resolved.
+  Admission Admit(ContainmentRequest request);
+  // Step 2 for a submitted request still unanswered: a hit answers it.
+  void AnswerLocally(Admission& admission);
+  // A resolved future for an answered admission; otherwise enqueues step 3.
+  EngineFuture<EngineOutcome> Dispatch(Admission admission);
 
   // Uncached dispatch: classify, route, execute.
   Result<EngineVerdict> DecideUncached(const ConjunctiveQuery& q,
@@ -416,17 +474,6 @@ class ContainmentEngine {
   // pending state and returns; the disk/network write happens on a pool
   // worker.
   void ScheduleTierFlush();
-
-  // The canonical tier key for a task this engine may serve from its tiers,
-  // or "" when the task is not cacheable here (foreign catalog or symbol
-  // table — the same conditions Execute applies before probing). A burst
-  // renders each distinct Σ (by address) once, into `sigma_keys`.
-  using SigmaKeysByAddress =
-      std::unordered_map<const DependencySet*, std::string>;
-  std::string TierKeyForPrefetch(const ConjunctiveQuery& q,
-                                 const ConjunctiveQuery& q_prime,
-                                 const DependencySet& deps,
-                                 SigmaKeysByAddress* sigma_keys) const;
 
   const Catalog* catalog_;
   SymbolTable* symbols_;
@@ -465,11 +512,12 @@ class ContainmentEngine {
   using SigmaCache = LruCache<std::shared_ptr<const SigmaRecord>>;
   SigmaCache sigma_cache_;
 
-  // Outstanding request states, so destruction can cancel them all — the
+  // Queued request states, so destruction can cancel them all — the
   // futures may have been dropped, and without this a no-deadline
-  // semi-decision would stall the destructor's drain forever. Weak: a
-  // resolved request's state dies with its task + futures; Submit prunes
-  // expired entries as it registers new ones.
+  // semi-decision would stall the destructor's drain forever. Requests
+  // answered on the submitting thread never register. Weak: a resolved
+  // request's state dies with its task + futures; Dispatch prunes expired
+  // entries as it registers new ones.
   std::mutex inflight_mu_;
   std::vector<std::weak_ptr<internal::FutureState<EngineOutcome>>> inflight_;
 

@@ -183,6 +183,14 @@ class EngineFuture {
   explicit EngineFuture(std::shared_ptr<internal::FutureState<T>> state)
       : state_(std::move(state)) {}
 
+  // A future that is already resolved to `result`: how the engine hands
+  // back a request it answered on the submitting thread.
+  static EngineFuture Ready(Result<T> result) {
+    auto state = std::make_shared<internal::FutureState<T>>();
+    state->result.emplace(std::move(result));
+    return EngineFuture(std::move(state));
+  }
+
   bool valid() const { return state_ != nullptr; }
 
   bool done() const {
@@ -229,9 +237,10 @@ class EngineFuture {
   }
 
   // Requests cooperative cancellation. The executing chase stops at its
-  // next control poll and the future resolves to kCancelled (releasing, in
-  // particular, its reference on any shared chase prefix). A request whose
-  // result already landed is unaffected. Idempotent.
+  // next control poll and the future resolves to kCancelled; the chase dies
+  // with its decision, handing back its NDV blocks. A request whose result
+  // already landed (including one answered before Submit returned) is
+  // unaffected. Idempotent.
   void Cancel() {
     if (!valid()) return;
     state_->control.cancel.store(true, std::memory_order_relaxed);

@@ -220,12 +220,19 @@ std::unique_ptr<TierStack> TierStack::Assemble(
     stack->actives_.emplace_back(*std::move(built), stack->descriptors_.size());
     stack->descriptors_.push_back(std::move(desc));
   }
+  while (stack->local_tiers_ < stack->actives_.size() &&
+         stack->descriptors_[stack->actives_[stack->local_tiers_].second]
+                 .kind != TierSpec::Kind::kRemote) {
+    ++stack->local_tiers_;
+  }
   return stack;
 }
 
-std::optional<TierStack::LookupResult> TierStack::Lookup(
-    const std::string& key) {
-  for (size_t a = 0; a < actives_.size(); ++a) {
+std::optional<TierStack::LookupResult> TierStack::Lookup(const std::string& key,
+                                                         Probe probe) {
+  const size_t begin = probe == Probe::kRest ? local_tiers_ : 0;
+  const size_t end = probe == Probe::kLocal ? local_tiers_ : actives_.size();
+  for (size_t a = begin; a < end; ++a) {
     const size_t di = actives_[a].second;
     std::optional<StoredVerdict> hit = actives_[a].first->Lookup(key);
     if (!hit.has_value()) continue;

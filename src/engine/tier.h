@@ -277,10 +277,19 @@ class TierStack {
     bool buffered_writes = false;  // promotion left bytes for a Flush()
   };
 
-  // Probes the tiers in order; on a hit at tier N, publishes the verdict
-  // into every cheaper tier (the promotion that keeps hot keys near memory)
-  // and reports whether that buffered durable bytes.
-  std::optional<LookupResult> Lookup(const std::string& key);
+  // Which part of the stack a Lookup probes. kLocal is the in-process
+  // prefix: every active tier before the first remote one (an LRU, a local
+  // store), cheap enough to probe on a submitting thread. kRest is the
+  // remainder, from the first remote tier on, which may cost a round trip.
+  // kLocal then kRest probes exactly what kAll does, in the same order.
+  enum class Probe { kAll, kLocal, kRest };
+
+  // Probes the tiers of `probe` in order; on a hit at tier N, publishes the
+  // verdict into every cheaper tier, inside the probed part or not (the
+  // promotion that keeps hot keys near memory), and reports whether that
+  // buffered durable bytes.
+  std::optional<LookupResult> Lookup(const std::string& key,
+                                     Probe probe = Probe::kAll);
 
   struct PublishReceipt {
     uint64_t accepted = 0;         // tiers that took a new entry
@@ -344,6 +353,8 @@ class TierStack {
   // quarantined ones; actives_[i].second is the index into descriptors_.
   std::vector<std::pair<std::unique_ptr<VerdictTier>, size_t>> actives_;
   std::vector<TierDescriptor> descriptors_;
+  // actives_[0, local_tiers_) is the Probe::kLocal prefix.
+  size_t local_tiers_ = 0;
 };
 
 }  // namespace cqchase

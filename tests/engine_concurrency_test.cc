@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <set>
@@ -423,6 +424,77 @@ TEST(SubmitConcurrencyTest, ColdDecisionsShareOneWideSigmaPlan) {
   EXPECT_EQ(stats.chases_built, oracle.stats().chases_built);
   EXPECT_EQ(stats.inds_pruned, oracle.stats().inds_pruned);
   EXPECT_GT(stats.inds_pruned, 0u);
+}
+
+
+TEST(SubmitConcurrencyTest, InlineHitsRaceMissesAndClearCaches) {
+  // Four client threads submit the same shared-key workload through
+  // LRU -> local store, so one thread's inline LRU or store hit races
+  // another's queued miss publishing the key, while a fifth thread keeps
+  // dropping the LRU and the Σ records under both. Every verdict must
+  // match a cache-less sequential oracle.
+  StressWorkload w = BuildStressWorkload();
+  EngineConfig oracle_config;
+  oracle_config.enable_cache = false;
+  ContainmentEngine oracle(w.catalog.get(), w.symbols.get(), oracle_config);
+  std::vector<Result<EngineVerdict>> expected;
+  for (const ContainmentRequest& r : w.requests) {
+    expected.push_back(oracle.Check(*r.q, *r.q_prime, *r.deps));
+  }
+
+  std::string dir = StrCat(::testing::TempDir(), "/cqchase_inline_XXXXXX");
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  EngineConfig config;
+  config.executor_threads = 2;
+  config.tiers = {TierSpec::Lru(64), TierSpec::LocalStore(dir)};
+  ContainmentEngine engine(w.catalog.get(), w.symbols.get(), config);
+  ASSERT_NE(engine.store(), nullptr) << engine.store_status();
+
+  constexpr int kClients = 4;
+  constexpr int kRounds = 3;
+  const size_t n = w.requests.size();
+  std::vector<std::vector<Result<EngineOutcome>>> got(kClients);
+  std::atomic<int> clients_done{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t k = 0; k < n; ++k) {
+          // Each client walks the workload from its own offset.
+          const size_t i = (k + static_cast<size_t>(c) * n / kClients) % n;
+          got[c].push_back(engine.Submit(w.requests[i]).Get());
+        }
+      }
+      clients_done.fetch_add(1);
+    });
+  }
+  threads.emplace_back([&] {
+    while (clients_done.load() < kClients) {
+      engine.ClearCaches();
+      std::this_thread::yield();
+    }
+  });
+  for (std::thread& t : threads) t.join();
+
+  for (int c = 0; c < kClients; ++c) {
+    ASSERT_EQ(got[c].size(), n * kRounds);
+    for (size_t j = 0; j < got[c].size(); ++j) {
+      const size_t i = (j % n + static_cast<size_t>(c) * n / kClients) % n;
+      ASSERT_EQ(expected[i].ok(), got[c][j].ok())
+          << "client " << c << " ask " << j << ": "
+          << (expected[i].ok() ? got[c][j].status().ToString()
+                               : expected[i].status().ToString());
+      if (!expected[i].ok()) continue;
+      EXPECT_EQ(expected[i]->report.contained,
+                got[c][j]->verdict.report.contained)
+          << "client " << c << " ask " << j;
+    }
+  }
+  // A client's later rounds re-ask keys its first round published, and
+  // ClearCaches never empties the store, so some asks were local hits.
+  const EngineStats stats = engine.stats();
+  EXPECT_GT(stats.cache_hits + stats.store_hits, 0u);
+  EXPECT_EQ(stats.submits, static_cast<uint64_t>(kClients * kRounds) * n);
 }
 
 }  // namespace

@@ -4,20 +4,25 @@
 // cooperative cancellation (must hand the chase's NDV blocks back and leave
 // a re-ask free to run), certificate-carrying outcomes extracted from the
 // decision's own chase (chases_built advances by at most one per request),
-// and SubmitAll bursts keeping request order and flagging null inputs. Runs
-// under TSan in CI.
+// SubmitAll bursts keeping request order and flagging null inputs, and
+// local-tier hits and input errors resolving on the submitting thread
+// without an executor task. Runs under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "base/string_util.h"
 #include "core/certificate.h"
 #include "cq/cq_parser.h"
 #include "deps/deps_parser.h"
 #include "engine/engine.h"
+#include "engine/remote_tier.h"
 #include "submit_util.h"
 
 namespace cqchase {
@@ -375,6 +380,155 @@ TEST_F(SubmitTest, SubmitAllKeepsOrderMatchesCheckAndFlagsNulls) {
   ASSERT_FALSE(got.back().ok());
   EXPECT_EQ(got.back().status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(engine.stats().submits, got.size());
+}
+
+
+// --- Local-tier hits answered on the submitting thread ---------------------
+
+// Polls until the executor has run `want` tasks: its counter moves after a
+// task's future resolves.
+uint64_t AwaitExecutorTasks(const ContainmentEngine& engine, uint64_t want) {
+  const auto deadline = std::chrono::steady_clock::now() + milliseconds(5000);
+  while (engine.stats().executor_tasks < want &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  return engine.stats().executor_tasks;
+}
+
+TEST_F(SubmitTest, LruHitResolvesBeforeSubmitReturns) {
+  ContainmentEngine engine(&catalog_, &symbols_);
+  ASSERT_TRUE(engine.Check(q_, q_prime_, deps_).ok());  // inline: fills LRU
+  const uint64_t tasks_before = engine.stats().executor_tasks;
+
+  EngineFuture<EngineOutcome> future =
+      engine.Submit(ContainmentRequest::Borrow(q_, q_prime_, deps_));
+  EXPECT_TRUE(future.done());
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.executor_tasks, tasks_before);
+  EXPECT_EQ(stats.submits, 1u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+  Result<EngineOutcome> outcome = future.Get();
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_TRUE(outcome->verdict.cache_hit);
+  EXPECT_FALSE(outcome->verdict.store_hit);
+  EXPECT_TRUE(outcome->verdict.report.contained);
+}
+
+TEST_F(SubmitTest, LocalStoreHitResolvesBeforeSubmitReturns) {
+  std::string dir = StrCat(::testing::TempDir(), "/cqchase_submit_XXXXXX");
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  EngineConfig config;
+  config.tiers = {TierSpec::Lru(64), TierSpec::LocalStore(dir)};
+  {
+    // Decides and publishes; teardown flushes the store.
+    ContainmentEngine writer(&catalog_, &symbols_, config);
+    ASSERT_NE(writer.store(), nullptr) << writer.store_status();
+    ASSERT_TRUE(writer.Check(q_, q_prime_, deps_).ok());
+  }
+  ContainmentEngine engine(&catalog_, &symbols_, config);
+  ASSERT_NE(engine.store(), nullptr) << engine.store_status();
+
+  EngineFuture<EngineOutcome> future =
+      engine.Submit(ContainmentRequest::Borrow(q_, q_prime_, deps_));
+  EXPECT_TRUE(future.done());
+  EXPECT_EQ(engine.stats().executor_tasks, 0u);
+  Result<EngineOutcome> outcome = future.Get();
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_TRUE(outcome->verdict.store_hit);
+  EXPECT_TRUE(outcome->verdict.report.contained);
+
+  // The store hit was promoted into the LRU, which answers the re-ask.
+  Result<EngineOutcome> again =
+      engine.Submit(ContainmentRequest::Borrow(q_, q_prime_, deps_)).Get();
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->verdict.cache_hit);
+  EXPECT_FALSE(again->verdict.store_hit);
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.executor_tasks, 0u);
+  EXPECT_EQ(stats.chases_built, 0u);
+  EXPECT_EQ(stats.store_hits, 1u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.cache_misses, 1u);  // the LRU miss the store answered
+}
+
+TEST_F(SubmitTest, RemoteOnlyHitRunsOnAWorkerAndIsPromoted) {
+  auto authority = std::make_shared<VerdictAuthority>();
+  EngineConfig config;
+  config.tiers = {TierSpec::Lru(64),
+                  TierSpec::Remote(std::make_shared<InProcessTransport>(
+                      authority))};
+  {
+    // Decides and publishes; teardown flushes to the authority.
+    ContainmentEngine writer(&catalog_, &symbols_, config);
+    ASSERT_TRUE(writer.Check(q_, q_prime_, deps_).ok());
+  }
+  ASSERT_EQ(authority->size(), 1u);
+
+  ContainmentEngine engine(&catalog_, &symbols_, config);
+  Result<EngineOutcome> outcome =
+      engine.Submit(ContainmentRequest::Borrow(q_, q_prime_, deps_)).Get();
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_TRUE(outcome->verdict.remote_hit);
+  EXPECT_TRUE(outcome->verdict.report.contained);
+  EXPECT_GE(AwaitExecutorTasks(engine, 1), 1u);
+  EXPECT_EQ(engine.stats().chases_built, 0u);
+
+  // Promoted into the LRU: the re-ask resolves before Submit returns.
+  const uint64_t tasks_before = engine.stats().executor_tasks;
+  EngineFuture<EngineOutcome> future =
+      engine.Submit(ContainmentRequest::Borrow(q_, q_prime_, deps_));
+  EXPECT_TRUE(future.done());
+  Result<EngineOutcome> again = future.Get();
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->verdict.cache_hit);
+  EXPECT_FALSE(again->verdict.remote_hit);
+  EXPECT_EQ(engine.stats().executor_tasks, tasks_before);
+  EXPECT_EQ(engine.stats().remote_hits, 1u);
+}
+
+TEST_F(SubmitTest, ExpiredDeadlineOnAWouldBeHitResolvesDeadlineExceeded) {
+  ContainmentEngine engine(&catalog_, &symbols_);
+  ASSERT_TRUE(engine.Check(q_, q_prime_, deps_).ok());  // fills the LRU
+  RequestOptions options;
+  options.deadline = std::chrono::steady_clock::now() - milliseconds(1);
+
+  EngineFuture<EngineOutcome> future =
+      engine.Submit(ContainmentRequest::Borrow(q_, q_prime_, deps_, options));
+  EXPECT_TRUE(future.done());
+  Result<EngineOutcome> outcome = future.Get();
+  EXPECT_EQ(outcome.status().code(), StatusCode::kDeadlineExceeded);
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.deadline_expirations, 1u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.executor_tasks, 0u);
+}
+
+TEST_F(SubmitTest, CancelOnAnInlineHitIsANoOp) {
+  ContainmentEngine engine(&catalog_, &symbols_);
+  ASSERT_TRUE(engine.Check(q_, q_prime_, deps_).ok());  // fills the LRU
+  EngineFuture<EngineOutcome> future =
+      engine.Submit(ContainmentRequest::Borrow(q_, q_prime_, deps_));
+  ASSERT_TRUE(future.done());
+  future.Cancel();
+  Result<EngineOutcome> outcome = future.Get();
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_TRUE(outcome->verdict.cache_hit);
+  EXPECT_TRUE(outcome->verdict.report.contained);
+  EXPECT_EQ(engine.stats().cancellations, 0u);
+}
+
+TEST_F(SubmitTest, NullInputResolvesWithoutAnExecutorTask) {
+  ContainmentEngine engine(&catalog_, &symbols_);
+  ContainmentRequest request = ContainmentRequest::Borrow(q_, q_prime_, deps_);
+  request.deps = nullptr;
+  EngineFuture<EngineOutcome> future = engine.Submit(std::move(request));
+  EXPECT_TRUE(future.done());
+  EXPECT_EQ(future.Get().status().code(), StatusCode::kInvalidArgument);
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.executor_tasks, 0u);
+  EXPECT_EQ(stats.submits, 1u);
+  EXPECT_EQ(stats.checks, 0u);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // The pluggable verdict-tier hierarchy (engine/tier.h + remote_tier.h):
 // stack assembly from specs, probe order with hit promotion into cheaper
-// tiers, the schema-fingerprint handshake (a mismatched peer is quarantined
-// with a loud reason, never silently served),
+// tiers, the split of a probe into its in-process prefix and the rest (from
+// the first remote tier on), the schema-fingerprint handshake (a mismatched
+// peer is quarantined with a loud reason, never silently served),
 // TTL expiry of remote negative entries, transport-failure degradation, and
 // the end-to-end loopback contract: a second engine with cold local caches
 // answers a shared workload entirely over the RemoteTier, zero chases.
@@ -115,6 +116,36 @@ TEST(TierStackTest, HitPromotesIntoCheaperTiers) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->kind, TierSpec::Kind::kLocalStore);
   hit = s.Lookup("k");
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->kind, TierSpec::Kind::kLru);
+}
+
+TEST(TierStackTest, LocalProbeStopsBeforeTheRemoteTier) {
+  const std::string dir = NewStoreDir("probe_split");
+  auto authority = std::make_shared<VerdictAuthority>();
+  authority->Put("remote", MakeVerdict(4));
+  std::unique_ptr<TierStack> stack = TierStack::Assemble(
+      {TierSpec::Lru(64), TierSpec::LocalStore(dir),
+       TierSpec::Remote(std::make_shared<InProcessTransport>(authority))});
+  TierStack& s = *stack;
+  s.Publish("local", MakeVerdict(5));
+  s.Clear();  // "local" now sits in the store (and the remote buffer)
+
+  // The in-process prefix answers from the store, never asks the peer.
+  std::optional<TierStack::LookupResult> hit =
+      s.Lookup("local", TierStack::Probe::kLocal);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->kind, TierSpec::Kind::kLocalStore);
+  EXPECT_FALSE(s.Lookup("remote", TierStack::Probe::kLocal).has_value());
+  EXPECT_EQ(authority->stats().fetches, 0u);
+
+  // The rest starts at the remote tier, and its hit is promoted into both
+  // in-process tiers, so the next local probe answers from the LRU.
+  hit = s.Lookup("remote", TierStack::Probe::kRest);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->kind, TierSpec::Kind::kRemote);
+  EXPECT_TRUE(hit->buffered_writes);  // the store buffered the promotion
+  hit = s.Lookup("remote", TierStack::Probe::kLocal);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->kind, TierSpec::Kind::kLru);
 }
