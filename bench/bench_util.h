@@ -79,7 +79,10 @@ inline void PrintHeader(const std::string& experiment,
 //       bench_store_warmstart --warm reports hit_submit_get_p50_us and
 //       hit_check_p50_us (store-hit latency through Submit -> Get and
 //       through the inline Check; 0 on a cold run)
-inline constexpr int kBenchRecordSchema = 13;
+//  14 — lean chase levels: new bench_deep_decisions record
+//       (deep_decisions: per family tasks, us_per_decision, us_per_level,
+//       us_per_minted, allocs_per_minted; cert32_build_ms; cpu)
+inline constexpr int kBenchRecordSchema = 14;
 
 // One-line machine-readable record, emitted by every bench so the perf
 // trajectory can be scraped (`grep '^{"bench"'` over the run log). Integral

@@ -24,7 +24,12 @@
 #     kAcyclicInd fragment must stay a real decision procedure, not a
 #     semi-decision in disguise); bench_schema_evolution unless a 1-IND edit
 #     on a warm wide-Σ store invalidates O(touched) verdicts and every
-#     survivor matches a fresh-engine oracle.
+#     survivor matches a fresh-engine oracle; bench_deep_decisions when its
+#     deep Theorem 1 decisions (20-64 chase levels) make more than 9 heap
+#     allocations per minted chase conjunct (6.79 measured when the gate
+#     was set; the tree before lean chase levels made 43). That gate counts
+#     operator new calls, which are a pure function of the fixed inputs, not
+#     a timing, so a loaded or shared host cannot flake it.
 #  5. warmstart-gate: the persistent-tier restart contract. Runs
 #     bench_store_warmstart twice against the same fresh store directory; the
 #     cold run populates the store and checks verdict parity against a
@@ -137,6 +142,9 @@ perf_gates() {
   # O(touched) verdicts and every survivor must match a fresh-engine oracle.
   rm -rf build/schema-evolution-store
   ./build/bench_schema_evolution build/schema-evolution-store
+  # Lean chase levels: deep iterative-deepening decisions stay free of
+  # per-conjunct heap traffic (a deterministic count, not a timing).
+  ./build/bench_deep_decisions --rounds 3 --max-allocs-per-conjunct 9
 }
 
 warmstart_gate() {
@@ -228,12 +236,13 @@ tcp_gate() {
 # hot. SymbolTable::Name() returns a temporary (chase-NDV names are rendered
 # on demand), so the suites that print names (pspace, chase, parser) run
 # under ASan to catch any string_view or pointer kept past it. The
-# homomorphism solver searches through references into a FactIndex it does
-# not own (the chase loop keeps one per decision), so the suites that drive
-# it directly and through the engine's loop run here too; sweep_test builds
-# certificates through that loop as well. canonical_key_test drives the
-# key labeller, whose per-thread scratch arrays outlive each query and only
-# grow.
+# homomorphism solver reads chase facts in place, through a FactTable over
+# storage it does not own (the chase loop keeps one target per decision,
+# and the chase's conjunct vector may move between searches), so the
+# suites that drive it directly and through the engine's loop run here
+# too; sweep_test builds certificates through that loop as well.
+# canonical_key_test drives the key labeller, whose per-thread scratch
+# arrays outlive each query and only grow.
 ASAN_TESTS=(serialize_test store_test tier_test net_test engine_test
             engine_cache_test engine_dispatch_test chase_core_parity_test
             reliance_test executor_test lineage_test delta_migration_test

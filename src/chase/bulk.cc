@@ -7,9 +7,7 @@
 #include <cassert>
 #include <chrono>
 #include <limits>
-#include <map>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -83,11 +81,11 @@ void Chase::PrepareBulk() {
           b.relations[b.relation_slot[ind.rhs_relation]].groups;
       uint32_t group = BulkState::kNone;
       for (const uint32_t g : rhs_groups) {
-        if (b.groups[g].columns == columns) group = g;
+        if (b.groups[g].least.columns() == columns) group = g;
       }
       if (group == BulkState::kNone) {
         group = static_cast<uint32_t>(b.groups.size());
-        b.groups.push_back(BulkState::WitnessGroup{columns, {}});
+        b.groups.emplace_back().least.Reset(columns);
         rhs_groups.push_back(group);
       }
       b.group_of_ind[k] = group;
@@ -104,63 +102,74 @@ void Chase::AddToWitnessGroups(const ChaseConjunct& conjunct) {
       bulk_->Relation(conjunct.fact.relation);
   if (state == nullptr) return;
   for (uint32_t g : state->groups) {
-    BulkState::WitnessGroup& group = bulk_->groups[g];
-    std::vector<Term> projection;
-    projection.reserve(group.columns->size());
-    for (uint32_t col : *group.columns) {
-      projection.push_back(conjunct.fact.terms[col]);
+    const auto [least, inserted] =
+        bulk_->groups[g].least.Emplace(conjunct.id, ConjunctFacts());
+    if (inserted) continue;
+    // Keep the least (fact, id): the paper's deterministic witness.
+    const ChaseConjunct& held = conjuncts_[*least];
+    if (conjunct.fact < held.fact ||
+        (conjunct.fact == held.fact && conjunct.id < held.id)) {
+      *least = conjunct.id;
     }
-    group.index[std::move(projection)].emplace(conjunct.fact, conjunct.id);
   }
 }
 
 void Chase::RebuildWitnessGroups() {
   ++stats_.index_rebuilds;
-  for (BulkState::WitnessGroup& group : bulk_->groups) group.index.clear();
+  for (BulkState::WitnessGroup& group : bulk_->groups) group.least.Clear();
   for (const ChaseConjunct& c : conjuncts_) {
     if (c.alive) AddToWitnessGroups(c);
   }
   bulk_->witness_dirty = false;
 }
 
-ColumnSegment& Chase::SweepSegment(std::vector<ColumnSegment>* acc,
-                                   uint32_t ind, uint32_t level) {
-  uint32_t& slot = bulk_->segment_of_ind[ind];
+SegmentBuilder& Chase::SweepSegment(uint32_t ind, uint32_t level) {
+  BulkState& b = *bulk_;
+  uint32_t& slot = b.segment_of_ind[ind];
   if (slot == BulkState::kNone) {
-    slot = static_cast<uint32_t>(acc->size());
-    ColumnSegment& seg = acc->emplace_back();
-    seg.level = level;
-    seg.ind_index = ind;
-    seg.relation = deps_->inds()[ind].rhs_relation;
+    slot = static_cast<uint32_t>(b.open_segments++);
+    if (slot == b.sweep_segments.size()) b.sweep_segments.emplace_back();
+    const RelationId relation = deps_->inds()[ind].rhs_relation;
+    b.sweep_segments[slot].Reset(level, ind, relation,
+                                 static_cast<uint32_t>(
+                                     catalog_->arity(relation)));
   }
-  return (*acc)[slot];
+  return b.sweep_segments[slot];
 }
 
-void Chase::FlushSweepSegments(std::vector<ColumnSegment>* acc) {
-  std::sort(acc->begin(), acc->end(),
-            [](const ColumnSegment& x, const ColumnSegment& y) {
+void Chase::FlushSweepSegments() {
+  BulkState& b = *bulk_;
+  const auto open = b.sweep_segments.begin() + b.open_segments;
+  std::sort(b.sweep_segments.begin(), open,
+            [](const SegmentBuilder& x, const SegmentBuilder& y) {
               return x.ind_index < y.ind_index;
             });
-  for (ColumnSegment& seg : *acc) {
-    bulk_->segment_of_ind[seg.ind_index] = BulkState::kNone;
+  for (auto it = b.sweep_segments.begin(); it != open; ++it) {
+    b.segment_of_ind[it->ind_index] = BulkState::kNone;
     ++stats_.segments_built;
-    segments_.Add(std::move(seg));
+    segments_.Add(*it);
   }
-  acc->clear();
+  b.open_segments = 0;
 }
 
-bool Chase::BulkHasPendingWork(uint32_t level) const {
-  const size_t words = considered_.words_per_row();
-  for (const ChaseConjunct& c : conjuncts_) {
-    if (!c.alive || c.level >= level) continue;
-    const std::vector<uint64_t>* mask = bulk_->Applicable(c.fact.relation);
-    if (mask == nullptr) continue;
-    const uint64_t* row = considered_.Row(c.id);
-    for (size_t w = 0; w < words; ++w) {
-      if (((*mask)[w] & ~(row != nullptr ? row[w] : 0)) != 0) return true;
-    }
+bool Chase::HasPendingInds(const ChaseConjunct& conjunct) const {
+  const std::vector<uint64_t>* mask = bulk_->Applicable(conjunct.fact.relation);
+  if (mask == nullptr) return false;
+  const uint64_t* row = considered_.Row(conjunct.id);
+  for (size_t w = 0; w < mask->size(); ++w) {
+    if (((*mask)[w] & ~(row != nullptr ? row[w] : 0)) != 0) return true;
   }
   return false;
+}
+
+bool Chase::BulkHasPendingWork() {
+  uint64_t& watermark = bulk_->watermark;
+  while (watermark < conjuncts_.size() &&
+         (!conjuncts_[watermark].alive ||
+          !HasPendingInds(conjuncts_[watermark]))) {
+    ++watermark;
+  }
+  return watermark < conjuncts_.size();
 }
 
 Result<bool> Chase::RunLevelBatch(uint32_t effective) {
@@ -178,24 +187,24 @@ Result<bool> Chase::RunLevelBatch(uint32_t effective) {
   // the frontier is stable — every mint lands at frontier_level + 1, and an
   // FD merge aborts the sweep — so the scalar core's (level, fact, id, ind)
   // pending order linearizes to: frontier sorted by (fact, id), pending INDs
-  // ascending within each conjunct. That is exactly the order below.
+  // ascending within each conjunct. That is exactly the order below. No
+  // conjunct below the watermark has pending work, so the scan starts there.
   uint32_t frontier_level = std::numeric_limits<uint32_t>::max();
-  std::vector<uint64_t> frontier;
-  for (const ChaseConjunct& c : conjuncts_) {
-    if (!c.alive || c.level >= effective || c.level > frontier_level) continue;
-    const std::vector<uint64_t>* mask = b.Applicable(c.fact.relation);
-    if (mask == nullptr) continue;
-    const uint64_t* row = considered_.Row(c.id);
-    bool pending = false;
-    for (size_t w = 0; w < words && !pending; ++w) {
-      pending = ((*mask)[w] & ~(row != nullptr ? row[w] : 0)) != 0;
+  std::vector<uint64_t>& frontier = b.frontier;
+  frontier.clear();
+  if (BulkHasPendingWork()) {
+    for (size_t i = b.watermark; i < conjuncts_.size(); ++i) {
+      const ChaseConjunct& c = conjuncts_[i];
+      if (!c.alive || c.level >= effective || c.level > frontier_level) {
+        continue;
+      }
+      if (!HasPendingInds(c)) continue;
+      if (c.level < frontier_level) {
+        frontier_level = c.level;
+        frontier.clear();
+      }
+      frontier.push_back(c.id);
     }
-    if (!pending) continue;
-    if (c.level < frontier_level) {
-      frontier_level = c.level;
-      frontier.clear();
-    }
-    frontier.push_back(c.id);
   }
   if (frontier.empty()) {
     stats_.retain_ms += MsSince(retain_start);
@@ -213,29 +222,24 @@ Result<bool> Chase::RunLevelBatch(uint32_t effective) {
   stats_.retain_ms += MsSince(retain_start);
 
   // --- Join phase: apply every pending IND across the frontier. -----------
-  // Columnar accumulators, one per IND that mints in this sweep; whatever
+  // Segment builders, one per IND that mints in this sweep; whatever
   // was minted is flushed into segments_ on every exit path (including
   // aborts — those mints happened).
-  std::vector<ColumnSegment> acc;
   struct SweepGuard {
     Chase* chase;
-    std::vector<ColumnSegment>* acc;
     SteadyClock::time_point join_start = SteadyClock::now();
     ~SweepGuard() {
-      chase->FlushSweepSegments(acc);
+      chase->FlushSweepSegments();
       chase->stats_.join_ms += MsSince(join_start);
     }
-  } sweep_guard{this, &acc};
+  } sweep_guard{this};
 
-  std::vector<uint32_t> pending_inds;
-  std::vector<Term> x_values;
+  std::vector<uint32_t>& pending_inds = b.pending_inds;
   for (const uint64_t source_id : frontier) {
     // Snapshot this conjunct's pending INDs up front: Set() below mutates
-    // the considered row while we iterate. The fact is copied because
-    // conjuncts_ may reallocate on push_back; it cannot change value
-    // mid-sweep (a merge would have aborted the sweep first).
-    const Fact source_fact = conjuncts_[IndexOfId(source_id)].fact;
-    const std::vector<uint64_t>& mask = *b.Applicable(source_fact.relation);
+    // the considered row while we iterate.
+    const std::vector<uint64_t>& mask =
+        *b.Applicable(conjuncts_[IndexOfId(source_id)].fact.relation);
     const uint64_t* row = considered_.Row(source_id);
     pending_inds.clear();
     for (size_t w = 0; w < words; ++w) {
@@ -259,21 +263,21 @@ Result<bool> Chase::RunLevelBatch(uint32_t effective) {
       }
       considered_.Set(k, source_id);
       const InclusionDependency& ind = inds[k];
-      x_values.clear();
-      for (uint32_t c : ind.lhs_columns) {
-        x_values.push_back(source_fact.terms[c]);
-      }
+      // Read in place, and re-read per IND: a mint below may reallocate
+      // conjuncts_. The value cannot change mid-sweep (a merge would have
+      // aborted the sweep first).
+      const Fact& source = conjuncts_[IndexOfId(source_id)].fact;
 
       // Witness probe against the shared (rhs_relation, rhs_columns) group:
-      // identical contents to the scalar per-IND witness_index_[k], kept
-      // current within the sweep by AddToWitnessGroups at each mint (a later
-      // frontier row may be witnessed by an earlier in-sweep mint).
-      BulkState::WitnessGroup& group = b.groups[b.group_of_ind[k]];
+      // the least (fact, id) witness the scalar per-IND witness_index_[k]
+      // would return, kept current within the sweep by AddToWitnessGroups
+      // at each mint (a later frontier row may be witnessed by an earlier
+      // in-sweep mint).
       std::optional<uint64_t> witness;
-      auto it = group.index.find(x_values);
-      if (it != group.index.end() && !it->second.empty()) {
-        witness = it->second.begin()->second;  // min (fact, id)
-      }
+      const uint64_t least =
+          b.groups[b.group_of_ind[k]].least.Find(source, ind.lhs_columns,
+                                                 ConjunctFacts());
+      if (least != ProjectionIndex::kNone) witness = least;
       if (variant_ == ChaseVariant::kRequired ||
           (witness.has_value() && !plan_->has_fresh_columns(k))) {
         if (witness.has_value()) {
@@ -290,7 +294,7 @@ Result<bool> Chase::RunLevelBatch(uint32_t effective) {
       created.relation = ind.rhs_relation;
       created.terms.resize(catalog_->arity(ind.rhs_relation));
       for (size_t i = 0; i < ind.rhs_columns.size(); ++i) {
-        created.terms[ind.rhs_columns[i]] = x_values[i];
+        created.terms[ind.rhs_columns[i]] = source.terms[ind.lhs_columns[i]];
       }
       for (uint32_t col = 0; col < created.terms.size(); ++col) {
         if (!created.terms[col].is_valid()) {
@@ -303,7 +307,7 @@ Result<bool> Chase::RunLevelBatch(uint32_t effective) {
             StrCat("chase exceeded max_conjuncts=", limits_.max_conjuncts));
       }
       const uint64_t new_id = next_id_++;
-      SweepSegment(&acc, k, new_level).AppendRow(created, new_id, source_id);
+      SweepSegment(k, new_level).AppendRow(created, new_id, source_id);
       conjuncts_.push_back(ChaseConjunct{new_id, std::move(created), new_level,
                                          /*alive=*/true, source_id, k});
       ++alive_count_;
@@ -338,9 +342,8 @@ Result<ChaseOutcome> Chase::BulkExpandToLevel(uint32_t effective) {
   }
   // No work below `effective`. Saturated iff nothing remains at any level —
   // same determination as the scalar core, via masks instead of pending_.
-  outcome_ = BulkHasPendingWork(std::numeric_limits<uint32_t>::max())
-                 ? ChaseOutcome::kTruncated
-                 : ChaseOutcome::kSaturated;
+  outcome_ = BulkHasPendingWork() ? ChaseOutcome::kTruncated
+                                  : ChaseOutcome::kSaturated;
   return outcome_;
 }
 

@@ -7,16 +7,19 @@
 // processing level L, the level-L frontier is fixed — every IND application
 // mints at level L+1, and only an FD merge (which aborts the sweep) can
 // change level-L facts. So instead of maintaining a pending set at all, it
-// recomputes the frontier per level from two dense structures:
+// recomputes the frontier per level from three structures:
 //
 //  * applicable masks: per-relation bitmask of INDs whose lhs is that
 //    relation. AND-NOT against the conjunct's ConsideredSet row gives its
 //    pending INDs in a few word ops.
-//  * witness groups: one (projection -> witnesses) index per DISTINCT
+//  * witness groups: one (projection -> least witness) index per DISTINCT
 //    (rhs_relation, rhs_columns) pair, shared by all INDs with that rhs —
 //    wide Σ typically has far fewer distinct projections than INDs, so a
 //    minted conjunct updates a handful of groups instead of |Σ| per-IND
 //    witness maps.
+//  * a frontier watermark (VLog TGChase's `nnodes`, semi-naive): the
+//    conjuncts below it have no pending work, so a level's sweep starts its
+//    frontier scan there instead of at conjunct 0.
 //
 // Everything Σ-only behind them (the IND -> projection layout, fresh-column
 // flags, the relation -> INDs index) is compiled once per Σ into a shared,
@@ -25,21 +28,18 @@
 //
 // The sweep itself visits the frontier in (fact, id) order applying pending
 // INDs ascending — exactly the scalar core's (level, fact, id, ind) order —
-// and flushes one columnar ColumnSegment per (level, IND) into the chase's
-// SegmentStore. See Chase::RunLevelBatch in bulk.cc for the equivalence
+// and flushes one columnar segment per (level, IND) from its
+// SegmentBuilder into the chase's SegmentStore. See Chase::RunLevelBatch in bulk.cc for the equivalence
 // argument, and tests/chase_core_parity_test.cc for the differential proof.
 #ifndef CQCHASE_CHASE_BULK_H_
 #define CQCHASE_CHASE_BULK_H_
 
 #include <cstdint>
-#include <map>
-#include <set>
-#include <utility>
 #include <vector>
 
-#include "cq/fact.h"
+#include "chase/projection_index.h"
+#include "chase/segment.h"
 #include "schema/catalog.h"
-#include "symbols/term.h"
 
 namespace cqchase {
 
@@ -48,7 +48,7 @@ namespace cqchase {
 // closure from the level-0 relations, masks and witness groups for the
 // reachable INDs only. Building it costs O(reachable INDs) plus two dense
 // uint32 index arrays (per relation, per IND) — the plan already did the
-// O(|Σ|) compilation once for every chase of its Σ. The witness indexes
+// O(|Σ|) compilation once for every chase of its Σ. The witness groups
 // inside are rebuilt whenever witness_dirty is set. Not thread-safe.
 struct BulkState {
   // Slot value for a pruned IND, an untouched relation, or an IND with no
@@ -79,13 +79,18 @@ struct BulkState {
                                                          : &state->applicable;
   }
 
-  // One witness index per distinct projection of a reachable IND (the
-  // plan's ChasePlan::Projection, which outlives this state). The inner set
-  // is ordered (fact, id) so begin() is the paper's deterministic witness —
-  // same invariant as the scalar witness_index_.
+  // One witness group per distinct projection of a reachable IND (the
+  // plan's ChasePlan::Projection, which outlives this state). The paper's
+  // witness for a projection value is the least (fact, id) alive conjunct
+  // carrying it — same invariant as the scalar witness_index_ — and that
+  // least witness is all a probe ever reads. So a group keeps only it: a
+  // ProjectionIndex keyed on the projection's columns, one conjunct id per
+  // projection value, with a mint replacing the stored id when its (fact,
+  // id) is smaller. Keys are read in place from the conjuncts' facts, so a
+  // mint copies no terms; an FD merge rewrites facts, sets witness_dirty,
+  // and the next sweep rebuilds every group from the alive conjuncts.
   struct WitnessGroup {
-    const std::vector<uint32_t>* columns = nullptr;
-    std::map<std::vector<Term>, std::set<std::pair<Fact, uint64_t>>> index;
+    ProjectionIndex least;  // keyed on the projection's columns
   };
   std::vector<WitnessGroup> groups;
 
@@ -94,14 +99,33 @@ struct BulkState {
   // analysis/reliance.h). Never dereferenced for a pruned IND — its lhs
   // relation never holds a fact, so no sweep ever selects it.
   std::vector<uint32_t> group_of_ind;
-  // Per IND: index of its segment in the open sweep's accumulator, kNone
-  // when it has minted nothing yet this sweep (see Chase::SweepSegment).
+  // Per IND: index of its builder in sweep_segments, kNone when it has
+  // minted nothing yet this sweep (see Chase::SweepSegment).
   std::vector<uint32_t> segment_of_ind;
 
   // Set by Chase::SubstituteTerm: an FD merge mutated facts, so the groups
   // (and any in-flight frontier) are stale. The current sweep aborts and the
   // next one rebuilds.
   bool witness_dirty = true;
+
+  // The semi-naive watermark: every conjunct with id < watermark is dead or
+  // has no pending IND. A conjunct never regains pending work (considered
+  // bits are only ever set or inherited, a merge only kills conjuncts and
+  // lowers levels, and a relation's applicable mask is fixed), so the
+  // watermark only moves forward, and the conjuncts at and past it hold all
+  // the pending work. Without merges, conjunct ids ascend with level, so
+  // after a completed sweep the watermark sits at the first conjunct of
+  // the next frontier: a level's frontier scan touches that level's
+  // conjuncts and the ones it mints, not the whole prefix.
+  uint64_t watermark = 0;
+
+  // Sweep scratch, cleared (not freed) by each sweep: the frontier's ids,
+  // one conjunct's pending INDs, and the segment builders, of which the
+  // first open_segments belong to the open sweep.
+  std::vector<uint64_t> frontier;
+  std::vector<uint32_t> pending_inds;
+  std::vector<SegmentBuilder> sweep_segments;
+  size_t open_segments = 0;
 };
 
 }  // namespace cqchase

@@ -172,14 +172,12 @@ Status Chase::RunIncrementalFdPhase() {
     for (uint32_t fd_i = 0; fd_i < deps_->fds().size(); ++fd_i) {
       const FunctionalDependency& fd = deps_->fds()[fd_i];
       if (fd.relation != c.fact.relation) continue;
-      std::vector<Term> key;
-      key.reserve(fd.lhs.size());
-      for (uint32_t col : fd.lhs) key.push_back(c.fact.terms[col]);
-      auto [it, inserted] = fd_index_[fd_i].emplace(std::move(key), id);
-      if (inserted || it->second == id) continue;
-      const ChaseConjunct& other = conjuncts_[IndexOfId(it->second)];
+      const auto [rep, inserted] =
+          fd_index_[fd_i].Emplace(id, ConjunctFacts());
+      if (inserted || *rep == id) continue;
+      const ChaseConjunct& other = conjuncts_[IndexOfId(*rep)];
       if (!other.alive) {
-        it->second = id;  // stale representative: adopt the live one
+        *rep = id;  // stale representative: adopt the live one
         continue;
       }
       if (other.fact.terms[fd.rhs] == c.fact.terms[fd.rhs]) continue;
@@ -188,7 +186,7 @@ Status Chase::RunIncrementalFdPhase() {
         return Status::ResourceExhausted(
             StrCat("chase exceeded max_steps=", limits_.max_steps));
       }
-      if (!ApplyFd(fd, IndexOfId(it->second), IndexOfId(id))) {
+      if (!ApplyFd(fd, IndexOfId(*rep), IndexOfId(id))) {
         return Status::OK();  // constant clash: empty query
       }
       fd_index_dirty_ = true;
@@ -236,34 +234,34 @@ Status Chase::RunFullFdPhase() {
       const FunctionalDependency& fd = deps_->fds()[fd_i];
       // Deterministic: iterate conjuncts in (fact, id) order so the chosen
       // pair does not depend on container layout.
-      std::map<std::vector<Term>, size_t> by_lhs;
-      std::vector<size_t> order;
+      fd_order_.clear();
       for (size_t i = 0; i < conjuncts_.size(); ++i) {
         if (conjuncts_[i].alive && conjuncts_[i].fact.relation == fd.relation) {
-          order.push_back(i);
+          fd_order_.push_back(i);
         }
       }
-      std::sort(order.begin(), order.end(), [&](size_t x, size_t y) {
-        if (conjuncts_[x].fact != conjuncts_[y].fact) {
-          return conjuncts_[x].fact < conjuncts_[y].fact;
-        }
-        return conjuncts_[x].id < conjuncts_[y].id;
-      });
-      for (size_t i : order) {
+      std::sort(fd_order_.begin(), fd_order_.end(),
+                [&](uint64_t x, uint64_t y) {
+                  if (conjuncts_[x].fact != conjuncts_[y].fact) {
+                    return conjuncts_[x].fact < conjuncts_[y].fact;
+                  }
+                  return conjuncts_[x].id < conjuncts_[y].id;
+                });
+      // The first conjunct in that order with each lhs value.
+      fd_scan_.Reset(&fd.lhs);
+      for (const uint64_t i : fd_order_) {
         const Fact& f = conjuncts_[i].fact;
-        std::vector<Term> key;
-        key.reserve(fd.lhs.size());
-        for (uint32_t c : fd.lhs) key.push_back(f.terms[c]);
-        auto [it, inserted] = by_lhs.emplace(std::move(key), i);
+        const auto [first, inserted] =
+            fd_scan_.Emplace(i, ConjunctFacts());
         if (inserted) continue;
-        const Fact& g = conjuncts_[it->second].fact;
+        const Fact& g = conjuncts_[*first].fact;
         if (g.terms[fd.rhs] == f.terms[fd.rhs]) continue;
         ++stats_.steps;
         if (stats_.steps > limits_.max_steps) {
           return Status::ResourceExhausted(
               StrCat("chase exceeded max_steps=", limits_.max_steps));
         }
-        if (!ApplyFd(fd, it->second, i)) return Status::OK();
+        if (!ApplyFd(fd, *first, i)) return Status::OK();
         applied = true;
         break;
       }
@@ -271,18 +269,17 @@ Status Chase::RunFullFdPhase() {
     if (!applied) break;
   }
   // Saturated (or empty): rebuild the incremental FD index.
-  fd_index_.assign(deps_->fds().size(), {});
+  fd_index_.resize(deps_->fds().size());
+  for (uint32_t fd_i = 0; fd_i < deps_->fds().size(); ++fd_i) {
+    fd_index_[fd_i].Reset(&deps_->fds()[fd_i].lhs);
+  }
   fd_queue_.clear();
   if (outcome_ != ChaseOutcome::kEmptyQuery) {
     for (const ChaseConjunct& c : conjuncts_) {
       if (!c.alive) continue;
       for (uint32_t fd_i = 0; fd_i < deps_->fds().size(); ++fd_i) {
-        const FunctionalDependency& fd = deps_->fds()[fd_i];
-        if (fd.relation != c.fact.relation) continue;
-        std::vector<Term> key;
-        key.reserve(fd.lhs.size());
-        for (uint32_t col : fd.lhs) key.push_back(c.fact.terms[col]);
-        fd_index_[fd_i].emplace(std::move(key), c.id);
+        if (deps_->fds()[fd_i].relation != c.fact.relation) continue;
+        fd_index_[fd_i].Emplace(c.id, ConjunctFacts());
       }
     }
   }

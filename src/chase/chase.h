@@ -39,6 +39,7 @@
 #include "base/status.h"
 #include "chase/control.h"
 #include "chase/plan.h"
+#include "chase/projection_index.h"
 #include "chase/segment.h"
 #include "cq/fact.h"
 #include "cq/query.h"
@@ -249,6 +250,10 @@ class Chase {
                                       const std::vector<Term>& x_values);
 
   size_t IndexOfId(uint64_t id) const;
+  // The conjuncts' facts by id, valid until conjuncts_ next reallocates.
+  FactTable ConjunctFacts() const {
+    return FactTable(conjuncts_, &ChaseConjunct::fact);
+  }
 
   // --- Performance indices -------------------------------------------------
   // Pure caches over conjuncts_ / considered_; rebuilt lazily whenever an FD
@@ -299,20 +304,23 @@ class Chase {
   // flushes one columnar segment per (level, IND). Returns true if any
   // (conjunct, IND) pair was processed.
   Result<bool> RunLevelBatch(uint32_t effective);
-  // Pending-work probe without the scalar pending_ set: scans conjuncts
-  // against per-relation applicable-IND masks minus considered_ rows.
-  bool BulkHasPendingWork(uint32_t level) const;
+  // Pending-work probe without the scalar pending_ set: true iff some alive
+  // conjunct, at any level, has an applicable IND its considered_ row does
+  // not hold. Advances the frontier watermark (chase/bulk.h) past the
+  // conjuncts without pending work, so it costs O(conjuncts it passes).
+  bool BulkHasPendingWork();
+  // Whether `conjunct`'s relation mask has an IND its considered_ row lacks.
+  bool HasPendingInds(const ChaseConjunct& conjunct) const;
   // Instantiates bulk_ from the plan: reachable INDs, masks, witness groups.
   void PrepareBulk();
   void RebuildWitnessGroups();  // from-scratch witness rebuild (post-merge)
   void AddToWitnessGroups(const ChaseConjunct& conjunct);
-  // The open sweep's segment for IND `ind` in `acc`, opened at `level` on
+  // The open sweep's segment builder for IND `ind`, opened at `level` on
   // the IND's first mint of the sweep. The reference is valid until the
   // next call.
-  ColumnSegment& SweepSegment(std::vector<ColumnSegment>* acc, uint32_t ind,
-                              uint32_t level);
-  // Moves a finished sweep's segments into segments_, ascending by IND.
-  void FlushSweepSegments(std::vector<ColumnSegment>* acc);
+  SegmentBuilder& SweepSegment(uint32_t ind, uint32_t level);
+  // Stores a finished sweep's segments in segments_, ascending by IND.
+  void FlushSweepSegments();
 
   std::shared_ptr<const ChasePlan> plan_;
   const Catalog* catalog_;     // &plan_->catalog()
@@ -353,13 +361,22 @@ class Chase {
       witness_index_;
   bool index_dirty_ = true;
 
-  // Per-FD map from lhs-values to a representative alive conjunct id, plus
-  // the queue of conjuncts created since the last FD check. Keeping the FD
-  // phase incremental matters: the paper's procedure re-runs the FD rule
-  // between any two IND steps, which read naively is a full rescan per step.
-  std::vector<std::map<std::vector<Term>, uint64_t>> fd_index_;
+  // The FD index: per FD, the alive conjuncts of its relation keyed by
+  // their lhs values (a ProjectionIndex on fd.lhs), one representative id
+  // per key; plus the queue of conjuncts created since the last FD check.
+  // Keeping the FD phase incremental matters: the paper's procedure re-runs
+  // the FD rule between any two IND steps, which read naively is a full
+  // rescan per step. Keys are read in place from the representatives'
+  // facts, which hold still between rebuilds: every merge sets
+  // fd_index_dirty_, and the full phase rebuilds the index before the next
+  // incremental check reads it.
+  std::vector<ProjectionIndex> fd_index_;
   std::vector<uint64_t> fd_queue_;
   bool fd_index_dirty_ = true;
+  // The full FD phase's scratch (one FD's (fact, id)-ordered scan), kept
+  // between phases so a phase allocates nothing once warm.
+  ProjectionIndex fd_scan_;
+  std::vector<uint64_t> fd_order_;
 
   ChaseOutcome outcome_ = ChaseOutcome::kTruncated;
   bool initialized_ = false;

@@ -57,24 +57,44 @@ struct ChaseStats {
   double fd_ms = 0.0;      // full FD saturation phases (both cores)
 };
 
-// All conjuncts minted by one (level, IND) application. `columns[c][r]` is
-// column c of minted row r; minted_ids/source_ids are row-aligned.
+// All conjuncts minted by one (level, IND) application, as a SegmentStore
+// holds them: a view into the store's pooled arrays, valid until the store
+// next grows. Column c of minted row r is terms[c * rows() + r];
+// minted_ids/source_ids are row-aligned.
 struct ColumnSegment {
   uint32_t level = 0;      // level of the minted conjuncts (source + 1)
   uint32_t ind_index = 0;  // index into DependencySet::inds()
   RelationId relation = 0;  // rhs relation of the IND
-  std::vector<std::vector<Term>> columns;
-  std::vector<uint64_t> minted_ids;
-  std::vector<uint64_t> source_ids;  // mint-time sources (see caveat above)
+  uint32_t arity = 0;
+  size_t num_rows = 0;
+  const Term* terms = nullptr;
+  const uint64_t* minted_ids = nullptr;
+  const uint64_t* source_ids = nullptr;  // mint-time sources (caveat above)
 
-  size_t rows() const { return minted_ids.size(); }
-
-  // Appends the fact's terms column-wise plus the provenance row.
-  void AppendRow(const Fact& fact, uint64_t minted_id, uint64_t source_id);
+  size_t rows() const { return num_rows; }
 
   // Reassembles row r as a Fact (tests / debugging; the chase itself keeps
   // the authoritative row in conjuncts_).
   Fact RowFact(size_t r) const;
+};
+
+// A segment still being minted: the rows one IND has minted so far in an
+// open bulk sweep, row-major. Sweep scratch: Reset reuses the storage, so a
+// warm builder allocates nothing per row.
+struct SegmentBuilder {
+  uint32_t level = 0;
+  uint32_t ind_index = 0;
+  RelationId relation = 0;
+  uint32_t arity = 0;
+  std::vector<Term> terms;  // row r's column c at terms[r * arity + c]
+  std::vector<uint64_t> minted_ids;
+  std::vector<uint64_t> source_ids;
+
+  size_t rows() const { return minted_ids.size(); }
+  void Reset(uint32_t level, uint32_t ind_index, RelationId relation,
+             uint32_t arity);
+  // Appends the fact's terms plus the provenance row.
+  void AppendRow(const Fact& fact, uint64_t minted_id, uint64_t source_id);
 };
 
 // Provenance edge for one minted conjunct: which segment row created it.
@@ -85,26 +105,46 @@ struct SegmentEdge {
   uint32_t ind_index = 0;
 };
 
+// Every segment of one chase, pooled: one term array (each segment's
+// columns in turn), one minted-id and one source-id array (each segment's
+// rows in turn), and a small record per segment. Adding a segment appends
+// to the pools, so the store allocates only as the pools double, not per
+// segment.
 class SegmentStore {
  public:
-  const std::vector<ColumnSegment>& segments() const { return segments_; }
+  // Views of the stored segments, oldest first.
+  std::vector<ColumnSegment> segments() const;
 
   // O(1): the segment row that minted conjunct `id`, or nullopt for level-0
   // roots and scalar-minted conjuncts.
   std::optional<SegmentEdge> EdgeOf(uint64_t id) const;
 
-  void Add(ColumnSegment segment);
+  // Stores the builder's rows as the next segment (column-major). An empty
+  // builder adds nothing.
+  void Add(const SegmentBuilder& segment);
 
-  size_t TotalRows() const { return total_rows_; }
-  bool empty() const { return segments_.empty(); }
+  size_t TotalRows() const { return minted_ids_.size(); }
+  bool empty() const { return records_.empty(); }
 
  private:
   static constexpr uint64_t kNoEdge = ~uint64_t{0};
 
-  std::vector<ColumnSegment> segments_;
+  struct Record {
+    uint32_t level;
+    uint32_t ind_index;
+    RelationId relation;
+    uint32_t arity;
+    size_t first_row;   // into minted_ids_ / source_ids_
+    size_t rows;
+    size_t first_term;  // into terms_
+  };
+
+  std::vector<Record> records_;
+  std::vector<Term> terms_;
+  std::vector<uint64_t> minted_ids_;
+  std::vector<uint64_t> source_ids_;
   // minted id -> packed (segment << 32 | row); kNoEdge when absent.
   std::vector<uint64_t> edge_of_id_;
-  size_t total_rows_ = 0;
 };
 
 // Dense (IND × conjunct-id) bitmap: which INDs the discipline has already

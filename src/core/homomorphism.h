@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -26,8 +27,9 @@ struct Homomorphism {
   // Image of every source variable (constants map to themselves and are not
   // recorded).
   std::unordered_map<Term, Term> mapping;
-  // For source conjunct i, the index into the target fact vector it was
-  // mapped onto. Lets callers recover e.g. chase levels of the image.
+  // For source conjunct i, the position in the target (the index into the
+  // target fact vector) it was mapped onto. Lets callers recover e.g. chase
+  // levels of the image.
   std::vector<size_t> conjunct_images;
 
   // Applies the mapping to a term (identity for constants/unmapped).
@@ -47,68 +49,124 @@ struct HomomorphismOptions {
   size_t max_nodes = 0;
 };
 
-// The search index over a target fact vector: the facts of each relation and
-// the positional posting lists (relation, column, term) -> facts. Every list
-// holds fact indices in ascending order, so an index grown by Add visits
-// candidates in exactly the order a one-shot index over the same vector
-// does.
-class FactIndex {
- public:
-  // Indexes `fact` as fact number `index`; indices must be added ascending.
-  void Add(size_t index, const Fact& fact);
-  void Clear();
+// An ascending run of target fact positions: a FactIndex list, or its part
+// inside a window.
+struct PositionSpan {
+  const uint32_t* first = nullptr;
+  const uint32_t* last = nullptr;
 
-  // The facts of `relation` (empty for a relation with none).
-  const std::vector<size_t>& FactsOf(RelationId relation) const;
-  // The facts holding `term` at `column` of `relation`, or nullptr if none.
-  const std::vector<size_t>* Postings(RelationId relation, uint32_t column,
-                                      Term term) const;
-
- private:
-  struct PosKey {
-    RelationId relation;
-    uint32_t column;
-    Term term;
-
-    friend bool operator==(const PosKey& a, const PosKey& b) {
-      return a.relation == b.relation && a.column == b.column &&
-             a.term == b.term;
-    }
-  };
-  struct PosKeyHash {
-    size_t operator()(const PosKey& k) const {
-      return HashCombine(
-          HashCombine(static_cast<size_t>(k.relation) + 0x9e3779b9,
-                      static_cast<size_t>(k.column)),
-          k.term.hash());
-    }
-  };
-
-  std::vector<std::vector<size_t>> by_relation_;
-  std::unordered_map<PosKey, std::vector<size_t>, PosKeyHash> positions_;
+  const uint32_t* begin() const { return first; }
+  const uint32_t* end() const { return last; }
+  size_t size() const { return static_cast<size_t>(last - first); }
+  bool empty() const { return first == last; }
 };
 
-// An append-only homomorphism target: the facts plus their FactIndex, kept
-// across searches so a caller whose target only grows (the chase loop,
-// level by level) indexes each fact once instead of once per search.
+// The search index over a target: the positions of each relation's facts and
+// the positional posting lists (relation, column, term) -> positions, where
+// a position is a fact's place in the target (0, 1, 2, ... in Add order).
+// Every list is ascending, so an index grown by Add visits candidates in
+// exactly the order a one-shot index over the same facts does.
+//
+// Flat storage, no allocation per fact: one open-addressing table keyed by
+// (relation, column, term), and every list a block of one shared pool. A
+// list that fills its block moves to a block twice the size at the pool's
+// end, so appends are amortized O(1) and each list stays contiguous. The
+// spans FactsOf and Postings return are valid until the next Add or Clear.
+class FactIndex {
+ public:
+  // Indexes `fact` at `position`, which must be the number of facts added
+  // since construction or the last Clear.
+  void Add(uint32_t position, const Fact& fact);
+  // Makes room for `facts` more facts holding `postings` (relation,
+  // column, term) entries in all, so adding them neither rehashes the key
+  // table nor grows the pool.
+  void Reserve(size_t facts, size_t postings);
+  // Forgets every fact; keeps the storage for the next target.
+  void Clear();
+
+  // The positions of `relation`'s facts (empty for a relation with none).
+  PositionSpan FactsOf(RelationId relation) const;
+  // The positions holding `term` at `column` of `relation` (empty if none).
+  PositionSpan Postings(RelationId relation, uint32_t column, Term term) const;
+
+ private:
+  // One list: `size` positions in pool_[offset, offset + size), with room
+  // for `capacity`.
+  struct List {
+    uint32_t offset = 0;
+    uint32_t size = 0;
+    uint32_t capacity = 0;
+  };
+  struct Slot {
+    RelationId relation = 0;
+    uint32_t column = 0;
+    Term term;  // Term::Invalid() marks an empty slot
+    List list;
+  };
+
+  static size_t HashKey(RelationId relation, uint32_t column, Term term);
+  // The slot of the key, or the empty slot where it would go.
+  size_t FindSlot(RelationId relation, uint32_t column, Term term) const;
+  // Moves every key into a fresh table of `slots` (a power of two).
+  void Rehash(size_t slots);
+  void Append(List* list, uint32_t position);
+  PositionSpan SpanOf(const List& list) const;
+
+  std::vector<List> by_relation_;
+  std::vector<Slot> slots_;  // power-of-two size, at most half full
+  size_t used_slots_ = 0;
+  std::vector<uint32_t> pool_;
+};
+
+// The solver's state (homomorphism.cc), kept by a HomomorphismTarget
+// between its searches.
+struct SearchScratch;
+
+// An append-only homomorphism target: the positions of its facts in a
+// FactTable (record numbers, e.g. chase conjunct ids) plus their FactIndex,
+// kept across searches so a caller whose target only grows (the chase loop,
+// level by level) indexes each fact once instead of once per search. The
+// facts themselves are never copied: a search reads target fact i as
+// table[ids()[i]] through the table it is handed, so the records may move
+// (a growing vector) between searches as long as each search gets a table
+// of their current storage. The target also keeps the solver's working
+// storage (bindings, trail, windows), cleared but not freed between
+// searches, so a search over a target that has stopped growing allocates
+// nothing but its result; hence searches take the target mutably, one at a
+// time.
 class HomomorphismTarget {
  public:
-  void Append(const Fact& fact) {
-    index_.Add(facts_.size(), fact);
-    facts_.push_back(fact);
+  HomomorphismTarget();
+  ~HomomorphismTarget();
+  HomomorphismTarget(HomomorphismTarget&&) noexcept;
+  HomomorphismTarget& operator=(HomomorphismTarget&&) noexcept;
+
+  // Appends record `id` of `table` as the next target fact.
+  void Append(const FactTable& table, uint32_t id) {
+    index_.Add(static_cast<uint32_t>(ids_.size()), table[id]);
+    ids_.push_back(id);
+  }
+  // Room for `facts` more facts with `postings` terms in all.
+  void Reserve(size_t facts, size_t postings) {
+    ids_.reserve(ids_.size() + facts);
+    index_.Reserve(facts, postings);
   }
   void Clear() {
-    facts_.clear();
+    ids_.clear();
     index_.Clear();
   }
 
-  size_t size() const { return facts_.size(); }
-  const std::vector<Fact>& facts() const { return facts_; }
+  size_t size() const { return ids_.size(); }
+  // The record number of each target fact, in target order.
+  const std::vector<uint32_t>& ids() const { return ids_; }
   const FactIndex& index() const { return index_; }
+  // The solver's working storage (homomorphism.cc only).
+  SearchScratch& scratch() { return *scratch_; }
 
  private:
-  std::vector<Fact> facts_;
+  std::vector<uint32_t> ids_;
   FactIndex index_;
+  std::unique_ptr<SearchScratch> scratch_;
 };
 
 // Finds a homomorphism from `source` into (`target_facts`, `target_summary`).
@@ -119,11 +177,13 @@ std::optional<Homomorphism> FindHomomorphism(
     const std::vector<Term>& target_summary,
     const HomomorphismOptions& options = {});
 
-// The same search over a prebuilt target: for equal fact vectors the result
-// (mapping and conjunct_images) equals the overload above.
+// The same search over a prebuilt target whose facts live in `table`; the
+// result's conjunct_images are target positions. For a target holding the
+// same facts in the same order the result (mapping and conjunct_images)
+// equals the overload above, which builds exactly such a target.
 std::optional<Homomorphism> FindHomomorphism(
-    const ConjunctiveQuery& source, const HomomorphismTarget& target,
-    const std::vector<Term>& target_summary);
+    const ConjunctiveQuery& source, HomomorphismTarget& target,
+    const FactTable& table, const std::vector<Term>& target_summary);
 
 // Semi-naive probe: true iff some homomorphism from `source` into
 // (`target`, `target_summary`) sends at least one conjunct onto a fact at
@@ -133,7 +193,8 @@ std::optional<Homomorphism> FindHomomorphism(
 // When facts [0, first_new) are known to admit no homomorphism, this
 // answers exactly whether the whole target does.
 bool HasHomomorphismTouching(const ConjunctiveQuery& source,
-                             const HomomorphismTarget& target,
+                             HomomorphismTarget& target,
+                             const FactTable& table,
                              const std::vector<Term>& target_summary,
                              size_t first_new);
 

@@ -39,6 +39,33 @@ struct Fact {
                        const SymbolTable& symbols) const;
 };
 
+// A read-only view of facts stored in someone else's records, addressed by
+// record number: the facts of a std::vector<Fact>, or the `fact` member of
+// each record of a vector of larger records (the chase's conjuncts). A view
+// is only as valid as the storage it was made from: after the vector
+// reallocates, make a new one.
+class FactTable {
+ public:
+  FactTable() = default;
+  explicit FactTable(const std::vector<Fact>& facts)
+      : base_(reinterpret_cast<const char*>(facts.data())),
+        stride_(sizeof(Fact)) {}
+  template <typename Record>
+  FactTable(const std::vector<Record>& records, Fact Record::*member)
+      : base_(records.empty()
+                  ? nullptr
+                  : reinterpret_cast<const char*>(&(records[0].*member))),
+        stride_(sizeof(Record)) {}
+
+  const Fact& operator[](size_t id) const {
+    return *reinterpret_cast<const Fact*>(base_ + id * stride_);
+  }
+
+ private:
+  const char* base_ = nullptr;
+  size_t stride_ = 0;
+};
+
 // Renders a tuple of terms, e.g. "(e, 'acme')".
 std::string TermsToString(const std::vector<Term>& terms,
                           const SymbolTable& symbols);

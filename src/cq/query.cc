@@ -50,10 +50,17 @@ Status ConjunctiveQuery::Validate() const {
       }
     }
   }
-  std::unordered_set<Term> body_terms;
-  for (const Fact& f : conjuncts_) {
-    body_terms.insert(f.terms.begin(), f.terms.end());
-  }
+  // Whether `t` occurs in some conjunct: a scan, not a term set, so
+  // validating allocates nothing (the all-pairs duplicate check below costs
+  // more anyway).
+  auto in_body = [&](Term t) {
+    for (const Fact& f : conjuncts_) {
+      for (Term u : f.terms) {
+        if (u == t) return true;
+      }
+    }
+    return false;
+  };
   for (Term t : summary_) {
     if (!t.is_valid()) {
       return Status::InvalidArgument("summary row contains an invalid term");
@@ -63,7 +70,7 @@ Status ConjunctiveQuery::Validate() const {
           StrCat("summary row entry '", symbols_->Name(t),
                  "' is a nondistinguished variable"));
     }
-    if (t.is_dist_var() && !empty_query_ && body_terms.count(t) == 0) {
+    if (t.is_dist_var() && !empty_query_ && !in_body(t)) {
       return Status::InvalidArgument(
           StrCat("summary row variable '", symbols_->Name(t),
                  "' does not occur in any conjunct (unsafe query)"));

@@ -722,20 +722,23 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
     // fact vector a from-scratch copy would, and returns the same witness.
     // A merge may rewrite old facts and the summary row, kill conjuncts and
     // lower levels, so it forces a rebuild, as does anything else that
-    // breaks the order or the alive count.
+    // breaks the order or the alive count. The target holds conjunct ids
+    // only; each search reads the facts in place through a FactTable of the
+    // chase's current conjunct storage.
     HomomorphismTarget target;
-    std::vector<uint64_t> target_ids;  // chase conjunct id of each fact
-    std::vector<const ChaseConjunct*> fresh;
+    std::vector<uint32_t> fresh;  // conjunct ids to append, (level, id) order
     size_t synced_conjuncts = 0;  // chase.conjuncts().size() at the last sync
     uint64_t synced_merges = 0;
     // Target facts [0, witness_free) are known to admit no homomorphism
     // (a search over exactly them failed); 0 when nothing is known.
     size_t witness_free = 0;
+    auto facts = [&]() {
+      return FactTable(chase.conjuncts(), &ChaseConjunct::fact);
+    };
     auto sync_target = [&]() {
       const std::vector<ChaseConjunct>& all = chase.conjuncts();
       auto reset = [&]() {
         target.Clear();
-        target_ids.clear();
         synced_conjuncts = 0;
         witness_free = 0;
       };
@@ -744,27 +747,24 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
       auto collect = [&]() {
         fresh.clear();
         for (size_t i = synced_conjuncts; i < all.size(); ++i) {
-          if (all[i].alive) fresh.push_back(&all[i]);
+          if (all[i].alive) fresh.push_back(static_cast<uint32_t>(i));
         }
-        std::sort(fresh.begin(), fresh.end(),
-                  [](const ChaseConjunct* a, const ChaseConjunct* b) {
-                    if (a->level != b->level) return a->level < b->level;
-                    return a->id < b->id;
-                  });
+        std::sort(fresh.begin(), fresh.end(), [&](uint32_t a, uint32_t b) {
+          if (all[a].level != all[b].level) return all[a].level < all[b].level;
+          return a < b;
+        });
       };
       const uint64_t merges = chase.chase_stats().fd_merges;
       if (merges != synced_merges) reset();
       collect();
       if (target.size() + fresh.size() != chase.alive_count() ||
-          (!fresh.empty() && !target_ids.empty() &&
-           fresh.front()->level < all[target_ids.back()].level)) {
+          (!fresh.empty() && target.size() != 0 &&
+           all[fresh.front()].level < all[target.ids().back()].level)) {
         reset();
         collect();
       }
-      for (const ChaseConjunct* c : fresh) {
-        target.Append(c->fact);
-        target_ids.push_back(c->id);
-      }
+      const FactTable table = facts();
+      for (const uint32_t id : fresh) target.Append(table, id);
       synced_conjuncts = all.size();
       synced_merges = merges;
     };
@@ -787,14 +787,14 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
       sync_target();
       Bump(stats_.witness_searches);
       if (witness_free > 0 &&
-          !HasHomomorphismTouching(q_prime, target, chase.summary(),
+          !HasHomomorphismTouching(q_prime, target, facts(), chase.summary(),
                                    witness_free)) {
         Bump(stats_.witness_searches_skipped);
         witness_free = target.size();
         return false;
       }
       std::optional<Homomorphism> hom =
-          FindHomomorphism(q_prime, target, chase.summary());
+          FindHomomorphism(q_prime, target, facts(), chase.summary());
       if (!hom.has_value()) {
         witness_free = target.size();
         return false;
@@ -806,7 +806,7 @@ Result<ContainmentReport> ContainmentEngine::DecideByChase(
       for (size_t fi : hom->conjunct_images) {
         report.witness_max_level =
             std::max(report.witness_max_level,
-                     chase.ConjunctById(target_ids[fi])->level);
+                     chase.ConjunctById(target.ids()[fi])->level);
       }
       report.witness = std::move(hom);
       return true;

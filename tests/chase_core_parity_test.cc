@@ -504,6 +504,158 @@ TEST(ChaseCoreParity, MergeInsideSweepAndFig1Level4) {
                 ChaseLimits{}, /*level=*/4, "fig1 level 4");
 }
 
+// A ring of width-1 INDs over relations "C0".."C{n-1}" (arity 2..3): each
+// relation's one IND runs from a random column into the next relation, so
+// every chase of it is infinite and mints one conjunct per conjunct per
+// level. With `keyed`, column 1 keys every relation (FDs 1 -> every other
+// column) and each IND lands on that key (a key-based Σ). Then the query
+// holds two conjuncts agreeing on their IND column, so an oblivious chase
+// mints two facts with one key inside one sweep, and a detour
+// C0 -> D -> C1 re-mints each C1 fact one level late, so every round of
+// the ring brings another FD merge inside a sweep.
+UniverseBuilder RingUniverse(size_t num_relations, bool keyed) {
+  return [=](Rng& rng, ChaseRun& run) {
+    for (size_t i = 0; i < num_relations; ++i) {
+      const size_t arity = 2 + rng.Index(2);
+      std::vector<std::string> attrs;
+      for (size_t a = 0; a < arity; ++a) {
+        attrs.push_back("a" + std::to_string(a));
+      }
+      ASSERT_TRUE(
+          run.catalog->AddRelation("C" + std::to_string(i), attrs).ok());
+    }
+    std::string text;
+    size_t lhs0 = 0;  // C0's IND column
+    for (size_t i = 0; i < num_relations; ++i) {
+      const RelationId next = static_cast<RelationId>((i + 1) % num_relations);
+      const size_t arity = run.catalog->arity(static_cast<RelationId>(i));
+      const size_t next_arity = run.catalog->arity(next);
+      const std::string name = "C" + std::to_string(i);
+      if (keyed) {
+        for (size_t c = 2; c <= arity; ++c) {
+          text += name + ": 1 -> " + std::to_string(c) + "\n";
+        }
+      }
+      const size_t lhs =
+          keyed ? 2 + rng.Index(arity - 1) : 1 + rng.Index(arity);
+      if (i == 0) lhs0 = lhs;
+      const size_t rhs = keyed ? 1 : 1 + rng.Index(next_arity);
+      text += name + "[" + std::to_string(lhs) + "] <= C" +
+              std::to_string(next) + "[" + std::to_string(rhs) + "]\n";
+    }
+    if (keyed) {
+      ASSERT_TRUE(run.catalog->AddRelation("D", {"d1", "d2"}).ok());
+      text += "D: 1 -> 2\nD[1] <= C1[1]\nC0[" + std::to_string(lhs0) +
+              "] <= D[1]\n";
+    }
+    Result<DependencySet> deps = ParseDependencies(*run.catalog, text);
+    ASSERT_TRUE(deps.ok()) << deps.status().ToString() << "\n" << text;
+    *run.deps = std::move(*deps);
+    // Two C0 conjuncts sharing their IND column's term (and, keyed, not
+    // their key), plus one conjunct further round the ring.
+    const size_t arity0 = run.catalog->arity(0);
+    const uint32_t shared = run.deps->inds()[0].lhs_columns[0];
+    std::string first = "C0(";
+    std::string second = "C0(";
+    for (size_t c = 0; c < arity0; ++c) {
+      const std::string sep = c == 0 ? "" : ", ";
+      first += sep + (c == shared ? "s" : "u" + std::to_string(c));
+      second += sep + (c == shared ? "s" : "v" + std::to_string(c));
+    }
+    std::string third = "C1(";
+    for (size_t c = 0; c < run.catalog->arity(1); ++c) {
+      third += (c == 0 ? "w" : ", w") + std::to_string(c);
+    }
+    const std::string text_q = "ans(s) :- " + first + "), " + second +
+                               "), " + third + ")";
+    Result<ConjunctiveQuery> q =
+        ParseQuery(*run.catalog, *run.symbols, text_q);
+    ASSERT_TRUE(q.ok()) << q.status().ToString() << "\n" << text_q;
+    run.queries.push_back(std::move(*q));
+  };
+}
+
+// Both cores deepened one level at a time, the way Theorem 1's iterative
+// deepening drives them (and the bulk core's frontier watermark carries
+// over between calls), compared after every level.
+void RunDeepeningParityCase(uint64_t seed, const UniverseBuilder& build,
+                            ChaseVariant variant, ChaseLimits limits,
+                            uint32_t max_level, const std::string& label,
+                            ChaseStats* bulk_stats) {
+  ChaseRun runs[2] = {BuildUniverse(seed, build), BuildUniverse(seed, build)};
+  const ChaseCoreMode modes[2] = {ChaseCoreMode::kScalar, ChaseCoreMode::kBulk};
+  for (int i = 0; i < 2; ++i) {
+    ChaseLimits core_limits = limits;
+    core_limits.core = modes[i];
+    runs[i].chase = std::make_unique<Chase>(
+        runs[i].catalog.get(), runs[i].symbols.get(), runs[i].deps.get(),
+        variant, core_limits);
+    ASSERT_TRUE(runs[i].chase->Init(runs[i].queries.at(0)).ok());
+  }
+  for (uint32_t level = 1; level <= max_level; ++level) {
+    const std::string level_label = label + " level=" + std::to_string(level);
+    for (ChaseRun& run : runs) {
+      run.expand_status = run.chase->ExpandToLevel(level).status();
+    }
+    ExpectSameStatus(runs[0].expand_status, runs[1].expand_status,
+                     level_label);
+    ExpectIdenticalPrefixes(*runs[0].chase, *runs[1].chase, level_label);
+    if (!runs[1].expand_status.ok() || runs[1].chase->is_empty_query() ||
+        ::testing::Test::HasFailure()) {
+      break;
+    }
+  }
+  const ChaseStats& stats = runs[1].chase->chase_stats();
+  bulk_stats->fd_merges += stats.fd_merges;
+  bulk_stats->index_rebuilds += stats.index_rebuilds;
+  bulk_stats->bulk_batches += stats.bulk_batches;
+}
+
+// Cyclic width-1 IND chains, deepened to 64 levels: the shape of the deep
+// Theorem 1 decisions, where each level mints a handful of conjuncts and
+// the bulk core's watermark, least-witness groups and pooled segments must
+// keep it on the scalar oracle's prefix level after level.
+TEST(ChaseCoreParity, CyclicWidthOneChainsTo64Levels) {
+  ChaseLimits limits;
+  limits.max_conjuncts = 20000;
+  ChaseStats totals;
+  for (uint64_t seed = 101; seed <= 106; ++seed) {
+    for (ChaseVariant variant :
+         {ChaseVariant::kRequired, ChaseVariant::kOblivious}) {
+      RunDeepeningParityCase(
+          seed, RingUniverse(2 + seed % 4, /*keyed=*/false), variant, limits,
+          /*max_level=*/64,
+          "ring seed=" + std::to_string(seed) + " variant=" +
+              (variant == ChaseVariant::kRequired ? "R" : "O"),
+          &totals);
+    }
+  }
+  EXPECT_GE(totals.bulk_batches, 64u * 12u);  // every chase swept 64 levels
+}
+
+// Key-based rings under the oblivious chase: two facts with one key are
+// minted in one sweep, the FD merge lands mid-sweep, the sweep aborts and
+// the witness groups are rebuilt from the merged facts.
+TEST(ChaseCoreParity, KeyBasedRingsMergeMidSweepTo64Levels) {
+  ChaseLimits limits;
+  limits.max_conjuncts = 20000;
+  ChaseStats totals;
+  for (uint64_t seed = 121; seed <= 126; ++seed) {
+    for (ChaseVariant variant :
+         {ChaseVariant::kOblivious, ChaseVariant::kRequired}) {
+      RunDeepeningParityCase(
+          seed, RingUniverse(2 + seed % 3, /*keyed=*/true), variant, limits,
+          /*max_level=*/64,
+          "keyed ring seed=" + std::to_string(seed) + " variant=" +
+              (variant == ChaseVariant::kRequired ? "R" : "O"),
+          &totals);
+    }
+  }
+  // Merges land round after round, each followed by a rebuild.
+  EXPECT_GT(totals.fd_merges, 12u * 10u);
+  EXPECT_GT(totals.index_rebuilds, 12u * 10u);
+}
+
 // --- Engine-level parity: verdicts and certificates ------------------------
 
 struct EngineUniverse {

@@ -7,7 +7,9 @@
 
 #include "base/rng.h"
 #include "base/string_util.h"
+#include "chase/chase.h"
 #include "cq/cq_parser.h"
+#include "gen/generators.h"
 
 namespace cqchase {
 namespace {
@@ -250,21 +252,29 @@ TEST(HomomorphismTargetTest, RandomizedAgreesWithOneShotSearchAndBruteForce) {
 
     // The target is grown the way the chase loop grows it: the old facts,
     // a search, then the new facts.
+    const FactTable table(facts);
     HomomorphismTarget target;
     std::vector<Fact> old_facts(facts.begin(), facts.begin() + first_new);
-    for (const Fact& f : old_facts) target.Append(f);
+    for (size_t i = 0; i < first_new; ++i) {
+      target.Append(table, static_cast<uint32_t>(i));
+    }
     std::optional<Homomorphism> old_hom =
-        FindHomomorphism(source, target, summary);
+        FindHomomorphism(source, target, table, summary);
     std::optional<Homomorphism> old_one_shot =
         FindHomomorphism(source, old_facts, summary);
     ASSERT_EQ(old_hom.has_value(), old_one_shot.has_value());
-    for (size_t i = first_new; i < n; ++i) target.Append(facts[i]);
-    ASSERT_EQ(target.facts(), facts);
+    for (size_t i = first_new; i < n; ++i) {
+      target.Append(table, static_cast<uint32_t>(i));
+    }
+    ASSERT_EQ(target.size(), facts.size());
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(table[target.ids()[i]], facts[i]);
+    }
 
     std::optional<Homomorphism> one_shot =
         FindHomomorphism(source, facts, summary);
     std::optional<Homomorphism> indexed =
-        FindHomomorphism(source, target, summary);
+        FindHomomorphism(source, target, table, summary);
     ASSERT_EQ(indexed.has_value(), one_shot.has_value());
     if (one_shot.has_value()) {
       EXPECT_EQ(indexed->mapping, one_shot->mapping);
@@ -275,7 +285,7 @@ TEST(HomomorphismTargetTest, RandomizedAgreesWithOneShotSearchAndBruteForce) {
     const BruteForce brute = BruteForceSearch(source, facts, summary, first_new);
     ASSERT_EQ(one_shot.has_value(), brute.any);
     const bool touches =
-        HasHomomorphismTouching(source, target, summary, first_new);
+        HasHomomorphismTouching(source, target, table, summary, first_new);
     ASSERT_EQ(touches, brute.touching);
     touching += touches ? 1 : 0;
     // The pre-check's use: when the old facts hold no homomorphism, it
@@ -291,6 +301,120 @@ TEST(HomomorphismTargetTest, RandomizedAgreesWithOneShotSearchAndBruteForce) {
   EXPECT_GT(skippable, 1000u);
 }
 
+// Targets grown by a real chase from src/gen's random Σ and queries, synced
+// level by level the way Theorem 1's deepening loop syncs them (alive
+// conjunct ids in (level, id) order, read in place from the chase's own
+// storage, rebuilt after an FD merge). Every search over the grown target
+// must equal a from-scratch search over the same facts copied out, the
+// touching probe must agree with brute force, and one target serves many
+// sources in turn, so no search may see another's leftover state.
+TEST(HomomorphismTargetTest, ChaseGrownTargetsAgreeWithFromScratchSearch) {
+  Rng rng(30);
+  size_t found = 0;
+  size_t touching = 0;
+  size_t brute_checked = 0;
+  size_t rebuilt = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE(StrCat("trial ", trial));
+    RandomCatalogParams cp;
+    cp.num_relations = 3;
+    cp.min_arity = 2;
+    cp.max_arity = 3;
+    Catalog catalog = RandomCatalog(rng, cp);
+    SymbolTable symbols;
+    DependencySet deps;
+    if (trial % 2 == 0) {
+      RandomIndParams ip;
+      ip.count = 2 + rng.Index(2);
+      deps = RandomIndOnlyDeps(rng, catalog, ip);
+    } else {
+      RandomKeyBasedParams kp;
+      kp.num_inds = 2 + rng.Index(2);
+      deps = RandomKeyBasedDeps(rng, catalog, kp);
+    }
+    RandomQueryParams qp;
+    qp.num_conjuncts = 3;
+    qp.num_vars = 3;
+    qp.name_prefix = "q";
+    const ConjunctiveQuery q = RandomQuery(rng, catalog, symbols, qp);
+    std::vector<ConjunctiveQuery> sources;
+    for (int i = 0; i < 4; ++i) {
+      RandomQueryParams sp;
+      sp.num_conjuncts = 1 + rng.Index(3);
+      sp.num_vars = 3;
+      sp.name_prefix = StrCat("s", i, "_");
+      sources.push_back(RandomQuery(rng, catalog, symbols, sp));
+    }
+    Result<ConjunctiveQuery> planted =
+        PlantedSuperQuery(rng, q, deps, symbols, 2, 3);
+    if (planted.ok()) sources.push_back(*std::move(planted));
+
+    ChaseLimits limits;
+    limits.max_conjuncts = 400;
+    Chase chase(&catalog, &symbols, &deps, ChaseVariant::kRequired, limits);
+    ASSERT_TRUE(chase.Init(q).ok());
+    HomomorphismTarget target;
+    uint64_t synced_merges = 0;
+    for (uint32_t level = 1; level <= 5 && !chase.is_empty_query();
+         ++level) {
+      if (!chase.ExpandToLevel(level).ok()) break;
+      const std::vector<const ChaseConjunct*> alive = chase.AliveConjuncts();
+      // Grow in place while the synced target is still a prefix of the
+      // alive conjuncts with unchanged facts; rebuild otherwise.
+      bool prefix = chase.chase_stats().fd_merges == synced_merges &&
+                    target.size() <= alive.size();
+      for (size_t i = 0; prefix && i < target.size(); ++i) {
+        prefix = target.ids()[i] == alive[i]->id;
+      }
+      if (!prefix) {
+        target.Clear();
+        ++rebuilt;
+      }
+      synced_merges = chase.chase_stats().fd_merges;
+      const size_t first_new = target.size();
+      const FactTable table(chase.conjuncts(), &ChaseConjunct::fact);
+      for (size_t i = first_new; i < alive.size(); ++i) {
+        target.Append(table, static_cast<uint32_t>(alive[i]->id));
+      }
+      std::vector<Fact> facts;
+      for (const ChaseConjunct* c : alive) facts.push_back(c->fact);
+
+      for (const ConjunctiveQuery& source : sources) {
+        SCOPED_TRACE(StrCat("level ", level, " source ", source.ToString()));
+        std::optional<Homomorphism> one_shot =
+            FindHomomorphism(source, facts, chase.summary());
+        std::optional<Homomorphism> grown =
+            FindHomomorphism(source, target, table, chase.summary());
+        ASSERT_EQ(grown.has_value(), one_shot.has_value());
+        if (one_shot.has_value()) {
+          EXPECT_EQ(grown->mapping, one_shot->mapping);
+          EXPECT_EQ(grown->conjunct_images, one_shot->conjunct_images);
+          ++found;
+        }
+        const bool touches = HasHomomorphismTouching(
+            source, target, table, chase.summary(), first_new);
+        touching += touches ? 1 : 0;
+        // Brute force enumerates |facts|^|conjuncts| assignments.
+        double assignments = 1;
+        for (size_t i = 0; i < source.conjuncts().size(); ++i) {
+          assignments *= static_cast<double>(facts.size());
+        }
+        if (assignments > 30000) continue;
+        const BruteForce brute =
+            BruteForceSearch(source, facts, chase.summary(), first_new);
+        ASSERT_EQ(one_shot.has_value(), brute.any);
+        ASSERT_EQ(touches, brute.touching);
+        ++brute_checked;
+      }
+    }
+  }
+  // The generator reaches every branch.
+  EXPECT_GT(found, 150u);
+  EXPECT_GT(touching, 50u);
+  EXPECT_GT(brute_checked, 500u);
+  EXPECT_GT(rebuilt, 0u);
+}
+
 TEST(HomomorphismTargetTest, ClearEmptiesTheIndex) {
   Catalog catalog;
   ASSERT_TRUE(catalog.AddRelation("E", {"src", "dst"}).ok());
@@ -298,13 +422,14 @@ TEST(HomomorphismTargetTest, ClearEmptiesTheIndex) {
   ConjunctiveQuery source =
       *ParseQuery(catalog, symbols, "ans() :- E(x, y), E(y, x)");
   ConjunctiveQuery loop = *ParseQuery(catalog, symbols, "ans() :- E(a, a)");
+  const FactTable table(loop.conjuncts());
   HomomorphismTarget target;
-  for (const Fact& f : loop.conjuncts()) target.Append(f);
-  EXPECT_TRUE(FindHomomorphism(source, target, {}).has_value());
+  target.Append(table, 0);
+  EXPECT_TRUE(FindHomomorphism(source, target, table, {}).has_value());
   target.Clear();
   EXPECT_EQ(target.size(), 0u);
-  EXPECT_FALSE(FindHomomorphism(source, target, {}).has_value());
-  EXPECT_FALSE(HasHomomorphismTouching(source, target, {}, 0));
+  EXPECT_FALSE(FindHomomorphism(source, target, table, {}).has_value());
+  EXPECT_FALSE(HasHomomorphismTouching(source, target, table, {}, 0));
 }
 
 }  // namespace
